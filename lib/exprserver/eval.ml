@@ -90,9 +90,23 @@ let locspec_of_location (loc : A.location) : string =
 
 (* --- the evaluation loop ----------------------------------------------------- *)
 
+(** The pipe as a PostScript file that ends where the buffered bytes do.
+    Bytes are peeked a chunk at a time but consumed one by one as the
+    interpreter reads them, so whatever it leaves unread stays queued. *)
 let drain_file (ep : Chan.endpoint) : V.file =
+  let chunk = ref "" and pos = ref 0 in
   V.file_of_fun "%exprpipe" (fun () ->
-      if Chan.available ep > 0 then Some (Chan.recv_exactly ep 1).[0] else None)
+      if !pos >= String.length !chunk then begin
+        chunk := Chan.peek ep 4096;
+        pos := 0
+      end;
+      if !pos >= String.length !chunk then None
+      else begin
+        let c = !chunk.[!pos] in
+        incr pos;
+        Chan.skip ep 1;
+        Some c
+      end)
 
 (** Evaluate [expr] in the context of [fr], returning (formatted value,
     type name). *)

@@ -37,6 +37,8 @@ let create ~(arch : Arch.t) : t * Chan.endpoint =
 
 (* --- line IO over the pipe ---------------------------------------------- *)
 
+(** Read one line, waiting on ldb whenever the pipe runs dry.  Bytes are
+    taken a chunk at a time; nothing past the newline is consumed. *)
 let read_line_blocking (s : t) : string =
   let buf = Buffer.create 64 in
   let rec go () =
@@ -44,12 +46,16 @@ let read_line_blocking (s : t) : string =
       s.need_input ();
       if Chan.available s.ep = 0 then raise (Error "expression server: ldb went away")
     end;
-    let c = (Chan.recv_exactly s.ep 1).[0] in
-    if c = '\n' then Buffer.contents buf
-    else begin
-      Buffer.add_char buf c;
-      go ()
-    end
+    let chunk = Chan.peek s.ep 256 in
+    match String.index_opt chunk '\n' with
+    | Some i ->
+        Buffer.add_substring buf chunk 0 i;
+        Chan.skip s.ep (i + 1);
+        Buffer.contents buf
+    | None ->
+        Buffer.add_string buf chunk;
+        Chan.skip s.ep (String.length chunk);
+        go ()
   in
   go ()
 

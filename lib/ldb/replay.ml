@@ -59,6 +59,8 @@ type t = {
   rp_dur : int array;  (** instruction units each request retired (0: none) *)
   rp_out : Trace.event option array;  (** recorded outcome per request *)
   rp_cks : Trace.checkpoint array;  (** cursor-ascending *)
+  rp_cores : Core.t option array;
+      (** [rp_cks]' dumps, decoded and CRC-checked on first restore *)
   mutable rp_pos : int * int;  (** current cursor *)
   mutable rp_tg : Ldb.target option;  (** target materialized at [rp_pos] *)
   mutable rp_cost : int;  (** instructions re-executed by the last seek *)
@@ -132,6 +134,7 @@ let of_string (d : Ldb.t) ~(name : string) ~(image : Ldb.image) (bytes : string)
           Ok
             ( { rp_d = d; rp_image = image; rp_name = name; rp_trace = tr;
                 rp_reqs = reqs; rp_dur = dur; rp_out = outs; rp_cks = cks;
+                rp_cores = Array.make (Array.length cks) None;
                 rp_pos = (Array.length reqs, 0); rp_tg = None; rp_cost = 0 },
               warns )
 
@@ -164,18 +167,14 @@ exception Fail of error
 
 let cursor_leq (a, b) (c, d) = a < c || (a = c && b <= d)
 
-(** The checkpoint with the greatest cursor at or before [(ev, delta)];
-    always defined because every trace begins with one at (0, 0). *)
-let best_checkpoint (t : t) ~ev ~delta : Trace.checkpoint =
-  let best = ref t.rp_cks.(0) in
-  Array.iter
-    (fun ck ->
-      if
-        cursor_leq (ck.Trace.ck_ev, ck.Trace.ck_delta) (ev, delta)
-        && cursor_leq
-             (!best.Trace.ck_ev, !best.Trace.ck_delta)
-             (ck.Trace.ck_ev, ck.Trace.ck_delta)
-      then best := ck)
+(** The index of the checkpoint with the greatest cursor at or before
+    [(ev, delta)]; always defined because every trace begins with one at
+    (0, 0). *)
+let best_checkpoint (t : t) ~ev ~delta : int =
+  let at i = (t.rp_cks.(i).Trace.ck_ev, t.rp_cks.(i).Trace.ck_delta) in
+  let best = ref 0 in
+  Array.iteri
+    (fun i _ -> if cursor_leq (at i) (ev, delta) && cursor_leq (at !best) (at i) then best := i)
     t.rp_cks;
   !best
 
@@ -184,27 +183,33 @@ let status_str = function
   | Proc.Stopped (s, code) -> Printf.sprintf "stop sig %d code %d" (Signal.number s) code
   | Proc.Exited n -> Printf.sprintf "exit %d" n
 
-(** Rebuild a nub around the machine a checkpoint froze.  A checkpoint
-    whose core comes back damaged is refused: salvaged memory would
-    replay into fabricated history, and an earlier checkpoint cannot
-    substitute (replaying across the damage still reads it). *)
-let restore (t : t) (ck : Trace.checkpoint) : Nub.t =
-  match Core.of_string ck.Trace.ck_core with
-  | Error m -> raise (Fail (`Bad_trace ("checkpoint core unreadable: " ^ m)))
-  | Ok (_, _ :: _) -> raise (Fail (`Bad_trace "checkpoint core damaged"))
-  | Ok (co, []) ->
-      if not (Arch.equal co.Core.co_arch t.rp_trace.Trace.tr_arch) then
-        raise (Fail (`Bad_trace "checkpoint architecture differs from trace"));
-      let p = Core.to_proc co in
-      p.Proc.status <-
-        (match ck.Trace.ck_status with
-        | Trace.Ck_running -> Proc.Running
-        | Trace.Ck_stopped { signal; code } ->
-            Proc.Stopped
-              (Option.value ~default:Signal.SIGINT (Signal.of_number signal), code)
-        | Trace.Ck_exited st -> Proc.Exited st);
-      Nub.create ~fuel:t.rp_trace.Trace.tr_fuel ~can_step:t.rp_trace.Trace.tr_can_step
-        p
+(** Checkpoint [i]'s dump, decoded once.  A checkpoint whose core comes
+    back damaged is refused: salvaged memory would replay into fabricated
+    history, and an earlier checkpoint cannot substitute (replaying across
+    the damage still reads it). *)
+let checkpoint_core (t : t) (i : int) : Core.t =
+  match t.rp_cores.(i) with
+  | Some co -> co
+  | None -> (
+      match Core.of_string t.rp_cks.(i).Trace.ck_core with
+      | Error m -> raise (Fail (`Bad_trace ("checkpoint core unreadable: " ^ m)))
+      | Ok (_, _ :: _) -> raise (Fail (`Bad_trace "checkpoint core damaged"))
+      | Ok (co, []) ->
+          if not (Arch.equal co.Core.co_arch t.rp_trace.Trace.tr_arch) then
+            raise (Fail (`Bad_trace "checkpoint architecture differs from trace"));
+          t.rp_cores.(i) <- Some co;
+          co)
+
+(** Rebuild a nub around the machine checkpoint [i] froze. *)
+let restore (t : t) (i : int) : Nub.t =
+  let p = Core.to_proc (checkpoint_core t i) in
+  p.Proc.status <-
+    (match t.rp_cks.(i).Trace.ck_status with
+    | Trace.Ck_running -> Proc.Running
+    | Trace.Ck_stopped { signal; code } ->
+        Proc.Stopped (Option.value ~default:Signal.SIGINT (Signal.of_number signal), code)
+    | Trace.Ck_exited st -> Proc.Exited st);
+  Nub.create ~fuel:t.rp_trace.Trace.tr_fuel ~can_step:t.rp_trace.Trace.tr_can_step p
 
 (** Hold a replayed execution to account: the stop it reached must be
     the stop the recording reached, field for field. *)
@@ -253,9 +258,10 @@ let position_raw (t : t) ~(ev : int) ~(delta : int) : Nub.t =
     raise (Fail (`Bad_trace (Printf.sprintf "cursor (%d,%d) out of range" ev delta)));
   if delta > 0 && not (is_exec t.rp_reqs.(ev) && delta < t.rp_dur.(ev)) then
     raise (Fail (`Bad_trace (Printf.sprintf "cursor (%d,%d) not inside a run" ev delta)));
-  let ck = best_checkpoint t ~ev ~delta in
+  let i = best_checkpoint t ~ev ~delta in
+  let ck = t.rp_cks.(i) in
   t.rp_cost <- 0;
-  let n = restore t ck in
+  let n = restore t i in
   let start =
     if ck.Trace.ck_delta = 0 then ck.Trace.ck_ev
     else if ck.Trace.ck_ev = ev then begin

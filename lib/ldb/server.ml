@@ -134,7 +134,11 @@ type cond_compiler =
 
 type t = {
   sv_d : Ldb.t;  (** the one debugger (and interpreter) under every session *)
-  sv_sessions : (int, session) Hashtbl.t;
+  sv_sessions : (int, session) Hashtbl.t;  (** every session not yet closed *)
+  sv_closed : (int, string * string) Hashtbl.t;
+      (** tombstones of closed sessions: name and image key only, so a
+          closed session's target, transport and process can be freed
+          while later commands still get a typed [Session_closed] *)
   sv_images : (string, Ldb.image) Hashtbl.t;  (** keyed by loader-PS digest *)
   sv_limits : limits;
   sv_stats : stats;
@@ -150,6 +154,7 @@ let create ?(limits = default_limits) () : t =
   {
     sv_d = Ldb.create ();
     sv_sessions = Hashtbl.create 64;
+    sv_closed = Hashtbl.create 64;
     sv_images = Hashtbl.create 8;
     sv_limits = limits;
     sv_stats =
@@ -207,14 +212,18 @@ let events (sv : t) : log_entry list =
 (** How many entries the cap has discarded so far. *)
 let events_dropped (sv : t) : int = sv.sv_log_dropped
 
+(** A session that is not closed. *)
 let session (sv : t) (id : int) : session option = Hashtbl.find_opt sv.sv_sessions id
 
+(** Every session that is not closed, by id. *)
 let sessions (sv : t) : session list =
   Hashtbl.fold (fun _ s acc -> s :: acc) sv.sv_sessions []
   |> List.sort (fun a b -> compare a.ss_id b.ss_id)
 
 let session_state (sv : t) (id : int) : session_state option =
-  Option.map (fun s -> s.ss_state) (session sv id)
+  match session sv id with
+  | Some s -> Some s.ss_state
+  | None -> if Hashtbl.mem sv.sv_closed id then Some Closed else None
 
 let live_sessions (sv : t) : int =
   Hashtbl.fold
@@ -376,20 +385,26 @@ let open_core_session (sv : t) ~(name : string) ~(loader_ps : string)
       sv.sv_stats.sv_failed <- sv.sv_stats.sv_failed + 1;
       refuse sv (Failed (Ldb.exn_text e))
 
+(** Forget a released session, leaving only its tombstone. *)
+let bury (sv : t) (s : session) : unit =
+  s.ss_state <- Closed;
+  Ldb.remove_target sv.sv_d s.ss_tg;
+  Hashtbl.remove sv.sv_sessions s.ss_id;
+  Hashtbl.replace sv.sv_closed s.ss_id (s.ss_name, s.ss_image)
+
 (** Close a session: release the target (detach by default) and forget
-    it.  Closing an already-down or closed session is a no-op. *)
+    it.  A down session is forgotten without a release; closing a closed
+    or unknown session is a no-op. *)
 let close_session ?(kill = false) (sv : t) (id : int) : unit =
   match session sv id with
   | None -> ()
   | Some s ->
       (match s.ss_state with
-      | Closed -> ()
-      | Down _ -> s.ss_state <- Closed
+      | Closed | Down _ -> ()
       | Healthy | Unresponsive _ ->
           (try if kill then Ldb.kill s.ss_tg else Ldb.detach s.ss_tg with _ -> ());
-          s.ss_state <- Closed;
           log sv id "closed (%s)" (if kill then "killed" else "detached"));
-      Ldb.remove_target sv.sv_d s.ss_tg
+      bury sv s
 
 (* --- supervision ------------------------------------------------------------ *)
 
@@ -420,9 +435,8 @@ let drain_session (sv : t) (id : int) : [ `Detached | `Salvaged | `Already_over 
       | Healthy | Unresponsive _ -> (
           match Ldb.detach s.ss_tg with
           | () ->
-              s.ss_state <- Closed;
               log sv id "drained (detached)";
-              Ldb.remove_target sv.sv_d s.ss_tg;
+              bury sv s;
               `Detached
           | exception _ ->
               mark_down sv s ~reason:"drain: detach failed";
@@ -562,6 +576,7 @@ let run_command (sv : t) (s : session) (cmd : command) : reply =
     A command that answers on an [Unresponsive] session heals it. *)
 let exec (sv : t) (id : int) (cmd : command) : (reply, refusal) result =
   match session sv id with
+  | None when Hashtbl.mem sv.sv_closed id -> refuse sv (Session_closed id)
   | None -> refuse sv (No_such_session id)
   | Some s -> (
       match s.ss_state with
@@ -645,14 +660,19 @@ let tick (sv : t) : unit =
 
 (* --- reporting -------------------------------------------------------------- *)
 
-(** One line per session, for the CLI and the soak log. *)
+(** One line per session, closed ones included, for the CLI and the soak
+    log. *)
 let render_sessions (sv : t) : string =
+  let rows =
+    Hashtbl.fold (fun id (name, image) acc -> (id, name, Closed, image) :: acc)
+      sv.sv_closed
+      (List.map (fun s -> (s.ss_id, s.ss_name, s.ss_state, s.ss_image)) (sessions sv))
+  in
   let b = Buffer.create 256 in
   List.iter
-    (fun s ->
+    (fun (id, name, state, image) ->
       Buffer.add_string b
-        (Printf.sprintf "%3d  %-16s %-10s image %s\n" s.ss_id s.ss_name
-           (state_name s.ss_state)
-           (String.sub s.ss_image 0 8)))
-    (sessions sv);
+        (Printf.sprintf "%3d  %-16s %-10s image %s\n" id name (state_name state)
+           (String.sub image 0 8)))
+    (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) rows);
   Buffer.contents b

@@ -141,34 +141,20 @@ end
 
 (* --- writer ------------------------------------------------------------ *)
 
-(** Trim the all-zero margins off [bytes], keeping 8-byte alignment so the
-    trimmed section never splits a multi-byte value; zero margins are
-    semantically recoverable (fresh RAM is zero-filled).  [None] when the
-    whole range is zero. *)
-let trim_zeros ~(base : int) (bytes : string) : (int * string) option =
-  let n = String.length bytes in
-  let first = ref 0 in
-  while !first < n && bytes.[!first] = '\000' do
-    incr first
-  done;
-  if !first = n then None
-  else begin
-    let last = ref (n - 1) in
-    while bytes.[!last] = '\000' do
-      decr last
-    done;
-    let lo = !first land lnot 7 in
-    let hi = min n ((!last + 8) land lnot 7) in
-    Some (base + lo, String.sub bytes lo (hi - lo))
-  end
-
+(** The part of [\[base, limit)] worth dumping: the all-zero margins are
+    trimmed off, keeping 8-byte alignment (relative to [base]) so the
+    section never splits a multi-byte value; zero margins are semantically
+    recoverable (fresh RAM is zero-filled).  [None] when the whole range
+    is zero.  Only pages the process stored to are scanned. *)
 let section_of (ram : Ram.t) ~name ~base ~limit : section option =
-  let raw = Ram.read_string ram ~addr:base ~len:(limit - base) in
-  match trim_zeros ~base raw with
+  match Ram.nonzero_extent ram ~lo:base ~hi:limit with
   | None -> None
-  | Some (sec_base, sec_bytes) ->
-      Some { sec_name = name; sec_base; sec_bytes; sec_crc = Crc32.string sec_bytes;
-             sec_ok = true }
+  | Some (first, last) ->
+      let lo = (first - base) land lnot 7 in
+      let hi = min (limit - base) ((last - base + 8) land lnot 7) in
+      let sec_bytes = Ram.read_string ram ~addr:(base + lo) ~len:(hi - lo) in
+      Some { sec_name = name; sec_base = base + lo; sec_bytes;
+             sec_crc = Crc32.string sec_bytes; sec_ok = true }
 
 (** Freeze a stopped process into a dump.  The register files are taken
     from the CPU (after draining any pending delayed load); memory is
@@ -384,19 +370,25 @@ let of_string (s : string) : (t * salvage list, string) result =
 
 (* --- rehydration -------------------------------------------------------- *)
 
-(** Rebuild an addressable memory from the dump's sections.  Damaged
-    sections are blitted too — partial bytes beat no bytes in salvage
-    mode; {!damaged_ranges} tells callers which reads to distrust. *)
-let to_ram (co : t) : Ram.t =
-  let ram = Ram.create (Arch.endian co.co_arch) in
+(** Blit the dump's sections into fresh zero-filled [ram], clipped to
+    the address space.  Damaged sections are blitted too — partial bytes
+    beat no bytes in salvage mode; {!damaged_overlap} tells callers which
+    reads to distrust. *)
+let blit_sections (co : t) (ram : Ram.t) : unit =
   let size = Ram.size ram in
   List.iter
     (fun s ->
       let base = max 0 s.sec_base in
       let skip = base - s.sec_base in
       let len = min (String.length s.sec_bytes - skip) (size - base) in
-      if len > 0 then Ram.blit_in ram ~addr:base (String.sub s.sec_bytes skip len))
-    co.co_sections;
+      if len = String.length s.sec_bytes then Ram.blit_in ram ~addr:base s.sec_bytes
+      else if len > 0 then Ram.blit_in ram ~addr:base (String.sub s.sec_bytes skip len))
+    co.co_sections
+
+(** Rebuild an addressable memory from the dump's sections. *)
+let to_ram (co : t) : Ram.t =
+  let ram = Ram.create (Arch.endian co.co_arch) in
+  blit_sections co ram;
   ram
 
 (** Sections marked not-ok whose span overlaps [\[addr, addr+size)]. *)
@@ -418,7 +410,7 @@ let freg_value (co : t) (f : int) : float =
   else Int64.float_of_bits (Endian.get_u64 Little (Bytes.of_string img) 0)
 
 (** Rebuild a {e runnable} process from a dump: fresh zero-filled RAM
-    with the sections blitted back (the margins {!trim_zeros} dropped
+    with the sections blitted back (the margins {!section_of} trimmed
     return as the zeros they were), register files and pc from the
     dump's images.  This is the inverse of {!of_proc} for the replay
     subsystem: a checkpoint dump taken at a drain-safe point restores to
@@ -429,14 +421,7 @@ let freg_value (co : t) (f : int) : float =
 let to_proc (co : t) : Proc.t =
   let t = Target.of_arch co.co_arch in
   let p = Proc.create t in
-  let size = Ram.size p.Proc.ram in
-  List.iter
-    (fun s ->
-      let base = max 0 s.sec_base in
-      let skip = base - s.sec_base in
-      let len = min (String.length s.sec_bytes - skip) (size - base) in
-      if len > 0 then Ram.blit_in p.Proc.ram ~addr:base (String.sub s.sec_bytes skip len))
-    co.co_sections;
+  blit_sections co p.Proc.ram;
   let cpu = p.Proc.cpu in
   Array.iteri (fun r v -> if r < Target.nregs t then Cpu.set_reg cpu r v) co.co_regs;
   Array.iteri

@@ -858,7 +858,13 @@ let declare_debugger env =
   declare env "FrameBase" (of_ty Int);
   declare env "FrameMem" (of_ty Mem)
 
+(* The prelude is analysed once per process; callers get private copies
+   of its scopes, so definitions they check never leak into the next. *)
+let debugger_template =
+  lazy
+    (let env = prelude_env () in
+     declare_debugger env;
+     env)
+
 let debugger_env () =
-  let env = prelude_env () in
-  declare_debugger env;
-  env
+  { env_scopes = List.map Hashtbl.copy (Lazy.force debugger_template).env_scopes }

@@ -54,15 +54,39 @@ let br_get br bits =
     Some code
   end
 
+(* The slot of [key] in an open-addressed table of [keys] (a power of two
+   in size, never full): where it is, or the empty slot where it goes. *)
+let slot (keys : int array) key =
+  let mask = Array.length keys - 1 in
+  let rec probe i =
+    let k = Array.unsafe_get keys i in
+    if k = key || k < 0 then i else probe ((i + 1) land mask)
+  in
+  probe (((key * 0x9e3779b1) lsr 16) land mask)
+
 (** [compress s] returns the LZW-compressed form of [s]. *)
 let compress (s : string) : string =
   let n = String.length s in
   if n = 0 then ""
   else begin
-    let table = Hashtbl.create 4096 in
-    for i = 0 to 255 do
-      Hashtbl.replace table (String.make 1 (Char.chr i)) i
-    done;
+    (* The dictionary maps (prefix code, next byte) to a code; both fit one
+       int key, [(prefix lsl 8) lor byte], held in an open-addressed table
+       that doubles when half full.  No string is built or hashed per
+       input byte, and a lookup allocates nothing. *)
+    let keys = ref (Array.make 1024 (-1)) and codes = ref (Array.make 1024 0) in
+    let grow () =
+      let old_keys = !keys and old_codes = !codes in
+      keys := Array.make (2 * Array.length old_keys) (-1);
+      codes := Array.make (2 * Array.length old_keys) 0;
+      Array.iteri
+        (fun i k ->
+          if k >= 0 then begin
+            let j = slot !keys k in
+            !keys.(j) <- k;
+            !codes.(j) <- old_codes.(i)
+          end)
+        old_keys
+    in
     let bw = bw_make () in
     let next_code = ref first_code in
     let sent = ref 0 in
@@ -70,21 +94,25 @@ let compress (s : string) : string =
       incr sent;
       bw_put bw code (width_at !sent)
     in
-    let w = ref (String.make 1 s.[0]) in
+    (* single bytes are codes 0..255 implicitly *)
+    let w = ref (Char.code s.[0]) in
     for i = 1 to n - 1 do
-      let c = String.make 1 s.[i] in
-      let wc = !w ^ c in
-      if Hashtbl.mem table wc then w := wc
+      let c = Char.code (String.unsafe_get s i) in
+      let key = (!w lsl 8) lor c in
+      let j = slot !keys key in
+      if !keys.(j) = key then w := !codes.(j)
       else begin
-        emit (Hashtbl.find table !w);
+        emit !w;
         if !next_code < max_entries then begin
-          Hashtbl.replace table wc !next_code;
-          incr next_code
+          !keys.(j) <- key;
+          !codes.(j) <- !next_code;
+          incr next_code;
+          if 2 * (!next_code - first_code) >= Array.length !keys then grow ()
         end;
         w := c
       end
     done;
-    emit (Hashtbl.find table !w);
+    emit !w;
     bw_flush bw;
     Buffer.contents bw.out
   end
@@ -96,10 +124,13 @@ let compress (s : string) : string =
 let decompress ?(max_out = max_int) (s : string) : string =
   if s = "" then ""
   else begin
-    let dict = Hashtbl.create 4096 in
-    for i = 0 to 255 do
-      Hashtbl.replace dict i (String.make 1 (Char.chr i))
-    done;
+    (* Every entry past the single bytes is output already written: the
+       previous entry plus the byte after it, [out.[start.(e) .. start.(e)
+       + len.(e))].  Decoding copies within the output and never builds an
+       entry as a string. *)
+    let cap = min max_entries (first_code + (String.length s * 8 / min_bits) + 2) in
+    let start = Array.make cap 0 and len = Array.make cap 0 in
+    let length code = if code < first_code then 1 else len.(code) in
     let br = br_make s in
     let next_code = ref first_code in
     let received = ref 0 in
@@ -107,37 +138,49 @@ let decompress ?(max_out = max_int) (s : string) : string =
       incr received;
       br_get br (width_at !received)
     in
-    let out = Buffer.create (max 16 (min max_out (String.length s * 3))) in
-    let add entry =
-      if Buffer.length out + String.length entry > max_out then
-        invalid_arg "Lzw.decompress: output over bound";
-      Buffer.add_string out entry
+    let out = ref (Bytes.create (max 16 (min max_out (String.length s * 3)))) in
+    let pos = ref 0 in
+    let add code =
+      let l = length code in
+      if !pos + l > max_out then invalid_arg "Lzw.decompress: output over bound";
+      if !pos + l > Bytes.length !out then begin
+        let bigger = Bytes.create (max (!pos + l) (2 * Bytes.length !out)) in
+        Bytes.blit !out 0 bigger 0 !pos;
+        out := bigger
+      end;
+      let o = !out in
+      if code < first_code then Bytes.set o !pos (Char.chr code)
+      else begin
+        (* the last byte is copied after the rest: for the entry being
+           defined right now it is the first byte just written *)
+        let src = start.(code) in
+        Bytes.blit o src o !pos (l - 1);
+        Bytes.set o (!pos + l - 1) (Bytes.get o (src + l - 1))
+      end;
+      pos := !pos + l
     in
     match read () with
     | None -> ""
     | Some c0 ->
-        let prev = ref (try Hashtbl.find dict c0 with Not_found -> invalid_arg "Lzw.decompress") in
-        add !prev;
+        if c0 >= first_code then invalid_arg "Lzw.decompress";
+        add c0;
+        let prev = ref c0 and prev_at = ref 0 in
         let continue = ref true in
         while !continue do
           match read () with
           | None -> continue := false
           | Some code ->
-              let entry =
-                match Hashtbl.find_opt dict code with
-                | Some e -> e
-                | None ->
-                    if code = !next_code then !prev ^ String.make 1 !prev.[0]
-                    else invalid_arg "Lzw.decompress: corrupt stream"
-              in
-              add entry;
+              if code > !next_code then invalid_arg "Lzw.decompress: corrupt stream";
               if !next_code < max_entries then begin
-                Hashtbl.replace dict !next_code (!prev ^ String.make 1 entry.[0]);
+                start.(!next_code) <- !prev_at;
+                len.(!next_code) <- length !prev + 1;
                 incr next_code
               end;
-              prev := entry
+              prev_at := !pos;
+              add code;
+              prev := code
         done;
-        Buffer.contents out
+        Bytes.sub_string !out 0 !pos
   end
 
 (** Compression ratio original/compressed; 1.0 for empty input. *)

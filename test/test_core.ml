@@ -67,7 +67,84 @@ let prop_codec_total =
     QCheck.(string_gen_of_size (Gen.int_bound 600) Gen.char)
     (fun s -> match Core.of_string s with Ok _ | Error _ -> true)
 
+(* --- sections against a flat scan ------------------------------------------ *)
+
+(** The reference for section trimming: scan the whole range as one flat
+    string, drop the all-zero margins and keep 8-byte alignment relative
+    to [base].  [None] when the whole range is zero. *)
+let trim_zeros ~(base : int) (bytes : string) : (int * string) option =
+  let n = String.length bytes in
+  let first = ref 0 in
+  while !first < n && bytes.[!first] = '\000' do
+    incr first
+  done;
+  if !first = n then None
+  else begin
+    let last = ref (n - 1) in
+    while bytes.[!last] = '\000' do
+      decr last
+    done;
+    let lo = !first land lnot 7 in
+    let hi = min n ((!last + 8) land lnot 7) in
+    Some (base + lo, String.sub bytes lo (hi - lo))
+  end
+
+(* stores clustered at section and page edges, zero runs included *)
+let gen_stores : (Arch.t * (int * string) list) QCheck.arbitrary =
+  let open QCheck.Gen in
+  let open Ram.Layout in
+  let edges = [ code_base; data_base; context_base; sysarg_base; size ] in
+  let addr =
+    frequency
+      [ (3, map2 (fun e d -> e + d) (oneofl edges) (int_range (-24) 24));
+        (2, map2 (fun pg d -> (pg * Ram.page_size) + d) (int_bound 1023) (int_range (-8) 8));
+        (1, int_range code_base (size - 1)) ]
+  in
+  let bytes = string_size ~gen:(frequency [ (2, return '\000'); (3, char) ]) (int_range 1 40) in
+  let store = map2 (fun a s -> (a, s)) addr bytes in
+  QCheck.make
+    ~print:(fun (arch, stores) ->
+      Arch.name arch ^ ": "
+      ^ String.concat "; "
+          (List.map (fun (a, s) -> Printf.sprintf "%#x+%d" a (String.length s)) stores))
+    (pair (oneofl Arch.all) (list_size (int_bound 30) store))
+
+let prop_sections_match_flat_trim =
+  Testkit.qtest "of_proc sections = trim_zeros of a flat read" ~count:100 gen_stores
+    (fun (arch, stores) ->
+      let p = Proc.create (Target.of_arch arch) in
+      let ram = p.Proc.ram in
+      List.iter
+        (fun (addr, s) ->
+          (* clip to the address space: the reference must see the same bytes *)
+          let addr = max 0 addr in
+          let len = min (String.length s) (Ram.size ram - addr) in
+          if len > 0 then Ram.blit_in ram ~addr (String.sub s 0 len))
+        stores;
+      let co = Core.of_proc p ~signal:11 ~code:0 in
+      let expected =
+        let open Ram.Layout in
+        List.filter_map
+          (fun (name, base, limit) ->
+            Option.map
+              (fun (b, bytes) -> (name, b, bytes, Crc32.string bytes))
+              (trim_zeros ~base (Ram.read_string ram ~addr:base ~len:(limit - base))))
+          [ ("code", code_base, data_base); ("data", data_base, context_base);
+            ("ctx", context_base, sysarg_base); ("stack", sysarg_base, Ram.size ram) ]
+      in
+      expected
+      = List.map
+          (fun s -> (s.Core.sec_name, s.Core.sec_base, s.Core.sec_bytes, s.Core.sec_crc))
+          co.Core.co_sections)
+
 (* --- dumps exist on every target ------------------------------------------- *)
+
+(** The dumps' CRC-32s: any change to the memory representation, section
+    trimming or codec that moves a byte of a dump fails here, even when it
+    moves the same way on every run. *)
+let golden_dump_crcs =
+  [ (Arch.Mips, 0xc662d9c1); (Arch.Sparc, 0x384acfdd); (Arch.M68k, 0x0ce87569);
+    (Arch.Vax, 0xb4c98153) ]
 
 let test_fault_dumps_all_archs () =
   List.iter
@@ -75,6 +152,9 @@ let test_fault_dumps_all_archs () =
       let an = Arch.name arch in
       let s = fault_session ~arch in
       let co = Ldb.fetch_core s.Testkit.tg in
+      check Alcotest.string (an ^ " dump CRC-32")
+        (Printf.sprintf "%08x" (List.assoc arch golden_dump_crcs))
+        (Printf.sprintf "%08x" (Crc32.string (Core.to_string co)));
       check Testkit.arch_testable (an ^ " arch") arch co.Core.co_arch;
       check Alcotest.int (an ^ " signal") (Signal.number Signal.SIGSEGV)
         co.Core.co_signal;
@@ -348,7 +428,7 @@ let () =
   Alcotest.run "core"
     [
       ( "codec",
-        [ prop_codec_roundtrip; prop_codec_total;
+        [ prop_codec_roundtrip; prop_codec_total; prop_sections_match_flat_trim;
           Alcotest.test_case "hopeless dumps rejected" `Quick
             test_hopeless_dump_is_an_error ] );
       ( "dumps",

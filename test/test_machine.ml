@@ -146,6 +146,136 @@ let test_ram_floats () =
   Ram.set_f32 m 0x200 1.5;
   check (Alcotest.float 1e-6) "f32" 1.5 (Ram.get_f32 m 0x200)
 
+(* Paged RAM against a flat-[Bytes] reference model: the same random
+   accesses, clustered at page boundaries and at both ends of the address
+   space, must give the same values and the same faults, on both byte
+   orders.  The size is deliberately not a whole number of pages. *)
+
+module Endian = Ldb_util.Endian
+
+module Flat = struct
+  type t = { b : Bytes.t; order : Endian.order }
+
+  let check m a n = if a < 0 || n < 0 || a + n > Bytes.length m.b then raise (Ram.Fault a)
+
+  let get m w a =
+    check m a w;
+    match w with
+    | 1 -> Int64.of_int (Endian.get_u8 m.b a)
+    | 2 -> Int64.of_int (Endian.get_u16 m.order m.b a)
+    | 4 -> Int64.of_int32 (Endian.get_u32 m.order m.b a)
+    | _ -> Endian.get_u64 m.order m.b a
+
+  let set m w a v =
+    check m a w;
+    match w with
+    | 1 -> Endian.set_u8 m.b a (Int64.to_int v)
+    | 2 -> Endian.set_u16 m.order m.b a (Int64.to_int v)
+    | 4 -> Endian.set_u32 m.order m.b a (Int64.to_int32 v)
+    | _ -> Endian.set_u64 m.order m.b a v
+
+  let blit_in m a s =
+    check m a (String.length s);
+    Bytes.blit_string s 0 m.b a (String.length s)
+
+  let read m a n =
+    check m a n;
+    Bytes.sub_string m.b a n
+
+  let extent m lo hi =
+    check m lo (hi - lo);
+    let rec up i = if i >= hi then None else if Bytes.get m.b i <> '\000' then Some i else up (i + 1) in
+    let rec down i = if Bytes.get m.b i <> '\000' then i else down (i - 1) in
+    Option.map (fun first -> (first, down (hi - 1))) (up lo)
+end
+
+let ram_get m w a =
+  match w with
+  | 1 -> Int64.of_int (Ram.get_u8 m a)
+  | 2 -> Int64.of_int (Ram.get_u16 m a)
+  | 4 -> Int64.of_int32 (Ram.get_u32 m a)
+  | _ -> Ram.get_u64 m a
+
+let ram_set m w a v =
+  match w with
+  | 1 -> Ram.set_u8 m a (Int64.to_int v)
+  | 2 -> Ram.set_u16 m a (Int64.to_int v)
+  | 4 -> Ram.set_u32 m a (Int64.to_int32 v)
+  | _ -> Ram.set_u64 m a v
+
+type ram_op =
+  | Get of int * int  (** width, address *)
+  | Set of int * int * int64
+  | Get_f64 of int
+  | Set_f64 of int * float
+  | Blit of int * string
+  | Read of int * int
+  | Extent of int * int
+
+let show_ram_op = function
+  | Get (w, a) -> Printf.sprintf "get%d %#x" w a
+  | Set (w, a, v) -> Printf.sprintf "set%d %#x %Lx" w a v
+  | Get_f64 a -> Printf.sprintf "get_f64 %#x" a
+  | Set_f64 (a, v) -> Printf.sprintf "set_f64 %#x %h" a v
+  | Blit (a, s) -> Printf.sprintf "blit %#x (%d bytes)" a (String.length s)
+  | Read (a, n) -> Printf.sprintf "read %#x %d" a n
+  | Extent (lo, hi) -> Printf.sprintf "extent %#x..%#x" lo hi
+
+let diff_size = (5 * Ram.page_size) + 24
+
+let gen_ram_ops : (Endian.order * ram_op list) QCheck.arbitrary =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [ (5, map2 (fun pg d -> (pg * Ram.page_size) + d) (int_bound 5) (int_range (-9) 9));
+        (2, int_range (diff_size - 12) (diff_size + 4));
+        (1, int_range (-6) 3);
+        (2, int_bound (diff_size - 1)) ]
+  in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  let bytes n = string_size ~gen:(frequency [ (1, return '\000'); (3, char) ]) n in
+  let op =
+    frequency
+      [ (4, map2 (fun w a -> Get (w, a)) width addr);
+        (4, map3 (fun w a v -> Set (w, a, v)) width addr ui64);
+        (1, map (fun a -> Get_f64 a) addr);
+        (1, map2 (fun a v -> Set_f64 (a, v)) addr float);
+        (2, map2 (fun a s -> Blit (a, s))
+              addr (bytes (frequency [ (4, int_bound 20); (1, int_range 4000 9000) ])));
+        (2, map2 (fun a n -> Read (a, n)) addr (frequency [ (4, int_bound 20); (1, int_bound 9000) ]));
+        (1, map2 (fun a n -> Extent (a, a + n)) addr (int_bound 9000)) ]
+  in
+  QCheck.make
+    ~print:(fun (o, ops) ->
+      Printf.sprintf "%s: %s" (Fmt.to_to_string Endian.pp_order o)
+        (String.concat "; " (List.map show_ram_op ops)))
+    (pair (oneofl [ Endian.Big; Endian.Little ]) (list_size (int_range 1 60) op))
+
+let prop_ram_matches_flat =
+  Testkit.qtest "paged RAM = flat reference" ~count:300 gen_ram_ops (fun (order, ops) ->
+      let ram = Ram.create ~size:diff_size order in
+      let flat = { Flat.b = Bytes.make diff_size '\000'; order } in
+      let run f = match f () with v -> Ok v | exception Ram.Fault a -> Error a in
+      let same f g = run f = run g in
+      List.for_all
+        (fun op ->
+          match op with
+          | Get (w, a) -> same (fun () -> ram_get ram w a) (fun () -> Flat.get flat w a)
+          | Set (w, a, v) -> same (fun () -> ram_set ram w a v) (fun () -> Flat.set flat w a v)
+          | Get_f64 a ->
+              same
+                (fun () -> Int64.bits_of_float (Ram.get_f64 ram a))
+                (fun () -> Flat.get flat 8 a)
+          | Set_f64 (a, v) ->
+              same (fun () -> Ram.set_f64 ram a v)
+                (fun () -> Flat.set flat 8 a (Int64.bits_of_float v))
+          | Blit (a, s) -> same (fun () -> Ram.blit_in ram ~addr:a s) (fun () -> Flat.blit_in flat a s)
+          | Read (a, n) -> same (fun () -> Ram.read_string ram ~addr:a ~len:n) (fun () -> Flat.read flat a n)
+          | Extent (lo, hi) ->
+              same (fun () -> Ram.nonzero_extent ram ~lo ~hi) (fun () -> Flat.extent flat lo hi))
+        ops
+      && Ram.read_string ram ~addr:0 ~len:diff_size = Bytes.to_string flat.Flat.b)
+
 (* --- float80 ------------------------------------------------------------------ *)
 
 let test_float80_exact () =
@@ -330,6 +460,7 @@ let () =
           Alcotest.test_case "faults" `Quick test_ram_fault;
           Alcotest.test_case "cstring" `Quick test_ram_cstring;
           Alcotest.test_case "floats" `Quick test_ram_floats;
+          prop_ram_matches_flat;
         ] );
       ( "float80",
         [

@@ -516,12 +516,13 @@ let test_chaos_soak () =
   for round = 0 to rounds - 1 do
     Array.iter
       (fun (id, _arch_ix, fate, results) ->
-        let tg = (session_exn sv id).Server.ss_tg in
+        (* a killed session is closed: only its tombstone is left *)
+        let endpoint () =
+          Transport.endpoint (Ldb.transport (session_exn sv id).Server.ss_tg)
+        in
         (match fate with
-        | Cut r when r = round ->
-            Chan.disconnect (Transport.endpoint (Ldb.transport tg))
-        | Stalled r when r = round ->
-            Chan.set_pump (Transport.endpoint (Ldb.transport tg)) (fun () -> ())
+        | Cut r when r = round -> Chan.disconnect (endpoint ())
+        | Stalled r when r = round -> Chan.set_pump (endpoint ()) (fun () -> ())
         | _ -> ());
         let cmd =
           match fate with Killed r when r = round -> Server.Kill | _ -> soak_script.(round)
@@ -546,7 +547,11 @@ let test_chaos_soak () =
     (fun (id, arch_ix, fate, results) ->
       let who = Printf.sprintf "session %d (%s, %s)" id (Arch.name arches.(arch_ix)) (fate_name fate) in
       let baseline = baselines.(arch_ix) in
-      let state = (session_exn sv id).Server.ss_state in
+      let state =
+        match Server.session_state sv id with
+        | Some st -> st
+        | None -> Alcotest.failf "%s: the server forgot it entirely" who
+      in
       let check_prefix upto =
         for r = 0 to upto - 1 do
           check Alcotest.string
@@ -597,6 +602,40 @@ let test_chaos_soak () =
   | Server.R_state (Ldb.Stopped _) -> ()
   | r -> Alcotest.failf "post-storm stop: %s" (Server.reply_to_string r)
 
+(* --- closed sessions are freed ---------------------------------------------------- *)
+
+(** A closed or drained session leaves a tombstone, not its target: the
+    process, nub and transport behind it become garbage, while later
+    commands still get the typed [Session_closed] refusal. *)
+let test_closed_session_freed () =
+  let image = Host.build_image ~arch:Arch.Mips fib_sources in
+  List.iter
+    (fun (how, release) ->
+      let sv = Server.create () in
+      let proc = Weak.create 1 in
+      (* everything naming the process lives and dies in this call *)
+      let open_and_release () =
+        let id, p = open_on sv image ~name:how in
+        Weak.set proc 0 (Some p.Host.hp_proc);
+        ignore (ok "break" (Server.exec sv id (Server.Break_function "fib")));
+        ignore (ok "continue" (Server.exec sv id Server.Continue));
+        release sv id;
+        id
+      in
+      let id = open_and_release () in
+      Gc.full_major ();
+      check Alcotest.bool (how ^ ": the process was collected") false (Weak.check proc 0);
+      (match Server.exec sv id Server.Where with
+      | Error (Server.Session_closed id') -> check Alcotest.int (how ^ ": refusal id") id id'
+      | r -> Alcotest.failf "%s: expected a closed-session refusal, got %s" how (show_result r));
+      check Alcotest.(option string) (how ^ ": state reads closed") (Some "closed")
+        (Option.map Server.state_name (Server.session_state sv id)))
+    [ ("close", fun sv id -> Server.close_session sv id);
+      ("drain", fun sv id ->
+          match Server.drain_session sv id with
+          | `Detached -> ()
+          | _ -> Alcotest.fail "drain did not detach") ]
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -612,5 +651,6 @@ let () =
       ("liveness", [ case "heartbeats escalate to down" test_heartbeat_escalation ]);
       ("flight recorder", [ case "log truncation leaves a marker" test_log_truncation_marker ]);
       ("post-mortem", [ case "core-backed session shares the image" test_core_session ]);
+      ("release", [ case "closed sessions are freed" test_closed_session_freed ]);
       ("soak", [ case "chaos soak: 64 sessions, 5% faults" test_chaos_soak ]);
     ]

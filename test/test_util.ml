@@ -89,6 +89,148 @@ let prop_lzw_printable =
     QCheck.(string_gen_of_size (QCheck.Gen.int_bound 5000) QCheck.Gen.printable)
     (fun s -> Lzw.decompress (Lzw.compress s) = s)
 
+(* The string-keyed codec, kept as the reference the integer-keyed one must
+   match byte for byte (compression) and verdict for verdict
+   (decompression, corrupt streams included). *)
+module Lzw_ref = struct
+  let compress (s : string) : string =
+    if s = "" then ""
+    else begin
+      let table = Hashtbl.create 4096 in
+      for i = 0 to 255 do
+        Hashtbl.replace table (String.make 1 (Char.chr i)) i
+      done;
+      let out = Buffer.create 1024 and acc = ref 0 and nbits = ref 0 and sent = ref 0 in
+      let emit code =
+        incr sent;
+        acc := !acc lor (code lsl !nbits);
+        nbits := !nbits + Lzw.width_at !sent;
+        while !nbits >= 8 do
+          Buffer.add_char out (Char.chr (!acc land 0xff));
+          acc := !acc lsr 8;
+          nbits := !nbits - 8
+        done
+      in
+      let next = ref Lzw.first_code and w = ref (String.make 1 s.[0]) in
+      for i = 1 to String.length s - 1 do
+        let wc = !w ^ String.make 1 s.[i] in
+        if Hashtbl.mem table wc then w := wc
+        else begin
+          emit (Hashtbl.find table !w);
+          if !next < Lzw.max_entries then begin
+            Hashtbl.replace table wc !next;
+            incr next
+          end;
+          w := String.make 1 s.[i]
+        end
+      done;
+      emit (Hashtbl.find table !w);
+      if !nbits > 0 then Buffer.add_char out (Char.chr (!acc land 0xff));
+      Buffer.contents out
+    end
+
+  let decompress ~max_out (s : string) : string =
+    let dict = Hashtbl.create 4096 in
+    for i = 0 to 255 do
+      Hashtbl.replace dict i (String.make 1 (Char.chr i))
+    done;
+    let br = Lzw.br_make s and received = ref 0 and next = ref Lzw.first_code in
+    let read () =
+      incr received;
+      Lzw.br_get br (Lzw.width_at !received)
+    in
+    let out = Buffer.create 64 in
+    let add e =
+      if Buffer.length out + String.length e > max_out then invalid_arg "over bound";
+      Buffer.add_string out e
+    in
+    (match read () with
+    | None -> ()
+    | Some c0 ->
+        let prev = ref (try Hashtbl.find dict c0 with Not_found -> invalid_arg "first") in
+        add !prev;
+        let rec go () =
+          match read () with
+          | None -> ()
+          | Some code ->
+              let e =
+                match Hashtbl.find_opt dict code with
+                | Some e -> e
+                | None when code = !next -> !prev ^ String.make 1 !prev.[0]
+                | None -> invalid_arg "corrupt"
+              in
+              add e;
+              if !next < Lzw.max_entries then begin
+                Hashtbl.replace dict !next (!prev ^ String.make 1 e.[0]);
+                incr next
+              end;
+              prev := e;
+              go ()
+        in
+        go ());
+    Buffer.contents out
+end
+
+(* byte strings with long zero runs, like the core dumps checkpoints hold *)
+let gen_core_like =
+  QCheck.(
+    string_gen_of_size (Gen.int_bound 6000)
+      (Gen.frequency [ (6, Gen.return '\000'); (1, Gen.char); (1, Gen.oneofl [ 'a'; 'b' ]) ]))
+
+let prop_lzw_matches_reference =
+  Testkit.qtest "lzw output = string-keyed reference" ~count:300
+    QCheck.(choose [ gen_core_like; string_gen_of_size (Gen.int_bound 3000) Gen.char ])
+    (fun s -> Lzw.compress s = Lzw_ref.compress s)
+
+(* long enough to fill the 16-bit dictionary and keep coding past it *)
+let test_lzw_full_dictionary () =
+  let rng = Random.State.make [| 17 |] in
+  let s = String.init 300_000 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let c = Lzw.compress s in
+  check Alcotest.bool "same bytes as the reference" true (c = Lzw_ref.compress s);
+  check Alcotest.bool "roundtrip" true (Lzw.decompress c = s)
+
+let prop_lzw_decode_matches_reference =
+  Testkit.qtest "lzw decode = reference, corrupt streams included" ~count:500
+    QCheck.(
+      pair (int_bound 4000)
+        (choose
+           [ map Lzw.compress gen_core_like;
+             string_gen_of_size (Gen.int_bound 300) Gen.char ]))
+    (fun (max_out, z) ->
+      let run f = try Some (f ()) with Invalid_argument _ -> None in
+      run (fun () -> Lzw.decompress ~max_out z) = run (fun () -> Lzw_ref.decompress ~max_out z))
+
+(* --- CRC-32 ----------------------------------------------------------------- *)
+
+let crc_bytewise (s : string) =
+  let crc = ref 0xffffffff in
+  String.iter
+    (fun c ->
+      crc := !crc lxor Char.code c;
+      for _ = 0 to 7 do
+        crc := if !crc land 1 = 1 then Crc32.polynomial lxor (!crc lsr 1) else !crc lsr 1
+      done)
+    s;
+  !crc lxor 0xffffffff
+
+let test_crc_check_value () =
+  check Alcotest.int "CRC-32 of 123456789" 0xcbf43926 (Crc32.string "123456789");
+  check Alcotest.int "empty" 0 (Crc32.string "")
+
+let prop_crc_matches_bitwise =
+  Testkit.qtest "crc = bit-at-a-time reference, whole and split" ~count:300
+    QCheck.(pair (string_gen_of_size (Gen.int_bound 200) Gen.char) small_nat)
+    (fun (s, k) ->
+      let cut = if s = "" then 0 else k mod (String.length s + 1) in
+      let split =
+        Crc32.finish
+          (Crc32.update
+             (Crc32.update (Crc32.init ()) s ~pos:0 ~len:cut)
+             s ~pos:cut ~len:(String.length s - cut))
+      in
+      Crc32.string s = crc_bytewise s && split = crc_bytewise s)
+
 (* --- hexdump / loc -------------------------------------------------------- *)
 
 let test_hexdump () =
@@ -127,6 +269,14 @@ let () =
           Alcotest.test_case "ratio" `Quick test_lzw_ratio;
           prop_lzw_roundtrip;
           prop_lzw_printable;
+          prop_lzw_matches_reference;
+          Alcotest.test_case "full dictionary" `Quick test_lzw_full_dictionary;
+          prop_lzw_decode_matches_reference;
+        ] );
+      ( "crc32",
+        [
+          Alcotest.test_case "check value" `Quick test_crc_check_value;
+          prop_crc_matches_bitwise;
         ] );
       ( "misc",
         [
