@@ -41,10 +41,6 @@ let fact_of_code = function
 
 let fact_name = function Uninit -> "uninit" | Valid -> "valid" | Dead -> "dead"
 
-(** Gates the annotation pass in [Compile.compile]; the symbol-table
-    bench toggles it to measure what the ranges cost. *)
-let enabled = ref true
-
 (** Compute validity ranges for one function: each tracked local paired
     with its compressed [(lo, hi, fact-code)] ranges covering stop
     indexes [0, nstops).  Pure — [annotate] is the writer. *)
@@ -114,4 +110,4 @@ let annotate (fi : Sema.func_ir) : unit =
   List.iter (fun ((s : Sym.t), ranges) -> s.Sym.validity <- ranges) (compute fi)
 
 let annotate_unit (ui : Sema.unit_ir) : unit =
-  if !enabled then List.iter annotate ui.Sema.ui_funcs
+  List.iter annotate ui.Sema.ui_funcs

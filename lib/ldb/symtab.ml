@@ -386,8 +386,7 @@ let source_files (st : t) = List.map (fun u -> u.u_file) st.units
 (** Lint findings recorded under [`Warn], in discovery order. *)
 let lint_warnings (st : t) = List.rev st.lint_warnings_rev
 
-(** All procedure entries, forcing the whole table; the linear-scan
-    baseline for benches and differential tests. *)
+(** All procedure entries, forcing the whole table. *)
 let procs (st : t) =
   force_all st;
   List.rev st.procs_rev
@@ -563,19 +562,3 @@ let resolve (st : t) (stop : stop option) (name : string) : V.t option =
       match from_statics with
       | Some e -> Some e
       | None -> resolve_extern st name)
-
-(* --- linear-scan baselines ---------------------------------------------------- *)
-
-(** The pre-index lookups: force everything, scan flat lists.  Kept as the
-    differential baseline the bench and the eager-vs-lazy tests compare
-    the indexed paths against. *)
-let proc_by_name_scan (st : t) name =
-  List.find_opt (fun e -> entry_name e = name) (procs st)
-
-let proc_by_label_scan (st : t) label =
-  List.find_opt (fun e -> proc_label e = Some label) (procs st)
-
-let stops_at_line_scan (st : t) ~line : stop list =
-  List.concat_map
-    (fun p -> List.filter (fun s -> s.stop_line = line) (stops_of_proc p))
-    (procs st)

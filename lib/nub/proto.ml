@@ -208,9 +208,15 @@ let chr c what = Char.chr (u8 c what)
 
 let u32 c what =
   need c 4 what;
-  let v = Int32.to_int (Endian.get_u32 Little (Bytes.of_string (String.sub c.src c.pos 4)) 0) in
+  let v =
+    Int32.to_int (Endian.get_u32 Little (Bytes.of_string (String.sub c.src c.pos 4)) 0)
+    land 0xffffffff
+  in
   c.pos <- c.pos + 4;
   v
+
+(** Exit statuses travel as u32 but are signed, as [Proc.Exited] holds them. *)
+let signed32 v = Int32.to_int (Int32.of_int v)
 
 let take c n what =
   if n < 0 then raise (Bad ("negative length for " ^ what));
@@ -221,7 +227,7 @@ let take c n what =
 
 let str c what =
   let n = u32 c what in
-  if n < 0 || n > max_string then raise (Bad ("bad string length for " ^ what));
+  if n > max_string then raise (Bad ("bad string length for " ^ what));
   take c n what
 
 let finish c (v : 'a) : 'a =
@@ -291,7 +297,7 @@ let decode_reply : string -> (reply, string) result =
             match st with
             | 'r' -> St_running
             | 's' -> St_stopped { signal = a; code = b; ctx_addr = cx }
-            | 'x' -> St_exited a
+            | 'x' -> St_exited (signed32 a)
             | s -> raise (Bad (Printf.sprintf "bad hello state %C" s))
           in
           Hello_reply { arch; state; can_step }
@@ -304,7 +310,7 @@ let decode_reply : string -> (reply, string) result =
           let code = u32 c "event code" in
           let ctx_addr = u32 c "event context" in
           Event { signal; code; ctx_addr }
-      | 'X' -> Exit_event (u32 c "exit status")
+      | 'X' -> Exit_event (signed32 (u32 c "exit status"))
       | 'E' -> Nub_error (str c "error message")
       | 'u' ->
           let total = u32 c "core total" in

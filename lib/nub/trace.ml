@@ -154,10 +154,8 @@ let buf_str b s =
 
 (** Checkpoint cores dominate a trace's size and compress well (sparse
     dumps are runs of structure); each is stored LZW-compressed when that
-    is actually smaller, raw otherwise, one flag byte deciding.  With
-    [~compress:false] cores are always stored raw — the bench uses it to
-    measure what compaction saves. *)
-let encode_event ?(compress = true) (e : event) : char * string =
+    is actually smaller, raw otherwise, one flag byte deciding. *)
+let encode_event (e : event) : char * string =
   let b = Buffer.create 64 in
   let tag =
     match e with
@@ -190,8 +188,8 @@ let encode_event ?(compress = true) (e : event) : char * string =
             Buffer.add_char b 'x';
             buf_u32 b status;
             buf_u32 b 0);
-        let packed = if compress then Lzw.compress ck.ck_core else ck.ck_core in
-        if compress && String.length packed < String.length ck.ck_core then begin
+        let packed = Lzw.compress ck.ck_core in
+        if String.length packed < String.length ck.ck_core then begin
           Buffer.add_char b 'L';
           buf_str b packed
         end
@@ -203,7 +201,7 @@ let encode_event ?(compress = true) (e : event) : char * string =
   in
   (tag, Buffer.contents b)
 
-let to_string ?(compress = true) (tr : t) : string =
+let to_string (tr : t) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
   buf_str b (Arch.name tr.tr_arch);
@@ -212,7 +210,7 @@ let to_string ?(compress = true) (tr : t) : string =
   Buffer.add_char b (if tr.tr_can_step then 'S' else '-');
   List.iter
     (fun e ->
-      let tag, body = encode_event ~compress e in
+      let tag, body = encode_event e in
       Buffer.add_char b tag;
       buf_u32 b (String.length body);
       Buffer.add_string b body;
@@ -270,7 +268,7 @@ let decode_body ~(version : int) (tag : char) (body : string) :
         let instrs = u32 c "stop instrs" in
         fin (Stop { signal; code; pc; instrs })
     | 'X' ->
-        let status = u32 c "exit status" in
+        let status = Proto.signed32 (u32 c "exit status") in
         let instrs = u32 c "exit instrs" in
         fin (Exit { status; instrs })
     | 'C' ->
@@ -285,7 +283,7 @@ let decode_body ~(version : int) (tag : char) (body : string) :
             match kind with
             | 'r' -> Ck_running
             | 's' -> Ck_stopped { signal = a; code = b }
-            | 'x' -> Ck_exited a
+            | 'x' -> Ck_exited (Proto.signed32 a)
             | k -> raise (Hard (Printf.sprintf "bad checkpoint kind %C" k))
           in
           (* v1 checkpoints have no compression flag: the core is raw *)

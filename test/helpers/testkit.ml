@@ -91,6 +91,27 @@ let top (s : session) = Ldb.top_frame s.d s.tg
 
 let arch_testable = Alcotest.testable Arch.pp Arch.equal
 
+(** CPU seconds [f ()] takes. *)
+let cpu_time f =
+  let t0 = Sys.time () in
+  f ();
+  Sys.time () -. t0
+
+(** Timing gates: the median, over 7 interleaved runs, of the seconds
+    [slow ()] reports divided by the seconds [fast ()] reports.  Both paths
+    run moments apart on the same machine, and the median shrugs off the
+    odd run a collection or a busy neighbour slowed down. *)
+let median_ratio ~slow ~fast () =
+  let reps = 7 in
+  let ratios =
+    Array.init reps (fun _ ->
+        let f = fast () in
+        let s = slow () in
+        s /. Float.max f 1e-6)
+  in
+  Array.sort compare ratios;
+  ratios.(reps / 2)
+
 (** qcheck: arbitrary abstract instruction (well-formed for [arch]). *)
 let gen_insn (arch : Arch.t) : Insn.t QCheck.Gen.t =
   let open QCheck.Gen in

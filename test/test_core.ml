@@ -225,6 +225,55 @@ let test_live_vs_postmortem () =
       check Alcotest.string (an ^ " disas") live.a_disas dead.a_disas)
     Arch.all
 
+(* the same fault with no output first: the program never enters the
+   simulated kernel, so nothing is written between the context block and
+   the stack and the dump stays sparse.  (A program that has made a system
+   call writes the argument block at [Ram.Layout.sysarg_base], and the
+   "stack" section then spans the ~2 MiB up to the stack top.) *)
+let quiet_segv_sources =
+  [
+    ( "segv.c",
+      {|
+int boom(int k)
+{
+    static int a[4];
+    a[0] = 7;
+    a[k] = 1;
+    return a[0];
+}
+int main(void)
+{
+    int n;
+    n = 4000000;
+    boom(n);
+    return 0;
+}
+|} );
+  ]
+
+(** Zero-trimmed sections keep a dump of the 4 MiB address space small:
+    at most 1 MiB on every target (the exact sizes are pinned), with a
+    post-mortem backtrace at least two frames deep that matches the live
+    one. *)
+let test_sparse_dumps () =
+  List.iter
+    (fun (arch, size) ->
+      let an = Arch.name arch in
+      let s = Testkit.debug_session ~arch quiet_segv_sources in
+      let d = s.Testkit.d and tg = s.Testkit.tg in
+      (match Testkit.ok (Ldb.continue_ d tg) with
+      | Ldb.Stopped { signal = Signal.SIGSEGV; _ } -> ()
+      | _ -> Alcotest.failf "%s: program did not die of SIGSEGV" an);
+      let live = List.map (Ldb.frame_function d tg) (Ldb.backtrace d tg) in
+      let dump = String.length (Ldb.core_bytes tg) in
+      check Alcotest.int (an ^ " dump bytes") size dump;
+      Alcotest.(check bool) (an ^ " dump at most 1 MiB") true (dump > 0 && dump <= 1 lsl 20);
+      let d2, tg2 = postmortem_of s in
+      let dead = List.map (Ldb.frame_function d2 tg2) (Ldb.backtrace d2 tg2) in
+      check Alcotest.(list string) (an ^ " backtrace") live dead;
+      Alcotest.(check bool) (an ^ " backtrace depth >= 2") true (List.length dead >= 2))
+    [ (Arch.Mips, 33856); (Arch.Sparc, 993); (Arch.M68k, 664); (Arch.Vax, 711) ]
+
 (** A dead process answers queries but refuses to run, step or store. *)
 let test_dead_process_is_typed () =
   let s = fault_session ~arch:Arch.Mips in
@@ -438,6 +487,7 @@ let () =
       ( "postmortem",
         [ Alcotest.test_case "live = post-mortem on all targets" `Quick
             test_live_vs_postmortem;
+          Alcotest.test_case "sparse dumps, live = post-mortem" `Quick test_sparse_dumps;
           Alcotest.test_case "dead process errors are typed" `Quick
             test_dead_process_is_typed ] );
       ( "release",

@@ -489,6 +489,58 @@ let test_drr_fairness () =
                    (client_recv heavy));
      !got)
 
+(** Fairness under a flood: 32 clients over the four targets each send a
+    whole six-command script in one burst.  When the first client's queue
+    empties, deficit round robin has served every client (none starved)
+    and none more than 3x another; then the backlog drains completely. *)
+let test_flood_fairness () =
+  let images =
+    Array.of_list (List.map (fun arch -> Host.build_image ~arch fib_sources) Arch.all)
+  in
+  let n_conns = 32 in
+  let arch_of_conn = Hashtbl.create n_conns in
+  let limits =
+    { Evloop.default_limits with Evloop.el_max_conns = n_conns; el_quantum = 8 }
+  in
+  let loop = make_loop ~limits ~images ~arch_of_conn () in
+  let script =
+    Server.
+      [ Break_function "fib"; Continue; Read_int "n"; Print "n"; Backtrace; Continue ]
+  in
+  let clients =
+    List.init n_conns (fun i ->
+        let cl, res = connect ~arch_ix:(i mod Array.length images) loop arch_of_conn [] in
+        ignore (conn_exn res);
+        cl)
+  in
+  List.iter (fun cl -> client_send cl (Swire.C_hello { magic = Swire.version_magic })) clients;
+  Evloop.tick loop;
+  List.iter (fun cl -> List.iter (fun c -> client_send cl (Swire.C_cmd c)) script) clients;
+  let served () = List.map (fun c -> c.Evloop.cn_served) (Evloop.conns loop) in
+  let rec first_finish ticks =
+    if ticks >= 100_000 then Alcotest.fail "no client finished its script"
+    else begin
+      Evloop.tick loop;
+      if List.exists (fun c -> Queue.is_empty c.Evloop.cn_q) (Evloop.conns loop) then
+        served ()
+      else first_finish (ticks + 1)
+    end
+  in
+  let at_first = first_finish 0 in
+  let most = List.fold_left max 0 at_first and fewest = List.fold_left min max_int at_first in
+  Alcotest.(check bool) "no client starved at first finish" true (fewest > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "served %d..%d at first finish: ratio within 3.0" fewest most)
+    true
+    (most <= 3 * fewest);
+  let ticks = ref 0 in
+  while Evloop.queued loop > 0 && !ticks < 100_000 do
+    incr ticks;
+    Evloop.tick loop
+  done;
+  check Alcotest.int "every command served" (6 * n_conns)
+    (Evloop.stats loop).Evloop.es_served
+
 (** Graceful drain: queued commands finish, every connection gets a
     goodbye, sessions detach, the report says so, and nothing is
     admitted afterwards. *)
@@ -833,7 +885,9 @@ let () =
           case "mid-command disconnect releases cleanly" test_disconnect_clean_release;
           case "rx overflow quarantined" test_rx_overflow_quarantine;
         ] );
-      ("fairness", [ case "deficit round robin starves no one" test_drr_fairness ]);
+      ( "fairness",
+        [ case "deficit round robin starves no one" test_drr_fairness;
+          case "32-client flood within 3x at first finish" test_flood_fairness ] );
       ("drain", [ case "graceful drain: finish, goodbye, release" test_graceful_drain ]);
       ( "soak",
         [ case "chaos soak: 64 wire clients, hostile subset" test_chaos_soak ] );

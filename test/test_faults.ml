@@ -95,8 +95,10 @@ let clean_outcome ~arch : outcome =
   let s = Testkit.debug_session ~arch sources in
   run_scenario s.Testkit.d s.Testkit.proc s.Testkit.tg
 
-(** A session whose link starts injecting faults once connected. *)
-let faulty_outcome ~arch ~seed (prof : Faultchan.profile) : outcome * Faultchan.t =
+(** A session whose link starts injecting faults once connected; also
+    returns the injector and the transport's counters. *)
+let faulty_outcome ~arch ~seed (prof : Faultchan.profile) :
+    outcome * Faultchan.t * Transport.stats =
   let d = Ldb.create () in
   let p = Host.launch ~paused:true ~arch sources in
   (* connect over quiet weather, then arm the injector: connection setup
@@ -105,7 +107,7 @@ let faulty_outcome ~arch ~seed (prof : Faultchan.profile) : outcome * Faultchan.
   let tg = Ldb.connect d ~name:(Arch.name arch) ~loader_ps:p.Host.hp_loader_ps chan in
   Faultchan.set_armed fc true;
   let oc = run_scenario d p tg in
-  (oc, fc)
+  (oc, fc, Transport.stats (Ldb.transport tg))
 
 (* --- the matrix ------------------------------------------------------------- *)
 
@@ -135,7 +137,9 @@ let test_fault_kind (kind : Faultchan.kind) () =
     (fun arch ->
       let name = Arch.name arch ^ "/" ^ Faultchan.kind_name kind in
       let clean = clean_outcome ~arch in
-      let faulty, fc = faulty_outcome ~arch ~seed:(seed_of arch kind) (matrix_profile kind) in
+      let faulty, fc, _ =
+        faulty_outcome ~arch ~seed:(seed_of arch kind) (matrix_profile kind)
+      in
       check outcome_testable (name ^ " outcome matches clean run") clean faulty;
       if Faultchan.injected fc = 0 then
         Alcotest.failf "%s: the injector never fired (%d messages)" name
@@ -148,11 +152,48 @@ let test_mixed_storm () =
     (fun arch ->
       let clean = clean_outcome ~arch in
       let prof = Faultchan.profile ~rate:0.15 ~max_faults:6 ~stall_ticks:4 () in
-      let faulty, fc = faulty_outcome ~arch ~seed:(1000 + seed_of arch Faultchan.Drop) prof in
+      let faulty, fc, _ =
+        faulty_outcome ~arch ~seed:(1000 + seed_of arch Faultchan.Drop) prof
+      in
       check outcome_testable (Arch.name arch ^ "/storm outcome") clean faulty;
       if Faultchan.injected fc = 0 then
         Alcotest.failf "%s/storm: the injector never fired" (Arch.name arch))
     Arch.all
+
+(* --- fault rates -------------------------------------------------------------- *)
+
+(** A flaky link rather than a hostile one: every class but disconnect
+    (whose recovery is reattach, not retry) at 0%, 1% and 5% of messages,
+    five seeded sessions per target and rate.  No session may fail, each
+    must give the clean run's answers, and at every nonzero rate the
+    retry machinery must have engaged. *)
+let test_fault_rates () =
+  let kinds = Faultchan.[ Drop; Corrupt; Truncate; Duplicate; Stall ] in
+  let clean = List.map (fun arch -> (arch, clean_outcome ~arch)) Arch.all in
+  List.iter
+    (fun rate ->
+      let failed = ref 0 and retries = ref 0 in
+      List.iteri
+        (fun arch_ix arch ->
+          for i = 1 to 5 do
+            let seed = (int_of_float (rate *. 1000.0) * 1000) + (arch_ix * 100) + i in
+            let prof = Faultchan.profile ~rate ~kinds ~stall_ticks:4 () in
+            match faulty_outcome ~arch ~seed prof with
+            | oc, _, st ->
+                check outcome_testable
+                  (Printf.sprintf "%s seed %d outcome" (Arch.name arch) seed)
+                  (List.assoc arch clean) oc;
+                retries := !retries + st.Transport.st_retries
+            | exception Transport.Error _ -> incr failed
+          done)
+        Arch.all;
+      check Alcotest.int (Printf.sprintf "failed sessions at rate %.2f" rate) 0 !failed;
+      if rate > 0.0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "%d retries at rate %.2f: the fault machinery engaged" !retries
+             rate)
+          true (!retries > 0))
+    [ 0.0; 0.01; 0.05 ]
 
 (* --- explicit disconnect → reattach → resync -------------------------------- *)
 
@@ -327,6 +368,7 @@ let () =
             case (Faultchan.kind_name kind ^ " on all targets") (test_fault_kind kind))
           Faultchan.all_kinds );
       ("storm", [ case "all fault classes at once" test_mixed_storm ]);
+      ("rates", [ case "no failures at 0/1/5%, retries engage" test_fault_rates ]);
       ( "reattach",
         [ case "disconnect, reattach, resync" test_disconnect_reattach_resync;
           case "detach then reattach" test_detach_then_reattach ] );

@@ -89,6 +89,8 @@ let test_request_roundtrips () =
       Proto.Store { space = 'd'; addr = 0xffff; bytes = "\x01\x02\x03\x04" };
       Proto.Continue; Proto.Step; Proto.Kill; Proto.Detach;
       Proto.Dump { offset = 0 }; Proto.Dump { offset = 0x12345 };
+      Proto.Dump { offset = 0xffffffff };
+      Proto.Fetch { space = 'd'; addr = 0x80000000; size = 4 };
       Proto.Set_cond { addr = 0x1000; prog = "P\x01\x00\x00\x00" };
       Proto.Set_cond { addr = 0; prog = String.make Proto.max_cond_prog 'q' };
       Proto.Clear_cond { addr = 0x1000 };
@@ -103,10 +105,15 @@ let test_reply_roundtrips () =
         { arch = "vax"; state = Proto.St_stopped { signal = 5; code = 0; ctx_addr = 99 };
           can_step = false };
       Proto.Hello_reply { arch = "m68k"; state = Proto.St_exited 3; can_step = true };
+      (* exit statuses are signed, as the process reports them *)
+      Proto.Hello_reply { arch = "sparc"; state = Proto.St_exited (-1); can_step = true };
       Proto.Fetched "\xde\xad\xbe\xef";
       Proto.Stored;
       Proto.Event { signal = 11; code = 0x1234; ctx_addr = 0x1f0000 };
+      (* u32 fields decode unsigned: the top bit is not a sign *)
+      Proto.Event { signal = 0x80000000; code = 0xffffffff; ctx_addr = 0xfffffffc };
       Proto.Exit_event 0;
+      Proto.Exit_event (-1);
       Proto.Core_chunk { total = 0; offset = 0; chunk = "" };
       Proto.Core_chunk { total = 9000; offset = 4096; chunk = String.make 2048 'x' };
       Proto.Cond_hit { signal = 5; code = 0; ctx_addr = 0x1f0000; suppressed = 12345 };
@@ -158,20 +165,20 @@ let gen_request : Proto.request QCheck.arbitrary =
       QCheck.map
         (fun (addr, size, code_space) ->
           Proto.Fetch { space = (if code_space then 'c' else 'd'); addr; size })
-        QCheck.(triple (int_bound 0xffffff) (int_range 1 16) bool);
+        QCheck.(triple (int_bound 0xffffffff) (int_range 1 16) bool);
       QCheck.map
         (fun (addr, bytes) -> Proto.Store { space = 'd'; addr; bytes })
-        QCheck.(pair (int_bound 0xffffff)
+        QCheck.(pair (int_bound 0xffffffff)
                   (string_gen_of_size (QCheck.Gen.int_range 1 16) QCheck.Gen.char));
       QCheck.always Proto.Continue; QCheck.always Proto.Step;
       QCheck.always Proto.Kill; QCheck.always Proto.Detach;
-      QCheck.map (fun offset -> Proto.Dump { offset }) QCheck.(int_bound 0xffffff);
+      QCheck.map (fun offset -> Proto.Dump { offset }) QCheck.(int_bound 0xffffffff);
       QCheck.map
         (fun (addr, prog) -> Proto.Set_cond { addr; prog })
-        QCheck.(pair (int_bound 0xffffff)
+        QCheck.(pair (int_bound 0xffffffff)
                   (string_gen_of_size (QCheck.Gen.int_range 1 Proto.max_cond_prog)
                      QCheck.Gen.char));
-      QCheck.map (fun addr -> Proto.Clear_cond { addr }) QCheck.(int_bound 0xffffff) ]
+      QCheck.map (fun addr -> Proto.Clear_cond { addr }) QCheck.(int_bound 0xffffffff) ]
 
 let prop_request_roundtrip =
   Testkit.qtest "random requests roundtrip" ~count:500 gen_request roundtrip_request

@@ -328,6 +328,100 @@ let determinism_case () =
   check Alcotest.bool "replayed end dumps the live core" true
     (String.equal (Ldb.core_bytes tg) (Ldb.core_bytes s1.Testkit.tg))
 
+(* --- cost ------------------------------------------------------------------------ *)
+
+(* the loop again, long enough that recording and seeking do real work *)
+let long_loop_sources =
+  [
+    ( "loop.c",
+      {|
+int total;
+void bump(int k)
+{
+    total = total + k;
+}
+int main(void)
+{
+    int i;
+    for (i = 1; i <= 1500; i++)
+        bump(i);
+    printf("%d\n", total);
+    return 0;
+}
+|} );
+  ]
+
+(** Run the long loop to exit, recording at [spacing] if given; returns
+    the session and the CPU seconds the run itself took. *)
+let run_long_loop ?spacing () : Testkit.session * float =
+  let s = Testkit.debug_session ~arch:Arch.Mips long_loop_sources in
+  Option.iter (fun spacing -> Ldb.start_record s.Testkit.tg ~spacing) spacing;
+  let secs =
+    Testkit.cpu_time (fun () ->
+        match Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg) with
+        | Ldb.Exited _ -> ()
+        | _ -> Alcotest.fail "the loop did not run to exit")
+  in
+  (s, secs)
+
+(** Recording while debugging forward, at the wide checkpoint spacing
+    recommended for live use, costs under 2x an untraced run (the median
+    of seven interleaved timings) and leaves a non-empty trace. *)
+let record_overhead_case () =
+  let spacing = 100_000 in
+  let ratio =
+    Testkit.median_ratio
+      ~slow:(fun () -> snd (run_long_loop ~spacing ()))
+      ~fast:(fun () -> snd (run_long_loop ()))
+      ()
+  in
+  Alcotest.(check bool) (Printf.sprintf "record overhead %.2fx: under 2x" ratio) true
+    (ratio < 2.0);
+  let s, _ = run_long_loop ~spacing () in
+  Alcotest.(check bool) "the recorded run left a trace" true
+    (String.length (Ldb.trace_bytes s.Testkit.tg) > 0)
+
+(** The spacing knob trades trace bytes for seek work.  At every spacing
+    the trace holds checkpoints and instructions, is stored smaller than
+    its checkpoint cores alone would take raw, and a reverse step never
+    re-executes more than the spacing plus a 16-instruction delay-slot
+    allowance.  All of these are machine-independent counts, pinned. *)
+let spacing_sweep_case () =
+  List.iter
+    (fun (spacing, checkpoints, max_reexec) ->
+      let sp = Printf.sprintf "spacing %d:" spacing in
+      let s, _ = run_long_loop ~spacing () in
+      let bytes = Ldb.trace_bytes s.Testkit.tg in
+      let rp = open_replay s in
+      ignore (reach (Replay.seek_end rp) : Ldb.target);
+      let worst = ref 0 in
+      for _ = 1 to 100 do
+        ignore (reach (Replay.rstep rp) : Ldb.target);
+        worst := max !worst (Replay.last_seek_cost rp)
+      done;
+      check Alcotest.int (sp ^ " checkpoints") checkpoints (Replay.checkpoint_count rp);
+      check Alcotest.int (sp ^ " instructions recorded") 55535
+        (Replay.recorded_instructions rp);
+      let raw_cores =
+        match Trace.of_string bytes with
+        | Ok (tr, []) ->
+            List.fold_left
+              (fun acc -> function
+                | Trace.Checkpoint ck -> acc + String.length ck.Trace.ck_core
+                | _ -> acc)
+              0 tr.Trace.tr_events
+        | _ -> Alcotest.fail "the recorded trace does not decode cleanly"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s stored %d bytes < %d bytes of raw checkpoint cores" sp
+           (String.length bytes) raw_cores)
+        true
+        (String.length bytes < raw_cores);
+      check Alcotest.int (sp ^ " worst re-execution per rstep") max_reexec !worst;
+      Alcotest.(check bool) (sp ^ " re-execution within spacing + 16") true
+        (!worst <= spacing + 16))
+    [ (64, 858, 63); (256, 217, 205); (1024, 55, 221) ]
+
 (* --- trace codec -------------------------------------------------------------- *)
 
 (** qcheck: a checkpoint really is an LDBCORE1 dump plus a replay
@@ -341,8 +435,10 @@ let gen_ck_trace : Trace.t QCheck.arbitrary =
     oneof [ return 0; int_range 1 1000 ] >>= fun delta ->
     int_bound 31 >>= fun signal ->
     int_bound 255 >>= fun code ->
+    (* exit statuses are signed *)
+    int_range (-255) 255 >>= fun status ->
     oneofl
-      [ Trace.Ck_running; Trace.Ck_stopped { signal; code }; Trace.Ck_exited code ]
+      [ Trace.Ck_running; Trace.Ck_stopped { signal; code }; Trace.Ck_exited status ]
     >>= fun ck_status ->
     let ck =
       { Trace.ck_ev = ev; ck_delta = delta; ck_status; ck_core = Core.to_string co }
@@ -361,7 +457,7 @@ let gen_ck_trace : Trace.t QCheck.arbitrary =
             Trace.Req Proto.Continue;
             Trace.Stop { signal; code; pc = ev * 4; instrs = delta + 1 };
             Trace.Req Proto.Step;
-            Trace.Exit { status = code; instrs = 1 } ] }
+            Trace.Exit { status; instrs = 1 } ] }
   in
   QCheck.make gen
 
@@ -544,6 +640,10 @@ let () =
       ("rcontinue", arch_cases "reverse-continue differential" rcontinue_case);
       ( "rwatch",
         [ Alcotest.test_case "run back to last write" `Quick rwatch_case ] );
+      ( "cost",
+        [ Alcotest.test_case "record overhead under 2x" `Quick record_overhead_case;
+          Alcotest.test_case "spacing sweep: bounded re-execution" `Quick
+            spacing_sweep_case ] );
       ( "determinism",
         [ Alcotest.test_case "identical traces, identical end state" `Quick
             determinism_case ] );

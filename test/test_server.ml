@@ -108,6 +108,91 @@ let test_image_cache_shared () =
       ignore (ok "break afun again" (Server.exec sv id2 (Server.Break_function "afun")));
       check Alcotest.int "no re-force for the second session" 0 !forces)
 
+(** The server against isolated debuggers: 16 sessions per target run
+    break / continue / read / backtrace / run to exit, once through one
+    server and once as one private debugger (and image) per session.
+    Through the server, no session goes down and no command fails, every
+    open after a target's first is an image-cache hit, each session costs
+    fewer live heap words, and each unit is forced once per image rather
+    than once per session. *)
+let test_server_vs_isolated () =
+  let per_arch = 16 in
+  let n_sessions = per_arch * List.length Arch.all in
+  let images () = List.map (fun arch -> Host.build_image ~arch fib_sources) Arch.all in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let forced st = List.length (Symtab.forced_units st) in
+  (* through one server *)
+  let images_sv = images () in
+  let w0 = live_words () in
+  let sv =
+    Server.create ~limits:{ Server.default_limits with Server.li_max_sessions = n_sessions } ()
+  in
+  let ids =
+    List.concat_map
+      (fun image ->
+        List.init per_arch (fun i ->
+            let id, _ = open_on sv image ~name:(Printf.sprintf "s%d" i) in
+            ignore (ok "break" (Server.exec sv id (Server.Break_function "fib")));
+            ignore (ok "continue" (Server.exec sv id Server.Continue));
+            (match ok "read" (Server.exec sv id (Server.Read_int "n")) with
+            | Server.R_int 10 -> ()
+            | r -> Alcotest.failf "read n: %s" (Server.reply_to_string r));
+            ignore (ok "backtrace" (Server.exec sv id Server.Backtrace));
+            ignore (ok "exit" (Server.exec sv id Server.Continue));
+            id))
+      images_sv
+  in
+  let sv_words = (live_words () - w0) / n_sessions in
+  let st = Server.stats sv in
+  let sv_forced =
+    Hashtbl.fold (fun _ im acc -> acc + forced im.Ldb.im_symtab) sv.Server.sv_images 0
+  in
+  List.iter (fun id -> Server.close_session ~kill:true sv id) ids;
+  (* one isolated debugger per session *)
+  let images_iso = images () in
+  let w0 = live_words () in
+  let isolated =
+    List.concat_map
+      (fun image ->
+        List.init per_arch (fun _ ->
+            let p = Host.launch_image image in
+            let d = Ldb.create () in
+            let tg =
+              Ldb.connect d ~name:"s" ~loader_ps:p.Host.hp_loader_ps (Host.open_channel p)
+            in
+            ignore (Ldb.break_function d tg "fib" : int);
+            (match Testkit.ok (Ldb.continue_ d tg) with
+            | Ldb.Stopped _ -> ()
+            | _ -> Alcotest.fail "isolated session: no stop");
+            check Alcotest.int "isolated n" 10
+              (Ldb.read_int_var d tg (Ldb.top_frame d tg) "n");
+            ignore (Ldb.backtrace d tg : _ list);
+            (match Testkit.ok (Ldb.continue_ d tg) with
+            | Ldb.Exited 0 -> ()
+            | _ -> Alcotest.fail "isolated session: no clean exit");
+            tg))
+      images_iso
+  in
+  let iso_words = (live_words () - w0) / n_sessions in
+  let iso_forced = List.fold_left (fun acc tg -> acc + forced tg.Ldb.tg_symtab) 0 isolated in
+  List.iter Ldb.kill isolated;
+  check Alcotest.int "sessions served" n_sessions (List.length ids);
+  check Alcotest.int "no session down" 0 st.Server.sv_downs;
+  check Alcotest.int "no command failed" 0 st.Server.sv_failed;
+  check Alcotest.int "one image per target" (List.length Arch.all) st.Server.sv_cache_misses;
+  check Alcotest.int "every other open hit the cache"
+    (n_sessions - st.Server.sv_cache_misses)
+    st.Server.sv_cache_hits;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d live words per server session vs %d isolated" sv_words iso_words)
+    true (sv_words < iso_words);
+  (* fib.c is one unit: forced once per shared image, once per isolated session *)
+  check Alcotest.int "units forced through the server" (List.length Arch.all) sv_forced;
+  check Alcotest.int "units forced in isolated sessions" n_sessions iso_forced
+
 (** A unit quarantined in the shared image degrades exactly the queries
     that touch it, in every session, without re-forcing — and everything
     else keeps working. *)
@@ -643,7 +728,8 @@ let () =
     [
       ( "cache",
         [ case "image shared across sessions" test_image_cache_shared;
-          case "quarantine shared, typed, no re-force" test_quarantine_shared ] );
+          case "quarantine shared, typed, no re-force" test_quarantine_shared;
+          case "server beats isolated sessions" test_server_vs_isolated ] );
       ( "isolation",
         [ case "typed failures leave the session healthy" test_typed_isolation;
           case "disconnect hits only its own session" test_disconnect_isolated ] );

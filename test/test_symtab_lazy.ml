@@ -46,6 +46,16 @@ int bfun(int x)
 let two_unit_session ?compress ~arch () =
   Testkit.debug_session ?compress ~arch [ ("a.c", a_c); ("b.c", b_c) ]
 
+(* the pre-index lookups, kept as reference implementations: scans over
+   the flat list of procedures a fully forced table yields *)
+let proc_by_name_scan procs name =
+  List.find_opt (fun e -> Symtab.entry_name e = name) procs
+
+let stops_at_line_scan procs ~line : Symtab.stop list =
+  List.concat_map
+    (fun p -> List.filter (fun s -> s.Symtab.stop_line = line) (Symtab.stops_of_proc p))
+    procs
+
 let with_force_log f =
   let saved = !Symtab.force_hook in
   let log = ref [] in
@@ -150,7 +160,7 @@ let test_lazy_eager_agree () =
       List.iter
         (fun name ->
           let ix = Symtab.proc_by_name st name in
-          let sc = Symtab.proc_by_name_scan st name in
+          let sc = proc_by_name_scan (Symtab.procs st) name in
           Alcotest.(check bool)
             (Printf.sprintf "%s proc_by_name %s" (Arch.name arch) name)
             true
@@ -165,7 +175,7 @@ let test_lazy_eager_agree () =
           check
             Alcotest.(list (pair string int))
             (Printf.sprintf "%s stops@%d" (Arch.name arch) line)
-            (names (Symtab.stops_at_line_scan st ~line))
+            (names (stops_at_line_scan (Symtab.procs st) ~line))
             (names (Symtab.stops_at_line st ~line)))
         [ 5; 6; 7; 8; 99 ])
     Arch.all
@@ -328,6 +338,155 @@ let test_compressed_sessions () =
         [ "x"; "aglobal" ])
     Arch.all
 
+(* --- cost ------------------------------------------------------------------------ *)
+
+(* a synthetic program of [n_units] units x [funcs_per_unit] procedures,
+   big enough that forcing a unit, and scanning the whole table, costs
+   something measurable *)
+let n_units = 8
+let funcs_per_unit = 12
+let func_name u i = Printf.sprintf "f_%d_%d" u i
+
+let unit_source u =
+  let buf = Buffer.create 1024 in
+  for i = 0 to funcs_per_unit - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf
+         "int %s(int x)\n{\n    int a;\n    int b;\n    a = x + %d;\n    b = a * 2;\n    a = b - x;\n    return a;\n}\n"
+         (func_name u i) (i + 1))
+  done;
+  if u = 0 then begin
+    Buffer.add_string buf "int main(void)\n{\n    int r;\n    r = 0;\n";
+    for v = 0 to n_units - 1 do
+      Buffer.add_string buf (Printf.sprintf "    r = r + %s(%d);\n" (func_name v 0) v)
+    done;
+    Buffer.add_string buf "    printf(\"%d\\n\", r);\n    return 0;\n}\n"
+  end;
+  Buffer.contents buf
+
+let many_sources = List.init n_units (fun u -> (Printf.sprintf "u%d.c" u, unit_source u))
+
+let many_names =
+  Array.of_list
+    (List.concat (List.init n_units (fun u -> List.init funcs_per_unit (func_name u))))
+
+(** Planting one breakpoint forces its defining unit and nothing else:
+    fewer units than exist, and under half the table's bytes. *)
+let test_lazy_attach_cost () =
+  List.iter
+    (fun arch ->
+      let an = Arch.name arch in
+      let s = Testkit.debug_session ~arch many_sources in
+      ignore
+        (Ldb.break_function s.Testkit.d s.Testkit.tg
+           (func_name (n_units - 1) (funcs_per_unit / 2))
+          : int);
+      let st = s.Testkit.tg.Ldb.tg_symtab in
+      check Alcotest.int (an ^ " unit count") n_units (Symtab.unit_count st);
+      check Alcotest.int (an ^ " one unit forced") 1 (List.length (Symtab.forced_units st));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s forced %d of %d table bytes: under half" an
+           (Symtab.forced_bytes st) (Symtab.total_bytes st))
+        true
+        (2 * Symtab.forced_bytes st < Symtab.total_bytes st))
+    Arch.all
+
+(** The indexes pay for themselves: [proc_by_name] and [stops_at_line]
+    at least 10x faster than the scans they replaced, and the pc index
+    no slower than re-deriving every stop address of the procedure at
+    the pc.  Each ratio is the median of seven interleaved timings. *)
+let test_indexed_lookups_beat_scans () =
+  let queries = 2_000 in
+  List.iter
+    (fun arch ->
+      let an = Arch.name arch in
+      let s = Testkit.debug_session ~arch many_sources in
+      let d = s.Testkit.d and tg = s.Testkit.tg in
+      let st = tg.Ldb.tg_symtab in
+      Ldb.force_symbols d tg;
+      let procs = Symtab.procs st in
+      let name i = many_names.(i mod Array.length many_names) in
+      (* lines 2..9 carry stops in every unit *)
+      let line i = 2 + (i mod 8) in
+      let repeat f () =
+        Testkit.cpu_time (fun () ->
+            for i = 1 to queries do
+              f i
+            done)
+      in
+      let gate what ~min ratio =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: index %.1fx the scan, gate %.0fx" an what ratio min)
+          true (ratio >= min)
+      in
+      gate "proc_by_name" ~min:10.0
+        (Testkit.median_ratio
+           ~slow:(repeat (fun i -> ignore (proc_by_name_scan procs (name i) : V.t option)))
+           ~fast:(repeat (fun i -> ignore (Symtab.proc_by_name st (name i) : V.t option)))
+           ());
+      gate "stops_at_line" ~min:10.0
+        (Testkit.median_ratio
+           ~slow:(repeat (fun i ->
+                      ignore (stops_at_line_scan procs ~line:(line i) : Symtab.stop list)))
+           ~fast:(repeat (fun i ->
+                      ignore (Symtab.stops_at_line st ~line:(line i) : Symtab.stop list)))
+           ());
+      (* pc -> stop addresses, the single-step loop's query, at the entry
+         stop of the first 16 procedures *)
+      let pcs =
+        Array.of_list
+          (List.filter_map
+             (fun e ->
+               match Symtab.stops_of_proc e with
+               | s :: _ -> Some (Ldb.stop_address d tg s)
+               | [] -> None)
+             (List.filteri (fun i _ -> i < 16) procs))
+      in
+      let pc i = pcs.(i mod Array.length pcs) in
+      gate "pc index" ~min:1.0
+        (Testkit.median_ratio
+           ~slow:(repeat (fun i ->
+                      ignore
+                        (match Ldb.proc_entry_at d tg ~pc:(pc i) with
+                         | None -> []
+                         | Some proc ->
+                             List.map (Ldb.stop_address d tg) (Symtab.stops_of_proc proc)
+                          : int list)))
+           ~fast:(repeat (fun i -> ignore (Ldb.stop_addresses d tg ~pc:(pc i) : int list)))
+           ()))
+    Arch.all
+
+(** Validity ranges ride along in the table: they must be present, and
+    their [/validity] lines cost under 10% of the table's other bytes. *)
+let test_validity_ranges_are_cheap () =
+  let range_bytes body =
+    List.fold_left
+      (fun acc line ->
+        if String.starts_with ~prefix:"/validity [" (String.trim line) then
+          acc + String.length line + 1
+        else acc)
+      0 (String.split_on_char '\n' body)
+  in
+  List.iter
+    (fun arch ->
+      let an = Arch.name arch in
+      let s = Testkit.debug_session ~arch many_sources in
+      let st = s.Testkit.tg.Ldb.tg_symtab in
+      Ldb.force_symbols s.Testkit.d s.Testkit.tg;
+      let ranges =
+        List.fold_left
+          (fun acc u ->
+            match u.Symtab.u_body.V.v with V.Str b -> acc + range_bytes b | _ -> acc)
+          0 st.Symtab.units
+      in
+      let plain = Symtab.total_bytes st - ranges in
+      Alcotest.(check bool) (an ^ " ranges present") true (ranges > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s ranges cost %d of %d bytes: under 10%%" an ranges plain)
+        true
+        (10 * ranges < plain))
+    Arch.all
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -343,4 +502,8 @@ let () =
           case "quarantine routes around" test_quarantine_routes_around;
           case "many units" test_many_units ] );
       ("compression", [ case "compressed sessions" test_compressed_sessions ]);
+      ( "cost",
+        [ case "lazy attach forces a fraction" test_lazy_attach_cost;
+          case "indexed lookups beat the scans" test_indexed_lookups_beat_scans;
+          case "validity ranges under 10%" test_validity_ranges_are_cheap ] );
     ]
