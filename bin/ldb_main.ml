@@ -525,8 +525,8 @@ let run_connect ~path =
   (* a short write would tear the frame and desynchronize the stream:
      loop until the whole frame is out, retrying interrupts.  Returns
      [false] when the server is gone. *)
-  let send m =
-    let frame = Swire.seal ~seq:!seq (Swire.encode_client m) in
+  let send_payload payload =
+    let frame = Swire.seal ~seq:!seq payload in
     incr seq;
     let len = String.length frame in
     let pos = ref 0 in
@@ -541,6 +541,7 @@ let run_connect ~path =
       Printf.eprintf "ldb: write to server failed: %s\n" (Unix.error_message e);
       false
   in
+  let send m = send_payload (Swire.encode_client m) in
   let buf = Bytes.create 4096 in
   let rec recv_msg () =
     match Swire.scan ~max_payload:Swire.max_server_payload !rx with
@@ -610,7 +611,15 @@ let run_connect ~path =
             match parse words with
             | None -> Printf.printf "client: unknown command %S\n" line
             | Some cmd ->
-                if not (send (Swire.C_cmd cmd)) then begin
+                (* the server would discard a frame over its limit as a
+                   lying header and desynchronize the transcript: refuse
+                   it here and send nothing *)
+                let payload = Swire.encode_client (Swire.C_cmd cmd) in
+                let limit = Swire.from_client.max_payload in
+                if String.length payload > limit then
+                  Printf.printf "client: command not sent: %d bytes, over the %d-byte limit\n"
+                    (String.length payload) limit
+                else if not (send_payload payload) then begin
                   prerr_endline "ldb: server closed the connection";
                   finished := true
                 end

@@ -11,6 +11,7 @@
       type:u8  desc:u16  value:u32  nstr:u16  bytes[nstr]
     with the classic stab types. *)
 
+open Ldb_util
 open Ldb_machine
 
 let n_so = 0x64  (* source file *)
@@ -44,17 +45,10 @@ let clamp_desc ~what desc =
   end
 
 let add_record buf ~ty ~desc ~value ~str =
-  Buffer.add_char buf (Char.chr (ty land 0xff));
-  Buffer.add_char buf (Char.chr (desc land 0xff));
-  Buffer.add_char buf (Char.chr ((desc lsr 8) land 0xff));
-  let v = Int32.of_int value in
-  for i = 0 to 3 do
-    Buffer.add_char buf
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v (8 * i)) land 0xff))
-  done;
-  let n = String.length str in
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
+  Bytecodec.add_u8 buf ty;
+  Bytecodec.add_u16 buf desc;
+  Bytecodec.add_u32 buf value;
+  Bytecodec.add_u16 buf (String.length str);
   Buffer.add_string buf str
 
 (* dbx-style type codes packed into the name string: "name:code" *)

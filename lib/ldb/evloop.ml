@@ -424,7 +424,7 @@ let read_io (t : t) (c : conn) : unit =
 let check_read_deadline (t : t) (c : conn) : unit =
   match c.cn_partial_since with
   | Some since when t.el_tick - since > t.el_limits.el_read_deadline ->
-      c.cn_rx <- Swire.force_resync c.cn_rx;
+      c.cn_rx <- Ldb_util.Bytecodec.resync c.cn_rx;
       c.cn_partial_since <- None;
       c.cn_strikes <- c.cn_strikes + 1;
       t.el_stats.es_protocol_errors <- t.el_stats.es_protocol_errors + 1;

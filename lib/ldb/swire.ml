@@ -1,15 +1,17 @@
 (** The server's wire protocol: versioned, length-prefixed, CRC-framed
     messages between a debug client and the {!Server}.
 
-    This is the nub transport's robustness discipline ({!Ldb_nub.Frame},
-    PR 2) applied one layer up, where the peers are debug {e clients}
-    rather than nubs — and a client, unlike a nub, must be presumed
-    hostile.  The contract is therefore the same but stricter:
+    This is the nub transport's robustness discipline ({!Ldb_nub.Frame})
+    applied one layer up, where the peers are debug {e clients} rather
+    than nubs — and a client, unlike a nub, must be presumed hostile.
+    The contract is therefore the same but stricter:
 
-    - every message travels in a frame [0xF5 0x5B | seq | len | crc |
-      payload] (all integers little-endian u32; the CRC-32 covers seq,
-      len and payload), so corruption and truncation are detectable and
-      a receiver can {e resynchronize} by scanning for the next magic;
+    - every message travels in a frame of the shared frame codec
+      ({!Ldb_util.Bytecodec}), the wire's instance with magic
+      [0xF5 0x5B], so corruption and truncation are detectable and a
+      receiver can {e resynchronize} by scanning for the next magic; the
+      nub's instance has a different magic pair, so neither stream can
+      mistake the other's frames for its own;
     - the connection opens with a versioned hello carrying the literal
       {!version_magic} ([LDBSRV1]); anything else is a typed protocol
       error, answered and closed before a session is ever bound;
@@ -25,12 +27,9 @@
 
 open Ldb_util
 open Ldb_machine
+open Bytecodec
 
 let version_magic = "LDBSRV1"
-
-let magic0 = '\xf5'
-let magic1 = '\x5b'
-let header_len = 14
 
 (** Client→server payloads are commands: small by construction.  A frame
     claiming more is a lying length field, not a big command. *)
@@ -43,106 +42,37 @@ let max_text = 1 lsl 16
 let max_addrs = 4096
 let max_core_wire = 1 lsl 24
 
-(* --- typed protocol errors --------------------------------------------------- *)
+(* --- framing ------------------------------------------------------------------ *)
+
+(** The wire's instance of the shared frame codec in each direction: one
+    magic pair, [0xF5 0x5B], and the receiver's trust bound.  A client
+    must not send a command [from_client] refuses. *)
+let from_client = { magic0 = '\xf5'; magic1 = '\x5b'; max_payload = max_client_payload }
+
+let from_server = { from_client with max_payload = max_server_payload }
 
 (** What a hostile or damaged byte stream did.  Every decoder failure is
     one of these; none of them raises. *)
-type error =
-  | Garbage of int  (** bytes discarded scanning for the next magic *)
+type error = Bytecodec.error =
+  | Garbage of int
   | Bad_length of { seq : int; claimed : int; limit : int }
-      (** a header whose length field cannot be a real frame *)
   | Bad_crc of { seq : int }
-  | Bad_message of string  (** a checksum-valid payload that does not decode *)
+  | Bad_message of string
 
-let error_to_string = function
-  | Garbage n -> Printf.sprintf "%d byte%s of garbage before a frame" n
-                   (if n = 1 then "" else "s")
-  | Bad_length { seq; claimed; limit } ->
-      Printf.sprintf "frame %d claims a %d-byte payload (limit %d)" seq claimed limit
-  | Bad_crc { seq } -> Printf.sprintf "frame %d fails its checksum" seq
-  | Bad_message m -> "undecodable message: " ^ m
+let error_to_string = Bytecodec.error_to_string
 
-(* --- framing ------------------------------------------------------------------ *)
-
-let u32_le (v : int) =
-  let b = Bytes.create 4 in
-  Endian.set_u32 Little b 0 (Int32.of_int v);
-  Bytes.to_string b
-
-let get_u32 s pos =
-  Int32.to_int (Endian.get_u32 Little (Bytes.of_string (String.sub s pos 4)) 0)
-  land 0xffffffff
-
-(** Wrap [payload] in a frame. *)
-let seal ~(seq : int) (payload : string) : string =
-  if String.length payload > max_server_payload then
-    invalid_arg "Swire.seal: payload too long";
-  let head = u32_le seq ^ u32_le (String.length payload) in
-  let crc =
-    let c = Crc32.update (Crc32.init ()) head ~pos:0 ~len:8 in
-    Crc32.finish (Crc32.update c payload ~pos:0 ~len:(String.length payload))
-  in
-  Printf.sprintf "%c%c" magic0 magic1 ^ head ^ u32_le crc ^ payload
-
-(** One scanning decision over the front of a receive buffer.  The
-    caller consumes exactly what the result says and calls again;
-    [S_need] consumes nothing — the frame is merely incomplete so far. *)
-type scan =
+type scan = Bytecodec.scan =
   | S_frame of { seq : int; payload : string; used : int }
   | S_skip of { skip : int; error : error }
   | S_need
 
-(** Scan [buf] for the next frame.  Total, consumes nothing itself.
-    [max_payload] is the receiver's trust bound: servers scan client
-    bytes with {!max_client_payload}, clients scan replies with
-    {!max_server_payload}. *)
-let scan ?(max_payload = max_client_payload) (buf : string) : scan =
-  let avail = String.length buf in
-  if avail = 0 then S_need
-  else
-    (* garbage in front of the next possible magic is skipped, typed *)
-    let start =
-      let rec find i =
-        if i >= avail then avail
-        else if buf.[i] = magic0 && (i + 1 >= avail || buf.[i + 1] = magic1) then i
-        else find (i + 1)
-      in
-      find 0
-    in
-    if start > 0 then S_skip { skip = start; error = Garbage start }
-    else if avail < 2 then S_need
-    else if buf.[1] <> magic1 then
-      (* a lone magic byte: not a frame start *)
-      S_skip { skip = 1; error = Garbage 1 }
-    else if avail < header_len then S_need
-    else
-      let seq = get_u32 buf 2 in
-      let len = get_u32 buf 6 in
-      let crc = get_u32 buf 10 in
-      if len > max_payload then
-        (* a corrupted (or hostile) length field: skip the magic and let
-           the scanner resynchronize on whatever follows *)
-        S_skip { skip = 2; error = Bad_length { seq; claimed = len; limit = max_payload } }
-      else if avail < header_len + len then S_need
-      else
-        let check =
-          let c = Crc32.update (Crc32.init ()) buf ~pos:2 ~len:8 in
-          Crc32.finish (Crc32.update c buf ~pos:header_len ~len)
-        in
-        if check <> crc then
-          (* the length field itself may be lying; consume only the magic
-             so a genuine frame inside the claimed span is recovered *)
-          S_skip { skip = 2; error = Bad_crc { seq } }
-        else
-          S_frame { seq; payload = String.sub buf header_len len; used = header_len + len }
+(** Wrap [payload] in a frame, in either direction. *)
+let seal ~seq payload = Bytecodec.seal from_server ~seq payload
 
-(** The resync step a receiver applies when buffered bytes stall as a
-    forever-incomplete frame (a torn frame's lying header promising a
-    payload that will never arrive): discard the presumed magic and
-    rescan.  Anything genuine behind the lie is recovered. *)
-let force_resync (buf : string) : string =
-  let n = min 2 (String.length buf) in
-  String.sub buf n (String.length buf - n)
+(** Scan [buf] for the next frame.  [max_payload] is the receiver's trust
+    bound: servers scan client bytes with {!max_client_payload} (the
+    default), clients scan replies with {!max_server_payload}. *)
+let scan ?max_payload buf = Bytecodec.scan from_client ?max_payload buf
 
 (* --- message bodies ----------------------------------------------------------- *)
 
@@ -158,94 +88,42 @@ type server_msg =
   | S_error of string  (** typed protocol error, echoed to the client *)
   | S_bye of string  (** server-initiated goodbye (drain, quarantine) *)
 
-(* encode helpers, in the Trace codec's style *)
-
-let buf_u32 b (v : int) = Buffer.add_string b (u32_le v)
-
-let buf_str b s =
-  buf_u32 b (String.length s);
-  Buffer.add_string b s
-
-exception Hard of string
-exception Short of string
-
-type cursor = { src : string; mutable pos : int }
-
-let need c n what =
-  if c.pos + n > String.length c.src then raise (Short what)
-
-let u8 c what =
-  need c 1 what;
-  let v = Char.code c.src.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let u32 c what =
-  need c 4 what;
-  let v = get_u32 c.src c.pos in
-  c.pos <- c.pos + 4;
-  v
-
-let i32 c what =
-  let v = u32 c what in
-  if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
-
-let take c n what =
-  if n < 0 then raise (Hard ("negative length for " ^ what));
-  need c n what;
-  let s = String.sub c.src c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let str c ~limit what =
-  let n = u32 c (what ^ " length") in
-  if n > limit then raise (Hard (Printf.sprintf "%s of %d bytes over the %d limit" what n limit));
-  take c n what
-
 (* --- commands ----------------------------------------------------------------- *)
 
-let encode_command (cmd : Server.command) : string =
-  let b = Buffer.create 32 in
-  (match cmd with
+let add_command (b : Buffer.t) (cmd : Server.command) : unit =
+  match cmd with
   | Server.Break_function f ->
       Buffer.add_char b 'f';
-      buf_str b f
+      add_str b f
   | Server.Break_line { file; line } ->
       Buffer.add_char b 'l';
-      (match file with
-      | None -> Buffer.add_char b '\000'
-      | Some f ->
-          Buffer.add_char b '\001';
-          buf_str b f);
-      buf_u32 b line
+      add_bool b (file <> None);
+      Option.iter (add_str b) file;
+      add_u32 b line
   | Server.Condition { addr; cond } ->
       Buffer.add_char b 'k';
-      buf_u32 b addr;
-      buf_str b cond
+      add_u32 b addr;
+      add_str b cond
   | Server.Continue -> Buffer.add_char b 'c'
   | Server.Step_source -> Buffer.add_char b 's'
   | Server.Where -> Buffer.add_char b 'w'
   | Server.Backtrace -> Buffer.add_char b 'b'
   | Server.Print v ->
       Buffer.add_char b 'p';
-      buf_str b v
+      add_str b v
   | Server.Read_int v ->
       Buffer.add_char b 'r';
-      buf_str b v
+      add_str b v
   | Server.Fetch_core -> Buffer.add_char b 'o'
   | Server.Detach -> Buffer.add_char b 'd'
-  | Server.Kill -> Buffer.add_char b 'x');
-  Buffer.contents b
+  | Server.Kill -> Buffer.add_char b 'x'
 
 let decode_command (c : cursor) : Server.command =
   match Char.chr (u8 c "command opcode") with
   | 'f' -> Server.Break_function (str c ~limit:max_text "function name")
   | 'l' ->
       let file =
-        match u8 c "file flag" with
-        | 0 -> None
-        | 1 -> Some (str c ~limit:max_text "file name")
-        | f -> raise (Hard (Printf.sprintf "bad file flag %d" f))
+        if bool c "file flag" then Some (str c ~limit:max_text "file name") else None
       in
       let line = u32 c "line" in
       Server.Break_line { file; line }
@@ -262,20 +140,20 @@ let decode_command (c : cursor) : Server.command =
   | 'o' -> Server.Fetch_core
   | 'd' -> Server.Detach
   | 'x' -> Server.Kill
-  | op -> raise (Hard (Printf.sprintf "unknown command opcode %C" op))
+  | op -> hard "unknown command opcode %C" op
 
 (* --- replies ------------------------------------------------------------------ *)
 
-let encode_state (b : Buffer.t) : Ldb.state -> unit = function
+let add_state (b : Buffer.t) : Ldb.state -> unit = function
   | Ldb.Running -> Buffer.add_char b 'r'
   | Ldb.Stopped { signal; code; ctx_addr } ->
       Buffer.add_char b 's';
-      buf_u32 b (Signal.number signal);
-      buf_u32 b code;
-      buf_u32 b ctx_addr
+      add_u32 b (Signal.number signal);
+      add_u32 b code;
+      add_u32 b ctx_addr
   | Ldb.Exited n ->
       Buffer.add_char b 'x';
-      buf_u32 b n
+      add_u32 b n
   | Ldb.Detached -> Buffer.add_char b 'd'
 
 let decode_state (c : cursor) : Ldb.state =
@@ -288,37 +166,35 @@ let decode_state (c : cursor) : Ldb.state =
       let signal =
         match Signal.of_number sign with
         | Some s -> s
-        | None -> raise (Hard (Printf.sprintf "unknown signal %d" sign))
+        | None -> hard "unknown signal %d" sign
       in
       Ldb.Stopped { signal; code; ctx_addr }
   | 'x' -> Ldb.Exited (i32 c "exit status")
   | 'd' -> Ldb.Detached
-  | t -> raise (Hard (Printf.sprintf "unknown state tag %C" t))
+  | t -> hard "unknown state tag %C" t
 
-let encode_reply (r : Server.reply) : string =
-  let b = Buffer.create 64 in
-  (match r with
+let add_reply (b : Buffer.t) (r : Server.reply) : unit =
+  match r with
   | Server.R_unit -> Buffer.add_char b 'u'
   | Server.R_addr a ->
       Buffer.add_char b 'a';
-      buf_u32 b a
+      add_u32 b a
   | Server.R_addrs addrs ->
       Buffer.add_char b 'A';
-      buf_u32 b (List.length addrs);
-      List.iter (buf_u32 b) addrs
+      add_u32 b (List.length addrs);
+      List.iter (add_u32 b) addrs
   | Server.R_state st ->
       Buffer.add_char b 's';
-      encode_state b st
+      add_state b st
   | Server.R_text t ->
       Buffer.add_char b 't';
-      buf_str b t
+      add_str b t
   | Server.R_int n ->
       Buffer.add_char b 'i';
-      buf_u32 b (n land 0xffffffff)
+      add_u32 b (n land 0xffffffff)
   | Server.R_core co ->
       Buffer.add_char b 'C';
-      buf_str b (Core.to_string co));
-  Buffer.contents b
+      add_str b (Core.to_string co)
 
 let decode_reply (c : cursor) : Server.reply =
   match Char.chr (u8 c "reply opcode") with
@@ -326,7 +202,7 @@ let decode_reply (c : cursor) : Server.reply =
   | 'a' -> Server.R_addr (u32 c "addr")
   | 'A' ->
       let n = u32 c "addr count" in
-      if n > max_addrs then raise (Hard (Printf.sprintf "%d addresses over the limit" n));
+      if n > max_addrs then hard "%d addresses over the limit" n;
       Server.R_addrs (List.init n (fun _ -> u32 c "addr"))
   | 's' -> Server.R_state (decode_state c)
   | 't' -> Server.R_text (str c ~limit:max_text "reply text")
@@ -337,46 +213,39 @@ let decode_reply (c : cursor) : Server.reply =
       | Ok (co, []) -> Server.R_core co
       | Ok (_, _ :: _) -> raise (Hard "damaged core in reply")
       | Error m -> raise (Hard ("bad core in reply: " ^ m)))
-  | op -> raise (Hard (Printf.sprintf "unknown reply opcode %C" op))
+  | op -> hard "unknown reply opcode %C" op
 
 (* --- refusals ----------------------------------------------------------------- *)
 
-let encode_refusal (r : Server.refusal) : string =
-  let b = Buffer.create 32 in
-  (match r with
+let add_refusal (b : Buffer.t) (r : Server.refusal) : unit =
+  match r with
   | Server.No_such_session id ->
       Buffer.add_char b 'n';
-      buf_u32 b id
+      add_u32 b id
   | Server.Session_closed id ->
       Buffer.add_char b 'c';
-      buf_u32 b id
+      add_u32 b id
   | Server.Session_down { reason; salvaged } ->
       Buffer.add_char b 'd';
-      Buffer.add_char b (if salvaged then '\001' else '\000');
-      buf_str b reason
+      add_bool b salvaged;
+      add_str b reason
   | Server.Overloaded m ->
       Buffer.add_char b 'o';
-      buf_str b m
+      add_str b m
   | Server.Failed m ->
       Buffer.add_char b 'f';
-      buf_str b m);
-  Buffer.contents b
+      add_str b m
 
 let decode_refusal (c : cursor) : Server.refusal =
   match Char.chr (u8 c "refusal opcode") with
   | 'n' -> Server.No_such_session (u32 c "session id")
   | 'c' -> Server.Session_closed (u32 c "session id")
   | 'd' ->
-      let salvaged =
-        match u8 c "salvage flag" with
-        | 0 -> false
-        | 1 -> true
-        | f -> raise (Hard (Printf.sprintf "bad salvage flag %d" f))
-      in
+      let salvaged = bool c "salvage flag" in
       Server.Session_down { reason = str c ~limit:max_text "down reason"; salvaged }
   | 'o' -> Server.Overloaded (str c ~limit:max_text "overload reason")
   | 'f' -> Server.Failed (str c ~limit:max_text "failure reason")
-  | op -> raise (Hard (Printf.sprintf "unknown refusal opcode %C" op))
+  | op -> hard "unknown refusal opcode %C" op
 
 (* --- whole messages ----------------------------------------------------------- *)
 
@@ -385,10 +254,10 @@ let encode_client (m : client_msg) : string =
   (match m with
   | C_hello { magic } ->
       Buffer.add_char b 'H';
-      buf_str b magic
+      add_str b magic
   | C_cmd cmd ->
       Buffer.add_char b 'C';
-      Buffer.add_string b (encode_command cmd)
+      add_command b cmd
   | C_bye -> Buffer.add_char b 'B');
   Buffer.contents b
 
@@ -397,60 +266,50 @@ let encode_server (m : server_msg) : string =
   (match m with
   | S_hello { session } ->
       Buffer.add_char b 'H';
-      buf_str b version_magic;
-      buf_u32 b session
+      add_str b version_magic;
+      add_u32 b session
   | S_reply r ->
       Buffer.add_char b 'R';
-      Buffer.add_string b (encode_reply r)
+      add_reply b r
   | S_refused r ->
       Buffer.add_char b 'F';
-      Buffer.add_string b (encode_refusal r)
+      add_refusal b r
   | S_error m ->
       Buffer.add_char b 'E';
-      buf_str b m
+      add_str b m
   | S_bye m ->
       Buffer.add_char b 'D';
-      buf_str b m);
+      add_str b m);
   Buffer.contents b
+
+(** Decode a whole payload; anything undecodable is a typed
+    {!Bad_message}. *)
+let decode_payload f payload = Result.map_error (fun m -> Bad_message m) (decode f payload)
 
 (** Decode a client payload.  Total: anything undecodable is a typed
     {!Bad_message}, never an exception. *)
-let decode_client (payload : string) : (client_msg, error) result =
-  let c = { src = payload; pos = 0 } in
-  let fin v =
-    if c.pos <> String.length payload then Error (Bad_message "trailing bytes") else Ok v
-  in
-  try
-    match Char.chr (u8 c "message opcode") with
-    | 'H' -> fin (C_hello { magic = str c ~limit:64 "hello magic" })
-    | 'C' -> fin (C_cmd (decode_command c))
-    | 'B' -> fin C_bye
-    | op -> Error (Bad_message (Printf.sprintf "unknown client opcode %C" op))
-  with
-  | Hard m -> Error (Bad_message m)
-  | Short what -> Error (Bad_message ("truncated " ^ what))
+let decode_client : string -> (client_msg, error) result =
+  decode_payload (fun c ->
+      match Char.chr (u8 c "message opcode") with
+      | 'H' -> C_hello { magic = str c ~limit:64 "hello magic" }
+      | 'C' -> C_cmd (decode_command c)
+      | 'B' -> C_bye
+      | op -> hard "unknown client opcode %C" op)
 
 (** Decode a server payload.  Total, like {!decode_client}. *)
-let decode_server (payload : string) : (server_msg, error) result =
-  let c = { src = payload; pos = 0 } in
-  let fin v =
-    if c.pos <> String.length payload then Error (Bad_message "trailing bytes") else Ok v
-  in
-  try
-    match Char.chr (u8 c "message opcode") with
-    | 'H' ->
-        let magic = str c ~limit:64 "hello magic" in
-        if magic <> version_magic then
-          Error (Bad_message (Printf.sprintf "hello answers %S, not %S" magic version_magic))
-        else fin (S_hello { session = u32 c "session id" })
-    | 'R' -> fin (S_reply (decode_reply c))
-    | 'F' -> fin (S_refused (decode_refusal c))
-    | 'E' -> fin (S_error (str c ~limit:max_text "error text"))
-    | 'D' -> fin (S_bye (str c ~limit:max_text "bye text"))
-    | op -> Error (Bad_message (Printf.sprintf "unknown server opcode %C" op))
-  with
-  | Hard m -> Error (Bad_message m)
-  | Short what -> Error (Bad_message ("truncated " ^ what))
+let decode_server : string -> (server_msg, error) result =
+  decode_payload (fun c ->
+      match Char.chr (u8 c "message opcode") with
+      | 'H' ->
+          let magic = str c ~limit:64 "hello magic" in
+          if magic <> version_magic then
+            hard "hello answers %S, not %S" magic version_magic;
+          S_hello { session = u32 c "session id" }
+      | 'R' -> S_reply (decode_reply c)
+      | 'F' -> S_refused (decode_refusal c)
+      | 'E' -> S_error (str c ~limit:max_text "error text")
+      | 'D' -> S_bye (str c ~limit:max_text "bye text")
+      | op -> hard "unknown server opcode %C" op)
 
 (** Render a server message the way transcripts and logs want it. *)
 let server_msg_to_string = function

@@ -13,6 +13,7 @@
     applied to the target's death itself). *)
 
 open Ldb_util
+open Bytecodec
 
 type section = {
   sec_name : string;
@@ -210,163 +211,121 @@ let of_proc (p : Proc.t) ~(signal : int) ~(code : int) : t =
 
 let magic = "LDBCORE1"
 
-let buf_u32 b (v : int) =
-  let cell = Bytes.create 4 in
-  Endian.set_u32 Little cell 0 (Int32.of_int v);
-  Buffer.add_bytes b cell
-
-let buf_i32 b (v : int32) =
-  let cell = Bytes.create 4 in
-  Endian.set_u32 Little cell 0 v;
-  Buffer.add_bytes b cell
-
-let buf_str b s =
-  buf_u32 b (String.length s);
-  Buffer.add_string b s
-
 let to_string (co : t) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
-  buf_str b (Arch.name co.co_arch);
-  buf_u32 b co.co_signal;
-  buf_u32 b co.co_code;
-  buf_u32 b co.co_pc;
-  buf_u32 b co.co_ctx_addr;
-  buf_u32 b (Array.length co.co_regs);
-  Array.iter (fun r -> buf_i32 b r) co.co_regs;
-  buf_u32 b (Array.length co.co_fregs);
-  buf_u32 b co.co_freg_bytes;
+  add_str b (Arch.name co.co_arch);
+  add_u32 b co.co_signal;
+  add_u32 b co.co_code;
+  add_u32 b co.co_pc;
+  add_u32 b co.co_ctx_addr;
+  add_u32 b (Array.length co.co_regs);
+  Array.iter (Buffer.add_int32_le b) co.co_regs;
+  add_u32 b (Array.length co.co_fregs);
+  add_u32 b co.co_freg_bytes;
   Array.iter (fun s -> Buffer.add_string b s) co.co_fregs;
-  buf_u32 b (List.length co.co_sections);
+  add_u32 b (List.length co.co_sections);
   List.iter
     (fun s ->
-      buf_str b s.sec_name;
-      buf_u32 b s.sec_base;
-      buf_u32 b (String.length s.sec_bytes);
-      buf_u32 b s.sec_crc;
+      add_str b s.sec_name;
+      add_u32 b s.sec_base;
+      add_u32 b (String.length s.sec_bytes);
+      add_u32 b s.sec_crc;
       Buffer.add_string b s.sec_bytes)
     co.co_sections;
   Buffer.contents b
 
 (* Plausibility bounds: past these, a length field is garbage, not data. *)
 let max_regs = 4096
-let max_freg_bytes = 64
 let max_name = 256
 let max_section_bytes = 1 lsl 26
-
-exception Hard of string
-exception Short of string * int * int  (** what, needed, have *)
 
 (** Load a dump.  Damage in the fixed header is a hard error (there is
     nothing to salvage without knowing the machine and the fault);
     anything after that degrades: a short register file keeps the
-    registers that survived, short or corrupt sections are kept with
+    registers that survived, a floating-register width other than 8 or
+    10 (none {!freg_value} could read) drops the floating registers and
+    everything after them, short or corrupt sections are kept with
     [sec_ok = false], and every concession is reported as a {!salvage}
     warning. *)
 let of_string (s : string) : (t * salvage list, string) result =
   let warnings = ref [] in
   let warn w = warnings := w :: !warnings in
-  let pos = ref 0 in
-  let remaining () = String.length s - !pos in
-  let need what n = if remaining () < n then raise (Short (what, n, remaining ())) in
-  let u32 what =
-    need what 4;
-    let v = Endian.get_u32 Little (Bytes.unsafe_of_string s) !pos in
-    pos := !pos + 4;
-    Int32.to_int v land 0xffffffff
-  in
-  let i32 what =
-    need what 4;
-    let v = Endian.get_u32 Little (Bytes.unsafe_of_string s) !pos in
-    pos := !pos + 4;
-    v
-  in
-  let take what n =
-    need what n;
-    let r = String.sub s !pos n in
-    pos := !pos + n;
-    r
-  in
-  try
-    if String.length s < String.length magic || String.sub s 0 (String.length magic) <> magic
-    then raise (Hard "bad magic (not an LDBCORE1 dump)");
-    pos := String.length magic;
-    let arch_len = u32 "arch name length" in
-    if arch_len > max_name then raise (Hard "implausible arch name length");
-    let arch_name = take "arch name" arch_len in
-    let arch =
-      match Arch.of_name arch_name with
-      | Some a -> a
-      | None -> raise (Hard (Printf.sprintf "unknown architecture %S" arch_name))
-    in
-    let signal = u32 "signal" in
-    let code = u32 "code" in
-    let pc = u32 "pc" in
-    let ctx_addr = u32 "ctx addr" in
-    let nregs = u32 "register count" in
-    if nregs > max_regs then raise (Hard "implausible register count");
-    (* Header parsed: from here on, damage degrades instead of failing. *)
-    let regs = Array.make nregs 0l in
-    let fregs = ref [||] in
-    let freg_bytes = ref 8 in
-    let sections = ref [] in
-    (try
-       for r = 0 to nregs - 1 do
-         regs.(r) <- i32 "register file"
-       done;
-       let nfregs = u32 "floating register count" in
-       if nfregs > max_regs then raise (Hard "implausible floating register count");
-       let fb = u32 "floating register width" in
-       if fb > max_freg_bytes then raise (Hard "implausible floating register width");
-       freg_bytes := fb;
-       fregs := Array.init nfregs (fun f ->
-           take (Printf.sprintf "floating register %d" f) fb);
-       let nsections = u32 "section count" in
-       if nsections > max_regs then raise (Hard "implausible section count");
-       for _ = 1 to nsections do
-         let name_len = u32 "section name length" in
-         if name_len > max_name then raise (Hard "implausible section name length");
-         let name = take "section name" name_len in
-         let base = u32 "section base" in
-         let len = u32 "section length" in
-         if len > max_section_bytes then raise (Hard "implausible section length");
-         let crc = u32 "section crc" in
-         let have = min len (remaining ()) in
-         if have < len then
-           warn (Truncated { what = Printf.sprintf "section %S" name; expected = len;
-                             got = have });
-         let bytes = take "section bytes" have in
-         let ok =
-           have = len
-           &&
-           let computed = Crc32.string bytes in
-           if computed <> crc then begin
-             warn (Bad_crc { section = name; stored = crc; computed });
-             false
-           end
-           else true
-         in
-         sections :=
-           { sec_name = name; sec_base = base; sec_bytes = bytes; sec_crc = crc;
-             sec_ok = ok }
-           :: !sections
-       done
-     with
-     | Short (what, needed, have) -> warn (Truncated { what; expected = needed; got = have })
-     | Hard m ->
-         (* a garbage length field mid-body: keep what parsed, note the rest *)
-         warn (Truncated { what = "dump body (" ^ m ^ ")";
-                           expected = String.length s; got = !pos }));
-    let co =
-      { co_arch = arch; co_signal = signal; co_code = code; co_pc = pc;
-        co_ctx_addr = ctx_addr; co_regs = regs; co_freg_bytes = !freg_bytes;
-        co_fregs = !fregs; co_sections = List.rev !sections }
-    in
-    Ok (co, List.rev !warnings)
-  with
-  | Hard m -> Error m
-  | Short (what, needed, have) ->
-      Error (Printf.sprintf "truncated %s: need %d bytes, have %d" what needed have)
+  let c = cursor s in
+  guard
+    (fun () ->
+      if take c (String.length magic) "magic" <> magic then
+        raise (Hard "bad magic (not an LDBCORE1 dump)");
+      let arch_name = str c ~limit:max_name "arch name" in
+      let arch =
+        match Arch.of_name arch_name with
+        | Some a -> a
+        | None -> hard "unknown architecture %S" arch_name
+      in
+      let signal = u32 c "signal" in
+      let code = u32 c "code" in
+      let pc = u32 c "pc" in
+      let ctx_addr = u32 c "ctx addr" in
+      let nregs = u32 c "register count" in
+      if nregs > max_regs then raise (Hard "implausible register count");
+      (* Header parsed: from here on, damage degrades instead of failing. *)
+      let regs = Array.make nregs 0l in
+      let fregs = ref [||] in
+      let freg_bytes = ref 8 in
+      let sections = ref [] in
+      (try
+         for r = 0 to nregs - 1 do
+           regs.(r) <- Int32.of_int (u32 c "register file")
+         done;
+         let nfregs = u32 c "floating register count" in
+         if nfregs > max_regs then raise (Hard "implausible floating register count");
+         let fb = u32 c "floating register width" in
+         if fb <> 8 && fb <> 10 then
+           hard "floating register width %d is not 8 or 10" fb;
+         freg_bytes := fb;
+         fregs := Array.init nfregs (fun f ->
+             take c fb (Printf.sprintf "floating register %d" f));
+         let nsections = u32 c "section count" in
+         if nsections > max_regs then raise (Hard "implausible section count");
+         for _ = 1 to nsections do
+           let name = str c ~limit:max_name "section name" in
+           let base = u32 c "section base" in
+           let len = u32 c "section length" in
+           if len > max_section_bytes then raise (Hard "implausible section length");
+           let crc = u32 c "section crc" in
+           let have = min len (remaining c) in
+           if have < len then
+             warn (Truncated { what = Printf.sprintf "section %S" name; expected = len;
+                               got = have });
+           let bytes = take c have "section bytes" in
+           let ok =
+             have = len
+             &&
+             let computed = Crc32.string bytes in
+             if computed <> crc then begin
+               warn (Bad_crc { section = name; stored = crc; computed });
+               false
+             end
+             else true
+           in
+           sections :=
+             { sec_name = name; sec_base = base; sec_bytes = bytes; sec_crc = crc;
+               sec_ok = ok }
+             :: !sections
+         done
+       with
+       | Short { what; need; have } -> warn (Truncated { what; expected = need; got = have })
+       | Hard m ->
+           (* a garbage length field mid-body: keep what parsed, note the rest *)
+           warn (Truncated { what = "dump body (" ^ m ^ ")";
+                             expected = String.length s; got = c.pos }));
+      let co =
+        { co_arch = arch; co_signal = signal; co_code = code; co_pc = pc;
+          co_ctx_addr = ctx_addr; co_regs = regs; co_freg_bytes = !freg_bytes;
+          co_fregs = !fregs; co_sections = List.rev !sections }
+      in
+      (co, List.rev !warnings))
+    ()
 
 (* --- rehydration -------------------------------------------------------- *)
 

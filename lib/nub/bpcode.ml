@@ -24,6 +24,7 @@
     termination structural for everything it accepts. *)
 
 open Ldb_util
+open Bytecodec
 
 (* --- limits ------------------------------------------------------------ *)
 
@@ -94,116 +95,88 @@ let relop_of_code = function
   | 0 -> Some Eq | 1 -> Some Ne | 2 -> Some Lt | 3 -> Some Le | 4 -> Some Gt
   | 5 -> Some Ge | _ -> None
 
-let i32_le (v : int32) =
-  let b = Bytes.create 4 in
-  Endian.set_u32 Little b 0 v;
-  Bytes.to_string b
-
-let i16_le (v : int) =
-  if v < -32768 || v > 32767 then
-    raise (Encode_error (Printf.sprintf "jump offset %d outside i16" v));
-  let b = Bytes.create 2 in
-  Endian.set_u16 Little b 0 (v land 0xffff);
-  Bytes.to_string b
-
-let encode_insn = function
-  | Push v -> "P" ^ i32_le v
+let encode_insn b insn =
+  let op = Buffer.add_char b in
+  let jump c off =
+    if off < -32768 || off > 32767 then
+      raise (Encode_error (Printf.sprintf "jump offset %d outside i16" off));
+    op c;
+    add_u16 b off
+  in
+  match insn with
+  | Push v ->
+      op 'P';
+      Buffer.add_int32_le b v
   | Load_reg r ->
       if r < 0 || r > 255 then raise (Encode_error "register out of u8 range");
-      Printf.sprintf "r%c" (Char.chr r)
-  | Load_pc -> "x"
+      op 'r';
+      add_u8 b r
+  | Load_pc -> op 'x'
   | Load { space; size; signed } ->
       if size <> 1 && size <> 2 && size <> 4 then
         raise (Encode_error (Printf.sprintf "load size %d not 1/2/4" size));
       if space <> 'c' && space <> 'd' then
         raise (Encode_error (Printf.sprintf "load space %C" space));
-      Printf.sprintf "m%c%c%c" space (Char.chr size) (if signed then '\x01' else '\x00')
-  | Bin op -> Printf.sprintf "a%c" (Char.chr (binop_code op))
+      op 'm';
+      op space;
+      add_u8 b size;
+      add_bool b signed
+  | Bin o ->
+      op 'a';
+      add_u8 b (binop_code o)
   | Cmp { rel; signed } ->
-      Printf.sprintf "c%c%c" (Char.chr (relop_code rel)) (if signed then '\x01' else '\x00')
-  | Not -> "!"
-  | Jz off -> "z" ^ i16_le off
-  | Jnz off -> "n" ^ i16_le off
-  | Jmp off -> "j" ^ i16_le off
+      op 'c';
+      add_u8 b (relop_code rel);
+      add_bool b signed
+  | Not -> op '!'
+  | Jz off -> jump 'z' off
+  | Jnz off -> jump 'n' off
+  | Jmp off -> jump 'j' off
 
 let encode (p : prog) : string =
   if Array.length p > max_insns then
     raise (Encode_error (Printf.sprintf "%d instructions exceed limit %d"
                            (Array.length p) max_insns));
-  let s = String.concat "" (Array.to_list (Array.map encode_insn p)) in
-  if String.length s > max_prog_bytes then
+  let b = Buffer.create 64 in
+  Array.iter (encode_insn b) p;
+  if Buffer.length b > max_prog_bytes then
     raise (Encode_error (Printf.sprintf "%d encoded bytes exceed limit %d"
-                           (String.length s) max_prog_bytes));
-  s
+                           (Buffer.length b) max_prog_bytes));
+  Buffer.contents b
 
 (* --- decoding (total) --------------------------------------------------- *)
 
-(* the same cursor discipline as {!Proto}: [Bad] never escapes [decode] *)
-exception Bad of string
-
-type cursor = { src : string; mutable pos : int }
-
-let need c n what =
-  if c.pos + n > String.length c.src then raise (Bad ("truncated " ^ what))
-
-let u8 c what =
-  need c 1 what;
-  let v = Char.code c.src.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let i32 c what =
-  need c 4 what;
-  let v = Endian.get_u32 Little (Bytes.of_string (String.sub c.src c.pos 4)) 0 in
-  c.pos <- c.pos + 4;
-  v
-
 let i16 c what =
-  need c 2 what;
-  let v = Endian.get_u16 Little (Bytes.of_string (String.sub c.src c.pos 2)) 0 in
-  c.pos <- c.pos + 2;
+  let v = u16 c what in
   if v >= 0x8000 then v - 0x10000 else v
 
 let decode_insn c : insn =
   match Char.chr (u8 c "opcode") with
-  | 'P' -> Push (i32 c "push immediate")
+  | 'P' -> Push (Int32.of_int (u32 c "push immediate"))
   | 'r' -> Load_reg (u8 c "register number")
   | 'x' -> Load_pc
   | 'm' ->
       let space = Char.chr (u8 c "load space") in
-      if space <> 'c' && space <> 'd' then
-        raise (Bad (Printf.sprintf "load space %C not 'c'/'d'" space));
+      if space <> 'c' && space <> 'd' then hard "load space %C not 'c'/'d'" space;
       let size = u8 c "load size" in
-      if size <> 1 && size <> 2 && size <> 4 then
-        raise (Bad (Printf.sprintf "load size %d not 1/2/4" size));
-      let signed =
-        match u8 c "load signedness" with
-        | 0 -> false
-        | 1 -> true
-        | f -> raise (Bad (Printf.sprintf "load signedness flag %d" f))
-      in
-      Load { space; size; signed }
+      if size <> 1 && size <> 2 && size <> 4 then hard "load size %d not 1/2/4" size;
+      Load { space; size; signed = bool c "load signedness flag" }
   | 'a' -> (
       let code = u8 c "binop code" in
       match binop_of_code code with
       | Some op -> Bin op
-      | None -> raise (Bad (Printf.sprintf "binop code %d" code)))
+      | None -> hard "binop code %d" code)
   | 'c' -> (
       let code = u8 c "relop code" in
-      let signed =
-        match u8 c "compare signedness" with
-        | 0 -> false
-        | 1 -> true
-        | f -> raise (Bad (Printf.sprintf "compare signedness flag %d" f))
-      in
+      let signed = bool c "compare signedness flag" in
       match relop_of_code code with
       | Some rel -> Cmp { rel; signed }
-      | None -> raise (Bad (Printf.sprintf "relop code %d" code)))
+      | None -> hard "relop code %d" code)
   | '!' -> Not
   | 'z' -> Jz (i16 c "jump offset")
   | 'n' -> Jnz (i16 c "jump offset")
   | 'j' -> Jmp (i16 c "jump offset")
-  | op -> raise (Bad (Printf.sprintf "unknown bpcode opcode %C" op))
+  | op -> hard "unknown bpcode opcode %C" op
 
 (** Decode a complete program.  Total: any string that is not the exact
     encoding of a program within the size limits yields [Error]. *)
@@ -212,18 +185,17 @@ let decode (s : string) : (prog, string) result =
     Error (Printf.sprintf "program of %d bytes exceeds limit %d" (String.length s)
              max_prog_bytes)
   else
-    let c = { src = s; pos = 0 } in
-    let acc = ref [] in
-    let n = ref 0 in
-    match
-      while c.pos < String.length s do
-        incr n;
-        if !n > max_insns then raise (Bad (Printf.sprintf "more than %d instructions" max_insns));
-        acc := decode_insn c :: !acc
-      done
-    with
-    | () -> Ok (Array.of_list (List.rev !acc))
-    | exception Bad m -> Error m
+    Bytecodec.decode
+      (fun c ->
+        let acc = ref [] in
+        let n = ref 0 in
+        while remaining c > 0 do
+          incr n;
+          if !n > max_insns then hard "more than %d instructions" max_insns;
+          acc := decode_insn c :: !acc
+        done;
+        Array.of_list (List.rev !acc))
+      s
 
 (* --- printing ----------------------------------------------------------- *)
 

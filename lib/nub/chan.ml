@@ -12,9 +12,10 @@
     - {!Disconnected}: the link itself is down (either side called
       [disconnect], or a fault cut it mid-message).  Retrying a read is
       pointless; the caller must reattach.
-    - {!Timeout}: the link is up but the peer produced nothing for
-      [deadline] consecutive pumps.  The caller may retry (the transport
-      layer re-sends the request with a longer deadline).
+    - {!Timeout}: the link is up but the peer produced nothing for a
+      receiver's deadline of consecutive pumps ({!Frame.recv}'s
+      [~deadline]).  The caller may retry (the transport layer re-sends
+      the request with a longer deadline).
 
     Endpoints survive a peer "crash": [disconnect] drops the link but the
     nub's endpoint object remains, matching the paper's requirement that
@@ -38,14 +39,6 @@ let fifo_compact f =
     f.rpos <- 0
   end
 
-let fifo_read f n =
-  let avail = fifo_len f in
-  let take = min n avail in
-  let s = Buffer.sub f.q f.rpos take in
-  f.rpos <- f.rpos + take;
-  fifo_compact f;
-  s
-
 let fifo_peek f n =
   let take = min n (fifo_len f) in
   Buffer.sub f.q f.rpos take
@@ -66,27 +59,21 @@ type endpoint = {
   mutable pump : unit -> unit;  (** let the peer make progress *)
   mutable on_send : (string -> unit) option;
       (** fault-injection hook: replaces direct delivery when set *)
-  mutable deadline : int;
-      (** consecutive stalled pumps tolerated before {!Timeout} *)
   label : string;
 }
-
-let default_deadline = 2
 
 (** Create a connected pair of endpoints. *)
 let pair ?(labels = ("a", "b")) () =
   let ab = fifo () and ba = fifo () in
   let link = { up = true } in
   let mk rx tx label =
-    { rx; tx; link; pump = (fun () -> ()); on_send = None;
-      deadline = default_deadline; label }
+    { rx; tx; link; pump = (fun () -> ()); on_send = None; label }
   in
   (mk ba ab (fst labels), mk ab ba (snd labels))
 
 let set_pump e f = e.pump <- f
 let pump_of e = e.pump
 let set_on_send e f = e.on_send <- f
-let set_deadline e d = e.deadline <- max 0 d
 let is_connected e = e.link.up
 
 (** Sever the link.  Both sides observe it: sends raise {!Disconnected}
@@ -109,32 +96,3 @@ let peek e n = fifo_peek e.rx n
 
 (** Discard up to [n] readable bytes. *)
 let skip e n = fifo_skip e.rx n
-
-(** Read exactly [n] bytes, pumping the peer as needed.  Raises
-    {!Disconnected} when the link is down and the bytes can never arrive,
-    {!Timeout} when the link is up but the peer stays silent for more than
-    [deadline] (default: the endpoint's own deadline) consecutive
-    unproductive pumps. *)
-let recv_exactly ?deadline e n =
-  let deadline = match deadline with Some d -> d | None -> e.deadline in
-  let buf = Buffer.create n in
-  let stalled = ref 0 in
-  while Buffer.length buf < n do
-    let need = n - Buffer.length buf in
-    let got = fifo_read e.rx need in
-    Buffer.add_string buf got;
-    if Buffer.length buf < n then begin
-      if not e.link.up then raise Disconnected;
-      let before = fifo_len e.rx in
-      e.pump ();
-      if fifo_len e.rx = before then begin
-        incr stalled;
-        if !stalled > deadline then
-          if e.link.up then raise Timeout else raise Disconnected
-      end
-      else stalled := 0
-    end
-  done;
-  Buffer.contents buf
-
-let recv_u8 e = Char.code (recv_exactly e 1).[0]

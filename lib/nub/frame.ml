@@ -3,68 +3,39 @@
     The raw protocol ({!Proto}) is a stream of opcode-prefixed messages;
     a single flipped bit in a length byte used to desynchronize the
     stream forever, and truncation was indistinguishable from a slow
-    peer.  Every message therefore travels inside a frame:
+    peer.  Every message therefore travels inside a frame of the shared
+    frame codec ({!Ldb_util.Bytecodec}), the nub's instance with magic
+    [0xF5 0xDB]: a CRC-32 over seq, len and payload detects damage, and a
+    receiver that finds garbage scans forward for the next magic, so one
+    damaged frame can never poison the rest of the stream.  [seq]
+    implements at-most-once request semantics: the debugger retries a
+    lost request under the same sequence number, the nub caches its last
+    reply and retransmits it instead of re-executing (re-running a
+    [Continue] would skip a breakpoint), and stale duplicate replies are
+    discarded by number.
 
-    {v
-      +------+------+---------+---------+---------+=============+
-      | 0xF5 | 0xDB | seq u32 | len u32 | crc u32 | len payload |
-      +------+------+---------+---------+---------+=============+
-    v}
-
-    all fields little-endian; [crc] is the CRC-32 of seq, len, and the
-    payload.  The two magic bytes exist for {e resynchronization}: a
-    receiver that finds garbage (a truncated frame's tail, a corrupted
-    header) scans forward for the next magic, so one damaged frame can
-    never poison the rest of the stream.  [seq] implements at-most-once
-    request semantics: the debugger retries a lost request under the same
-    sequence number, the nub caches its last reply and retransmits it
-    instead of re-executing (re-running a [Continue] would skip a
-    breakpoint), and stale duplicate replies are discarded by number.
-
-    [try_recv] never blocks and consumes bytes only when it can make a
-    definite decision, so a frame that is merely {e incomplete} stays
-    buffered until its remaining bytes (or the retry that follows them)
-    arrive. *)
+    This module is the {!Chan} glue.  [try_recv] never blocks and
+    consumes bytes only when it can make a definite decision, so a frame
+    that is merely {e incomplete} stays buffered until its remaining
+    bytes (or the retry that follows them) arrive. *)
 
 open Ldb_util
 
-let magic0 = '\xf5'
-let magic1 = '\xdb'
-let header_len = 14
+(** The nub's frame codec.  Protocol messages are tiny (the largest is
+    an error string); a frame claiming more is a corrupted length field,
+    and treating it as garbage keeps a bit-flip from stalling the stream
+    while the receiver waits for megabytes that will never come. *)
+let codec = { Bytecodec.magic0 = '\xf5'; magic1 = '\xdb'; max_payload = Proto.max_string + 64 }
 
-(** Upper bound on a frame payload.  Protocol messages are tiny (the
-    largest is an error string); anything claiming to be bigger is a
-    corrupted length field, and treating it as garbage keeps a bit-flip
-    from stalling the stream while the receiver waits for megabytes that
-    will never come. *)
-let max_payload = Proto.max_string + 64
+let header_len = Bytecodec.header_len
 
 type frame = { fr_seq : int; fr_payload : string }
 
-let u32_le (v : int) =
-  let b = Bytes.create 4 in
-  Endian.set_u32 Little b 0 (Int32.of_int v);
-  Bytes.to_string b
-
-let get_u32 s pos =
-  Int32.to_int (Endian.get_u32 Little (Bytes.of_string (String.sub s pos 4)) 0)
-  land 0xffffffff
-
 (** Wrap [payload] in a frame. *)
-let seal ~(seq : int) (payload : string) : string =
-  if String.length payload > max_payload then
-    invalid_arg "Frame.seal: payload too long";
-  let head = u32_le seq ^ u32_le (String.length payload) in
-  let crc =
-    let c = Crc32.update (Crc32.init ()) head ~pos:0 ~len:8 in
-    Crc32.finish (Crc32.update c payload ~pos:0 ~len:(String.length payload))
-  in
-  Printf.sprintf "%c%c" magic0 magic1 ^ head ^ u32_le crc ^ payload
+let seal ~seq payload = Bytecodec.seal codec ~seq payload
 
 let send (ep : Chan.endpoint) ~(seq : int) (payload : string) : unit =
   Chan.send ep (seal ~seq payload)
-
-(* --- receiving --------------------------------------------------------- *)
 
 type recv_status =
   [ `Frame of frame  (** a complete, checksum-valid frame was consumed *)
@@ -76,72 +47,29 @@ type recv_status =
         beyond leading garbage *) ]
 
 (** Non-blocking receive over whatever is buffered. *)
-let try_recv (ep : Chan.endpoint) : recv_status =
-  let rec scan () =
-    let avail = Chan.available ep in
-    if avail = 0 then `Incomplete
-    else
-      let buf = Chan.peek ep avail in
-      (* discard garbage in front of the next magic *)
-      let start =
-        let rec find i =
-          if i >= avail then avail
-          else if
-            buf.[i] = magic0 && (i + 1 >= avail || buf.[i + 1] = magic1)
-          then i
-          else find (i + 1)
-        in
-        find 0
-      in
-      if start > 0 then begin
-        Chan.skip ep start;
-        scan ()
-      end
-      else if avail < header_len then `Incomplete
-      else if buf.[1] <> magic1 then begin
-        (* lone magic byte: not a frame start *)
-        Chan.skip ep 1;
-        scan ()
-      end
-      else
-        let seq = get_u32 buf 2 in
-        let len = get_u32 buf 6 in
-        let crc = get_u32 buf 10 in
-        if len > max_payload then begin
-          (* corrupted length field: this cannot be a real header.  Skip
-             past the magic and rescan — a frame swallowed by the bogus
-             length is still buffered. *)
-          Chan.skip ep 2;
-          `Corrupt (Printf.sprintf "frame claims %d-byte payload" len)
-        end
-        else if avail < header_len + len then `Incomplete
-        else begin
-          let check =
-            let c = Crc32.update (Crc32.init ()) buf ~pos:2 ~len:8 in
-            Crc32.finish (Crc32.update c buf ~pos:header_len ~len)
-          in
-          if check <> crc then begin
-            (* bad checksum: the length field itself may be lying, so
-               consume only the magic and let the scanner resynchronize
-               on whatever follows. *)
-            Chan.skip ep 2;
-            `Corrupt (Printf.sprintf "frame %d fails checksum" seq)
-          end
-          else begin
-            Chan.skip ep (header_len + len);
-            `Frame { fr_seq = seq; fr_payload = String.sub buf header_len len }
-          end
-        end
-  in
-  scan ()
+let rec try_recv (ep : Chan.endpoint) : recv_status =
+  let avail = Chan.available ep in
+  if avail = 0 then `Incomplete
+  else
+    match Bytecodec.scan codec (Chan.peek ep avail) with
+    | Bytecodec.S_need -> `Incomplete
+    | Bytecodec.S_frame { seq; payload; used } ->
+        Chan.skip ep used;
+        `Frame { fr_seq = seq; fr_payload = payload }
+    | Bytecodec.S_skip { skip; error = Bytecodec.Garbage _ } ->
+        Chan.skip ep skip;
+        try_recv ep
+    | Bytecodec.S_skip { skip; error } ->
+        Chan.skip ep skip;
+        `Corrupt (Bytecodec.error_to_string error)
 
 (** Blocking receive: pump the peer until a frame (or damage) shows up.
     Returns [Error] on a corrupt frame so the caller can retry the
-    request.  Raises {!Chan.Timeout} after [deadline] unproductive pumps
-    and {!Chan.Disconnected} when the link is down and the buffered bytes
+    request.  Raises {!Chan.Timeout} after [deadline] (default 8)
+    consecutive unproductive pumps on a live link, and
+    {!Chan.Disconnected} when the link is down and the buffered bytes
     cannot form a frame. *)
-let recv ?deadline (ep : Chan.endpoint) : (frame, string) result =
-  let deadline = match deadline with Some d -> d | None -> 8 in
+let recv ?(deadline = 8) (ep : Chan.endpoint) : (frame, string) result =
   let stalled = ref 0 in
   let rec loop () =
     match try_recv ep with
@@ -157,9 +85,9 @@ let recv ?deadline (ep : Chan.endpoint) : (frame, string) result =
             if before > 0 then begin
               (* bytes are buffered but never complete a frame: a
                  corrupted length field is promising a payload that will
-                 not come.  Discard the lying header's magic and rescan —
+                 not come.  Resync past the lying header's magic —
                  anything genuine behind it is recovered. *)
-              Chan.skip ep 2;
+              Chan.skip ep Bytecodec.magic_len;
               stalled := 0
             end
             else if Chan.is_connected ep then raise Chan.Timeout

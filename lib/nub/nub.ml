@@ -621,7 +621,7 @@ let rec pump n =
                if avail > 0 && avail = n.rx_mark then begin
                  n.rx_quiet <- n.rx_quiet + 1;
                  if n.rx_quiet > rx_stall_limit then begin
-                   Chan.skip ep 2;
+                   Chan.skip ep Ldb_util.Bytecodec.magic_len;
                    n.rx_quiet <- 0
                  end
                  else draining := false

@@ -26,7 +26,7 @@
     nub so a condition in a hot loop is decided target-side instead of
     costing a round trip per trap (see {!Bpverify}). *)
 
-open Ldb_util
+open Ldb_util.Bytecodec
 
 type request =
   | Hello
@@ -114,16 +114,12 @@ let max_trace_chunk = 2048
 
 exception Encode_error of string
 
-let u32_to_le (v : int) =
-  let b = Bytes.create 4 in
-  Endian.set_u32 Little b 0 (Int32.of_int v);
-  Bytes.to_string b
-
-let str16 s =
+(** A length-prefixed string within {!max_string}. *)
+let prefixed s =
   if String.length s > max_string then
     raise (Encode_error (Printf.sprintf "string of %d bytes exceeds protocol limit"
                            (String.length s)));
-  u32_to_le (String.length s) ^ s
+  u32_le (String.length s) ^ s
 
 let check_transfer what n =
   if n < 1 || n > max_transfer then
@@ -134,129 +130,80 @@ let encode_request (r : request) : string =
   | Hello -> "H"
   | Fetch { space; addr; size } ->
       check_transfer "fetch" size;
-      Printf.sprintf "F%c" space ^ u32_to_le addr ^ String.make 1 (Char.chr size)
+      Printf.sprintf "F%c" space ^ u32_le addr ^ String.make 1 (Char.chr size)
   | Store { space; addr; bytes } ->
       check_transfer "store" (String.length bytes);
-      Printf.sprintf "S%c" space ^ u32_to_le addr
+      Printf.sprintf "S%c" space ^ u32_le addr
       ^ String.make 1 (Char.chr (String.length bytes))
       ^ bytes
   | Continue -> "C"
   | Step -> "T"
   | Kill -> "K"
   | Detach -> "D"
-  | Dump { offset } -> "U" ^ u32_to_le offset
+  | Dump { offset } -> "U" ^ u32_le offset
   | Set_cond { addr; prog } ->
       let n = String.length prog in
       if n < 1 || n > max_cond_prog then
         raise (Encode_error (Printf.sprintf "condition program of %d bytes outside 1..%d"
                                n max_cond_prog));
-      "B" ^ u32_to_le addr ^ u32_to_le n ^ prog
-  | Clear_cond { addr } -> "Q" ^ u32_to_le addr
+      "B" ^ u32_le addr ^ u32_le n ^ prog
+  | Clear_cond { addr } -> "Q" ^ u32_le addr
   | Record { spacing } ->
       if spacing < 1 then raise (Encode_error "checkpoint spacing must be positive");
-      "R" ^ u32_to_le spacing
-  | Fetch_trace { offset } -> "G" ^ u32_to_le offset
+      "R" ^ u32_le spacing
+  | Fetch_trace { offset } -> "G" ^ u32_le offset
 
 let encode_reply (r : reply) : string =
   match r with
   | Hello_reply { arch; state; can_step } ->
       let st =
         match state with
-        | St_running -> "r" ^ u32_to_le 0 ^ u32_to_le 0 ^ u32_to_le 0
+        | St_running -> "r" ^ u32_le 0 ^ u32_le 0 ^ u32_le 0
         | St_stopped { signal; code; ctx_addr } ->
-            "s" ^ u32_to_le signal ^ u32_to_le code ^ u32_to_le ctx_addr
-        | St_exited status -> "x" ^ u32_to_le status ^ u32_to_le 0 ^ u32_to_le 0
+            "s" ^ u32_le signal ^ u32_le code ^ u32_le ctx_addr
+        | St_exited status -> "x" ^ u32_le status ^ u32_le 0 ^ u32_le 0
       in
-      "h" ^ st ^ (if can_step then "S" else "-") ^ str16 arch
+      "h" ^ st ^ (if can_step then "S" else "-") ^ prefixed arch
   | Fetched bytes ->
       if String.length bytes > 255 then raise (Encode_error "fetched value too long");
       "f" ^ String.make 1 (Char.chr (String.length bytes)) ^ bytes
   | Stored -> "a"
   | Event { signal; code; ctx_addr } ->
-      "e" ^ u32_to_le signal ^ u32_to_le code ^ u32_to_le ctx_addr
-  | Exit_event status -> "X" ^ u32_to_le status
-  | Nub_error msg -> "E" ^ str16 msg
+      "e" ^ u32_le signal ^ u32_le code ^ u32_le ctx_addr
+  | Exit_event status -> "X" ^ u32_le status
+  | Nub_error msg -> "E" ^ prefixed msg
   | Core_chunk { total; offset; chunk } ->
       if String.length chunk > max_core_chunk then
         raise (Encode_error "core chunk too long");
-      "u" ^ u32_to_le total ^ u32_to_le offset ^ str16 chunk
+      "u" ^ u32_le total ^ u32_le offset ^ prefixed chunk
   | Cond_hit { signal; code; ctx_addr; suppressed } ->
-      "j" ^ u32_to_le signal ^ u32_to_le code ^ u32_to_le ctx_addr ^ u32_to_le suppressed
+      "j" ^ u32_le signal ^ u32_le code ^ u32_le ctx_addr ^ u32_le suppressed
   | Trace_chunk { total; offset; chunk } ->
       if String.length chunk > max_trace_chunk then
         raise (Encode_error "trace chunk too long");
-      "t" ^ u32_to_le total ^ u32_to_le offset ^ str16 chunk
+      "t" ^ u32_le total ^ u32_le offset ^ prefixed chunk
 
 (* --- deserialization (total) ------------------------------------------- *)
 
-(* Internal cursor over a complete message.  [Bad] never escapes the
-   decoders below. *)
-exception Bad of string
-
-type cursor = { src : string; mutable pos : int }
-
-let need c n what =
-  if c.pos + n > String.length c.src then raise (Bad ("truncated " ^ what))
-
-let u8 c what =
-  need c 1 what;
-  let v = Char.code c.src.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
 let chr c what = Char.chr (u8 c what)
-
-let u32 c what =
-  need c 4 what;
-  let v =
-    Int32.to_int (Endian.get_u32 Little (Bytes.of_string (String.sub c.src c.pos 4)) 0)
-    land 0xffffffff
-  in
-  c.pos <- c.pos + 4;
-  v
-
-(** Exit statuses travel as u32 but are signed, as [Proc.Exited] holds them. *)
-let signed32 v = Int32.to_int (Int32.of_int v)
-
-let take c n what =
-  if n < 0 then raise (Bad ("negative length for " ^ what));
-  need c n what;
-  let s = String.sub c.src c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let str c what =
-  let n = u32 c what in
-  if n > max_string then raise (Bad ("bad string length for " ^ what));
-  take c n what
-
-let finish c (v : 'a) : 'a =
-  if c.pos <> String.length c.src then raise (Bad "trailing bytes");
-  v
-
-let run (f : cursor -> 'a) (s : string) : ('a, string) result =
-  let c = { src = s; pos = 0 } in
-  match finish c (f c) with
-  | v -> Ok v
-  | exception Bad m -> Error m
 
 (** Decode a complete request message.  Total: any input that is not the
     exact encoding of a request yields [Error]. *)
 let decode_request : string -> (request, string) result =
-  run (fun c ->
+  decode (fun c ->
       match chr c "request opcode" with
       | 'H' -> Hello
       | 'F' ->
           let space = chr c "fetch space" in
           let addr = u32 c "fetch address" in
           let size = u8 c "fetch size" in
-          if size < 1 || size > max_transfer then raise (Bad "fetch size outside 1..16");
+          if size < 1 || size > max_transfer then hard "fetch size outside 1..16";
           Fetch { space; addr; size }
       | 'S' ->
           let space = chr c "store space" in
           let addr = u32 c "store address" in
           let len = u8 c "store size" in
-          if len < 1 || len > max_transfer then raise (Bad "store size outside 1..16");
+          if len < 1 || len > max_transfer then hard "store size outside 1..16";
           Store { space; addr; bytes = take c len "store bytes" }
       | 'C' -> Continue
       | 'T' -> Step
@@ -267,19 +214,19 @@ let decode_request : string -> (request, string) result =
           let addr = u32 c "condition address" in
           let len = u32 c "condition length" in
           if len < 1 || len > max_cond_prog then
-            raise (Bad (Printf.sprintf "condition length outside 1..%d" max_cond_prog));
+            hard "condition length outside 1..%d" max_cond_prog;
           Set_cond { addr; prog = take c len "condition program" }
       | 'Q' -> Clear_cond { addr = u32 c "condition address" }
       | 'R' ->
           let spacing = u32 c "record spacing" in
-          if spacing < 1 then raise (Bad "record spacing must be positive");
+          if spacing < 1 then hard "record spacing must be positive";
           Record { spacing }
       | 'G' -> Fetch_trace { offset = u32 c "trace offset" }
-      | op -> raise (Bad (Printf.sprintf "unknown request opcode %C" op)))
+      | op -> hard "unknown request opcode %C" op)
 
 (** Decode a complete reply message.  Total, like {!decode_request}. *)
 let decode_reply : string -> (reply, string) result =
-  run (fun c ->
+  decode (fun c ->
       match chr c "reply opcode" with
       | 'h' ->
           let st = chr c "hello state" in
@@ -290,15 +237,15 @@ let decode_reply : string -> (reply, string) result =
             match chr c "hello step flag" with
             | 'S' -> true
             | '-' -> false
-            | f -> raise (Bad (Printf.sprintf "bad step flag %C" f))
+            | f -> hard "bad step flag %C" f
           in
-          let arch = str c "hello arch" in
+          let arch = str c ~limit:max_string "hello arch" in
           let state =
             match st with
             | 'r' -> St_running
             | 's' -> St_stopped { signal = a; code = b; ctx_addr = cx }
-            | 'x' -> St_exited (signed32 a)
-            | s -> raise (Bad (Printf.sprintf "bad hello state %C" s))
+            | 'x' -> St_exited (Int32.to_int (Int32.of_int a))
+            | s -> hard "bad hello state %C" s
           in
           Hello_reply { arch; state; can_step }
       | 'f' ->
@@ -310,14 +257,12 @@ let decode_reply : string -> (reply, string) result =
           let code = u32 c "event code" in
           let ctx_addr = u32 c "event context" in
           Event { signal; code; ctx_addr }
-      | 'X' -> Exit_event (signed32 (u32 c "exit status"))
-      | 'E' -> Nub_error (str c "error message")
+      | 'X' -> Exit_event (i32 c "exit status")
+      | 'E' -> Nub_error (str c ~limit:max_string "error message")
       | 'u' ->
           let total = u32 c "core total" in
           let offset = u32 c "core offset" in
-          let chunk = str c "core chunk" in
-          if String.length chunk > max_core_chunk then
-            raise (Bad "core chunk exceeds limit");
+          let chunk = str c ~limit:max_core_chunk "core chunk" in
           Core_chunk { total; offset; chunk }
       | 'j' ->
           let signal = u32 c "hit signal" in
@@ -328,11 +273,9 @@ let decode_reply : string -> (reply, string) result =
       | 't' ->
           let total = u32 c "trace total" in
           let offset = u32 c "trace offset" in
-          let chunk = str c "trace chunk" in
-          if String.length chunk > max_trace_chunk then
-            raise (Bad "trace chunk exceeds limit");
+          let chunk = str c ~limit:max_trace_chunk "trace chunk" in
           Trace_chunk { total; offset; chunk }
-      | op -> raise (Bad (Printf.sprintf "unknown reply opcode %C" op)))
+      | op -> hard "unknown reply opcode %C" op)
 
 let pp_request ppf = function
   | Hello -> Fmt.string ppf "Hello"

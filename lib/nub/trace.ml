@@ -28,6 +28,7 @@
 
 open Ldb_util
 open Ldb_machine
+open Bytecodec
 
 (** How a checkpointed machine was executing when it was dumped. *)
 type ck_status =
@@ -143,15 +144,6 @@ let max_core_bytes = 1 lsl 26
 
 let max_record_bytes = max_core_bytes + 4096
 
-let buf_u32 b (v : int) =
-  let cell = Bytes.create 4 in
-  Endian.set_u32 Little cell 0 (Int32.of_int v);
-  Buffer.add_bytes b cell
-
-let buf_str b s =
-  buf_u32 b (String.length s);
-  Buffer.add_string b s
-
 (** Checkpoint cores dominate a trace's size and compress well (sparse
     dumps are runs of structure); each is stored LZW-compressed when that
     is actually smaller, raw otherwise, one flag byte deciding. *)
@@ -163,39 +155,39 @@ let encode_event (e : event) : char * string =
         Buffer.add_string b (Proto.encode_request r);
         'Q'
     | Stop { signal; code; pc; instrs } ->
-        buf_u32 b signal;
-        buf_u32 b code;
-        buf_u32 b pc;
-        buf_u32 b instrs;
+        add_u32 b signal;
+        add_u32 b code;
+        add_u32 b pc;
+        add_u32 b instrs;
         'S'
     | Exit { status; instrs } ->
-        buf_u32 b status;
-        buf_u32 b instrs;
+        add_u32 b status;
+        add_u32 b instrs;
         'X'
     | Checkpoint ck ->
-        buf_u32 b ck.ck_ev;
-        buf_u32 b ck.ck_delta;
+        add_u32 b ck.ck_ev;
+        add_u32 b ck.ck_delta;
         (match ck.ck_status with
         | Ck_running ->
             Buffer.add_char b 'r';
-            buf_u32 b 0;
-            buf_u32 b 0
+            add_u32 b 0;
+            add_u32 b 0
         | Ck_stopped { signal; code } ->
             Buffer.add_char b 's';
-            buf_u32 b signal;
-            buf_u32 b code
+            add_u32 b signal;
+            add_u32 b code
         | Ck_exited status ->
             Buffer.add_char b 'x';
-            buf_u32 b status;
-            buf_u32 b 0);
+            add_u32 b status;
+            add_u32 b 0);
         let packed = Lzw.compress ck.ck_core in
         if String.length packed < String.length ck.ck_core then begin
           Buffer.add_char b 'L';
-          buf_str b packed
+          add_str b packed
         end
         else begin
           Buffer.add_char b 'R';
-          buf_str b ck.ck_core
+          add_str b ck.ck_core
         end;
         'C'
   in
@@ -204,78 +196,43 @@ let encode_event (e : event) : char * string =
 let to_string (tr : t) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
-  buf_str b (Arch.name tr.tr_arch);
-  buf_u32 b tr.tr_fuel;
-  buf_u32 b tr.tr_spacing;
+  add_str b (Arch.name tr.tr_arch);
+  add_u32 b tr.tr_fuel;
+  add_u32 b tr.tr_spacing;
   Buffer.add_char b (if tr.tr_can_step then 'S' else '-');
   List.iter
     (fun e ->
       let tag, body = encode_event e in
       Buffer.add_char b tag;
-      buf_u32 b (String.length body);
-      Buffer.add_string b body;
-      buf_u32 b (Crc32.string body))
+      add_str b body;
+      add_u32 b (Crc32.string body))
     tr.tr_events;
   Buffer.contents b
 
 (* Decoder: header damage is hard, body damage salvages the prefix. *)
 
-exception Hard of string
-exception Short of string * int * int  (* what, needed, have *)
-
-type cursor = { src : string; mutable pos : int }
-
-let need c n what =
-  if c.pos + n > String.length c.src then
-    raise (Short (what, n, String.length c.src - c.pos))
-
-let u8 c what =
-  need c 1 what;
-  let v = Char.code c.src.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let u32 c what =
-  need c 4 what;
-  let v =
-    Int32.to_int (Endian.get_u32 Little (Bytes.of_string (String.sub c.src c.pos 4)) 0)
-    land 0xffffffff
-  in
-  c.pos <- c.pos + 4;
-  v
-
-let take c n what =
-  if n < 0 then raise (Hard ("negative length for " ^ what));
-  need c n what;
-  let s = String.sub c.src c.pos n in
-  c.pos <- c.pos + n;
-  s
-
 let decode_body ~(version : int) (tag : char) (body : string) :
     (event, string) result =
-  let c = { src = body; pos = 0 } in
-  let fin v = if c.pos <> String.length body then Error "trailing bytes" else Ok v in
-  try
-    match tag with
-    | 'Q' -> (
-        match Proto.decode_request body with
-        | Ok r -> Ok (Req r)
-        | Error m -> Error ("bad request: " ^ m))
-    | 'S' ->
-        let signal = u32 c "stop signal" in
-        let code = u32 c "stop code" in
-        let pc = u32 c "stop pc" in
-        let instrs = u32 c "stop instrs" in
-        fin (Stop { signal; code; pc; instrs })
-    | 'X' ->
-        let status = Proto.signed32 (u32 c "exit status") in
-        let instrs = u32 c "exit instrs" in
-        fin (Exit { status; instrs })
-    | 'C' ->
-        let ck_ev = u32 c "checkpoint ev" in
-        let ck_delta = u32 c "checkpoint delta" in
-        if ck_ev < 0 || ck_delta < 0 then Error "negative checkpoint cursor"
-        else
+  decode
+    (fun c ->
+      match tag with
+      | 'Q' -> (
+          match Proto.decode_request (take c (remaining c) "request") with
+          | Ok r -> Req r
+          | Error m -> raise (Hard ("bad request: " ^ m)))
+      | 'S' ->
+          let signal = u32 c "stop signal" in
+          let code = u32 c "stop code" in
+          let pc = u32 c "stop pc" in
+          let instrs = u32 c "stop instrs" in
+          Stop { signal; code; pc; instrs }
+      | 'X' ->
+          let status = i32 c "exit status" in
+          let instrs = u32 c "exit instrs" in
+          Exit { status; instrs }
+      | 'C' ->
+          let ck_ev = u32 c "checkpoint ev" in
+          let ck_delta = u32 c "checkpoint delta" in
           let kind = Char.chr (u8 c "checkpoint kind") in
           let a = u32 c "checkpoint a" in
           let b = u32 c "checkpoint b" in
@@ -283,111 +240,96 @@ let decode_body ~(version : int) (tag : char) (body : string) :
             match kind with
             | 'r' -> Ck_running
             | 's' -> Ck_stopped { signal = a; code = b }
-            | 'x' -> Ck_exited (Proto.signed32 a)
-            | k -> raise (Hard (Printf.sprintf "bad checkpoint kind %C" k))
+            | 'x' -> Ck_exited (Int32.to_int (Int32.of_int a))
+            | k -> hard "bad checkpoint kind %C" k
           in
           (* v1 checkpoints have no compression flag: the core is raw *)
           let comp =
             if version < 2 then 'R'
             else Char.chr (u8 c "checkpoint compression flag")
           in
-          let core_len = u32 c "checkpoint core length" in
-          if core_len < 0 || core_len > max_core_bytes then Error "bad core length"
-          else
-            let stored = take c core_len "checkpoint core" in
-            let ck_core =
-              match comp with
-              | 'R' -> stored
-              | 'L' -> (
-                  (* bounded: a CRC-valid but hostile stream must not
-                     expand past what we would accept as a raw core *)
-                  try Lzw.decompress ~max_out:max_core_bytes stored
-                  with Invalid_argument _ ->
-                    raise (Hard "corrupt compressed checkpoint core"))
-              | f -> raise (Hard (Printf.sprintf "bad compression flag %C" f))
-            in
-            fin (Checkpoint { ck_ev; ck_delta; ck_status; ck_core })
-    | t -> Error (Printf.sprintf "unknown record tag %C" t)
-  with
-  | Hard m -> Error m
-  | Short (what, needed, have) ->
-      Error (Printf.sprintf "truncated %s: need %d bytes, have %d" what needed have)
+          let stored = str c ~limit:max_core_bytes "checkpoint core" in
+          let ck_core =
+            match comp with
+            | 'R' -> stored
+            | 'L' -> (
+                (* bounded: a CRC-valid but hostile stream must not
+                   expand past what we would accept as a raw core *)
+                try Lzw.decompress ~max_out:max_core_bytes stored
+                with Invalid_argument _ ->
+                  raise (Hard "corrupt compressed checkpoint core"))
+            | f -> hard "bad compression flag %C" f
+          in
+          Checkpoint { ck_ev; ck_delta; ck_status; ck_core }
+      | t -> hard "unknown record tag %C" t)
+    body
 
 (** Decode a trace.  Total: header damage yields [Error]; a damaged or
     truncated record ends the event list there, with the reason as a
     typed {!salvage} alongside the surviving prefix.  Because replay
     only ever consumes a prefix of history, the salvaged trace remains
     fully usable up to the damage point. *)
-let of_string (s : string) : (t * salvage list, string) result =
-  try
-    let c = { src = s; pos = 0 } in
-    let m = take c (String.length magic) "magic" in
-    let version =
-      if m = magic then 2
-      else if m = magic_v1 then 1
-      else raise (Hard "not an LDBTRACE1/LDBTRACE2 trace")
-    in
-    let arch_len = u32 c "arch length" in
-    if arch_len < 0 || arch_len > 256 then raise (Hard "bad arch length");
-    let arch_name = take c arch_len "arch name" in
-    let tr_arch =
-      match Arch.of_name arch_name with
-      | Some a -> a
-      | None -> raise (Hard (Printf.sprintf "unknown architecture %S" arch_name))
-    in
-    let tr_fuel = u32 c "fuel" in
-    let tr_spacing = u32 c "spacing" in
-    if tr_fuel < 1 then raise (Hard "bad fuel");
-    if tr_spacing < 1 then raise (Hard "bad spacing");
-    let tr_can_step =
-      match Char.chr (u8 c "step flag") with
-      | 'S' -> true
-      | '-' -> false
-      | f -> raise (Hard (Printf.sprintf "bad step flag %C" f))
-    in
-    let events = ref [] in
-    let warns = ref [] in
-    let index = ref 0 in
-    let stop = ref false in
-    (* a salvage ends the stream: indices after damage are unreliable *)
-    while not !stop && c.pos < String.length s do
-      match
-        let tag = Char.chr (u8 c "record tag") in
-        let len = u32 c "record length" in
-        if len < 0 || len > max_record_bytes then raise (Hard "bad record length");
-        let body = take c len "record body" in
-        let crc = u32 c "record checksum" in
-        (tag, body, crc)
-      with
-      | exception Short (what, needed, have) ->
-          warns := [ Truncated { what; expected = needed; got = have } ];
+let of_string : string -> (t * salvage list, string) result =
+  guard @@ fun s ->
+  let c = cursor s in
+  let m = take c (String.length magic) "magic" in
+  let version =
+    if m = magic then 2
+    else if m = magic_v1 then 1
+    else raise (Hard "not an LDBTRACE1/LDBTRACE2 trace")
+  in
+  let arch_name = str c ~limit:256 "arch name" in
+  let tr_arch =
+    match Arch.of_name arch_name with
+    | Some a -> a
+    | None -> hard "unknown architecture %S" arch_name
+  in
+  let tr_fuel = u32 c "fuel" in
+  let tr_spacing = u32 c "spacing" in
+  if tr_fuel < 1 then raise (Hard "bad fuel");
+  if tr_spacing < 1 then raise (Hard "bad spacing");
+  let tr_can_step =
+    match Char.chr (u8 c "step flag") with
+    | 'S' -> true
+    | '-' -> false
+    | f -> hard "bad step flag %C" f
+  in
+  let events = ref [] in
+  let warns = ref [] in
+  let index = ref 0 in
+  let stop = ref false in
+  (* a salvage ends the stream: indices after damage are unreliable *)
+  while not !stop && remaining c > 0 do
+    match
+      let tag = Char.chr (u8 c "record tag") in
+      let body = str c ~limit:max_record_bytes "record body" in
+      let crc = u32 c "record checksum" in
+      (tag, body, crc)
+    with
+    | exception Short { what; need; have } ->
+        warns := [ Truncated { what; expected = need; got = have } ];
+        stop := true
+    | exception Hard m ->
+        warns := [ Bad_record { index = !index; what = m } ];
+        stop := true
+    | tag, body, stored ->
+        let computed = Crc32.string body in
+        if computed <> stored then begin
+          warns := [ Bad_crc { index = !index; stored; computed } ];
           stop := true
-      | exception Hard m ->
-          warns := [ Bad_record { index = !index; what = m } ];
-          stop := true
-      | tag, body, stored ->
-          let computed = Crc32.string body in
-          if computed <> stored then begin
-            warns := [ Bad_crc { index = !index; stored; computed } ];
-            stop := true
-          end
-          else begin
-            match decode_body ~version tag body with
-            | Ok e ->
-                events := e :: !events;
-                incr index
-            | Error what ->
-                warns := [ Bad_record { index = !index; what } ];
-                stop := true
-          end
-    done;
-    Ok
-      ( { tr_arch; tr_fuel; tr_spacing; tr_can_step; tr_events = List.rev !events },
-        !warns )
-  with
-  | Hard m -> Error m
-  | Short (what, needed, have) ->
-      Error (Printf.sprintf "truncated %s: need %d bytes, have %d" what needed have)
+        end
+        else begin
+          match decode_body ~version tag body with
+          | Ok e ->
+              events := e :: !events;
+              incr index
+          | Error what ->
+              warns := [ Bad_record { index = !index; what } ];
+              stop := true
+        end
+  done;
+  ( { tr_arch; tr_fuel; tr_spacing; tr_can_step; tr_events = List.rev !events },
+    !warns )
 
 let pp_event ppf = function
   | Req r -> Fmt.pf ppf "req %a" Proto.pp_request r

@@ -28,31 +28,24 @@ type t = {
   nlines : int;
 }
 
-let u16 s i = Char.code s.[i] lor (Char.code s.[i + 1] lsl 8)
-
-let u32 s i =
-  Char.code s.[i]
-  lor (Char.code s.[i + 1] lsl 8)
-  lor (Char.code s.[i + 2] lsl 16)
-  lor (Char.code s.[i + 3] lsl 24)
-
 exception Corrupt of string
 
 (** Parse a raw stabs byte string. *)
 let parse (raw : string) : t =
-  let n = String.length raw in
+  let open Ldb_util.Bytecodec in
+  let c = cursor raw in
   let stabs = ref [] in
-  let pos = ref 0 in
-  while !pos < n do
-    if !pos + 9 > n then raise (Corrupt "truncated record header");
-    let st_type = Char.code raw.[!pos] in
-    let st_desc = u16 raw (!pos + 1) in
-    let st_value = u32 raw (!pos + 3) in
-    let nstr = u16 raw (!pos + 7) in
-    if !pos + 9 + nstr > n then raise (Corrupt "truncated record name");
-    let st_name = String.sub raw (!pos + 9) nstr in
-    stabs := { st_type; st_desc; st_value; st_name } :: !stabs;
-    pos := !pos + 9 + nstr
+  let record () =
+    let st_type = u8 c "record header" in
+    let st_desc = u16 c "record header" in
+    let st_value = u32 c "record header" in
+    let st_name = take c (u16 c "record header") "record name" in
+    { st_type; st_desc; st_value; st_name }
+  in
+  while remaining c > 0 do
+    match guard record () with
+    | Ok s -> stabs := s :: !stabs
+    | Error m -> raise (Corrupt m)
   done;
   let stabs = List.rev !stabs in
   let by_name = Hashtbl.create 64 in

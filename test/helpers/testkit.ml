@@ -193,3 +193,24 @@ let core_gen : Core.t QCheck.Gen.t =
     co_fregs = fregs; co_sections = sections }
 
 let gen_core : Core.t QCheck.arbitrary = QCheck.make core_gen
+
+(* --- byte codec ------------------------------------------------------------- *)
+
+(** A bare frame header for [codec] whose fields say whatever the test
+    wants: the way to forge a lying length or checksum. *)
+let frame_header (codec : Ldb_util.Bytecodec.framing) ~seq ~len ~crc =
+  let b = Buffer.create Ldb_util.Bytecodec.header_len in
+  Buffer.add_char b codec.magic0;
+  Buffer.add_char b codec.magic1;
+  List.iter (Ldb_util.Bytecodec.add_u32 b) [ seq; len; crc ];
+  Buffer.contents b
+
+(** Lower-case hex of [s], for pinning encodings to goldens. *)
+let hex (s : string) : string =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+(** Pin each encoding to the hex it had when the layout was fixed.  A
+    round trip cannot catch a layout change that encoder and decoder make
+    together; a golden can. *)
+let check_goldens (cases : (string * string * string) list) =
+  List.iter (fun (name, golden, encoded) -> Alcotest.(check string) name golden (hex encoded)) cases

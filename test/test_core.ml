@@ -473,6 +473,27 @@ let test_hopeless_dump_is_an_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad magic accepted"
 
+(** A floating-register width no reader decodes (only 8 and 10 exist)
+    is salvage, not a core that crashes the first consumer of its
+    registers: the loader warns and drops the floating registers. *)
+let test_odd_freg_width_salvages () =
+  let p = Proc.create (Target.of_arch Arch.Mips) in
+  let co = Core.of_proc p ~signal:(Signal.number Signal.SIGSEGV) ~code:0 in
+  List.iter
+    (fun width ->
+      let odd =
+        { co with Core.co_freg_bytes = width;
+                  co_fregs = Array.map (fun _ -> String.make width '\x01') co.Core.co_fregs }
+      in
+      match Core.of_string (Core.to_string odd) with
+      | Error m -> Alcotest.failf "width %d: header refused: %s" width m
+      | Ok (_, []) -> Alcotest.failf "width %d accepted without a warning" width
+      | Ok (back, _ :: _) ->
+          check Alcotest.int (Printf.sprintf "width %d: registers kept" width)
+            (Array.length co.Core.co_regs) (Array.length back.Core.co_regs);
+          ignore (Core.to_proc back : Proc.t))
+    [ 0; 4; 9; 11; 64 ]
+
 let () =
   Alcotest.run "core"
     [
@@ -499,5 +520,7 @@ let () =
         [ Alcotest.test_case "corrupt data section degrades" `Quick
             test_corrupt_data_section_salvages;
           Alcotest.test_case "truncated dump degrades" `Quick
-            test_truncated_dump_salvages ] );
+            test_truncated_dump_salvages;
+          Alcotest.test_case "odd floating-register width degrades" `Quick
+            test_odd_freg_width_salvages ] );
     ]

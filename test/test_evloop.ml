@@ -324,7 +324,7 @@ let test_slowloris_quarantine () =
   (* the slowloris signature: frame headers whose promised payloads never
      come, parked on the wire slower than the read deadline *)
   let frame = Swire.seal ~seq:99 (Swire.encode_client (Swire.C_cmd Server.Where)) in
-  let header = String.sub frame 0 Swire.header_len in
+  let header = String.sub frame 0 Ldb_util.Bytecodec.header_len in
   let quarantined = ref false in
   let ticks = ref 0 in
   while (not !quarantined) && !ticks < 100 do

@@ -15,27 +15,23 @@ let check = Alcotest.check
 
 (* --- channels -------------------------------------------------------------- *)
 
-let test_chan_basic () =
-  let a, b = Chan.pair () in
-  Chan.send a "hello";
-  check Alcotest.string "recv" "hello" (Chan.recv_exactly b 5);
-  Chan.send b "xy";
-  check Alcotest.int "u8" (Char.code 'x') (Chan.recv_u8 a);
-  check Alcotest.int "u8 2" (Char.code 'y') (Chan.recv_u8 a)
+let expect_frame what payload = function
+  | Ok f -> check Alcotest.string what payload f.Frame.fr_payload
+  | Error m -> Alcotest.failf "%s: corrupt frame: %s" what m
 
 let test_chan_pump () =
   let a, b = Chan.pair () in
-  (* b's data arrives only when a pumps *)
-  Chan.set_pump a (fun () -> Chan.send b "pumped!");
-  check Alcotest.string "pump delivers" "pumped!" (Chan.recv_exactly a 7)
+  (* b's frame arrives only when a pumps *)
+  Chan.set_pump a (fun () -> Frame.send b ~seq:1 "pumped!");
+  expect_frame "pump delivers" "pumped!" (Frame.recv a)
 
 let test_chan_disconnect () =
   let a, b = Chan.pair () in
-  Chan.send a "x";
+  Frame.send a ~seq:1 "x";
   Chan.disconnect a;
-  (* buffered data still readable *)
-  check Alcotest.string "buffered" "x" (Chan.recv_exactly b 1);
-  match Chan.recv_exactly b 1 with
+  (* a frame buffered before the cut is still readable *)
+  expect_frame "buffered" "x" (Frame.recv b);
+  match Frame.recv b with
   | exception Chan.Disconnected -> ()
   | _ -> Alcotest.fail "expected Disconnected"
 
@@ -44,12 +40,12 @@ let test_chan_disconnect () =
     vs. reattach), so they must be distinguishable. *)
 let test_chan_timeout_vs_disconnect () =
   let a, _b = Chan.pair () in
-  (match Chan.recv_exactly ~deadline:3 a 1 with
+  (match Frame.recv ~deadline:3 a with
   | exception Chan.Timeout -> ()
   | _ -> Alcotest.fail "expected Timeout on a silent but live link");
   check Alcotest.bool "still connected" true (Chan.is_connected a);
   Chan.disconnect a;
-  match Chan.recv_exactly ~deadline:3 a 1 with
+  match Frame.recv ~deadline:3 a with
   | exception Chan.Disconnected -> ()
   | exception Chan.Timeout -> Alcotest.fail "dead link misreported as timeout"
   | _ -> Alcotest.fail "expected Disconnected"
@@ -63,14 +59,13 @@ let test_chan_deadline () =
     let countdown = ref 5 in
     Chan.set_pump a (fun () ->
         decr countdown;
-        if !countdown <= 0 then Chan.send b "!");
+        if !countdown = 0 then Frame.send b ~seq:1 "!");
     a
   in
-  (match Chan.recv_exactly ~deadline:2 (slow_pair ()) 1 with
+  (match Frame.recv ~deadline:2 (slow_pair ()) with
   | exception Chan.Timeout -> ()
   | _ -> Alcotest.fail "deadline 2 should time out");
-  check Alcotest.string "deadline 10 succeeds" "!"
-    (Chan.recv_exactly ~deadline:10 (slow_pair ()) 1)
+  expect_frame "deadline 10 succeeds" "!" (Frame.recv ~deadline:10 (slow_pair ()))
 
 (* --- protocol codec (pure) -------------------------------------------------- *)
 
@@ -180,6 +175,50 @@ let gen_request : Proto.request QCheck.arbitrary =
                      QCheck.Gen.char));
       QCheck.map (fun addr -> Proto.Clear_cond { addr }) QCheck.(int_bound 0xffffffff) ]
 
+(** Every request and reply constructor, and one frame, pinned to the
+    bytes it encoded to when the layout was fixed. *)
+let test_protocol_goldens () =
+  let req name golden r = (name, golden, Proto.encode_request r) in
+  let rep name golden r = (name, golden, Proto.encode_reply r) in
+  Testkit.check_goldens
+    [
+      req "hello" "48" Proto.Hello;
+      req "fetch" "46645634120004" (Proto.Fetch { space = 'd'; addr = 0x123456; size = 4 });
+      req "store" "5363ffff00000401020304"
+        (Proto.Store { space = 'c'; addr = 0xffff; bytes = "\x01\x02\x03\x04" });
+      req "continue" "43" Proto.Continue;
+      req "step" "54" Proto.Step;
+      req "kill" "4b" Proto.Kill;
+      req "detach" "44" Proto.Detach;
+      req "dump" "5545230100" (Proto.Dump { offset = 0x12345 });
+      req "set_cond" "4200100000050000005001000000"
+        (Proto.Set_cond { addr = 0x1000; prog = "P\x01\x00\x00\x00" });
+      req "clear_cond" "5100100000" (Proto.Clear_cond { addr = 0x1000 });
+      req "record" "52a0860100" (Proto.Record { spacing = 100_000 });
+      req "fetch_trace" "47efcdab00" (Proto.Fetch_trace { offset = 0xabcdef });
+      rep "hello running" "687200000000000000000000000053040000006d697073"
+        (Proto.Hello_reply { arch = "mips"; state = Proto.St_running; can_step = true });
+      rep "hello stopped" "6873050000000000000000001f002d03000000766178"
+        (Proto.Hello_reply
+           { arch = "vax"; state = Proto.St_stopped { signal = 5; code = 0; ctx_addr = 0x1f0000 };
+             can_step = false });
+      rep "hello exited" "6878ffffffff000000000000000053040000006d36386b"
+        (Proto.Hello_reply { arch = "m68k"; state = Proto.St_exited (-1); can_step = true });
+      rep "fetched" "6604deadbeef" (Proto.Fetched "\xde\xad\xbe\xef");
+      rep "stored" "61" Proto.Stored;
+      rep "event" "650b0000003412000000001f00"
+        (Proto.Event { signal = 11; code = 0x1234; ctx_addr = 0x1f0000 });
+      rep "exit" "58ffffffff" (Proto.Exit_event (-1));
+      rep "error" "4504000000626f6f6d" (Proto.Nub_error "boom");
+      rep "core_chunk" "75282300000010000004000000636f7265"
+        (Proto.Core_chunk { total = 9000; offset = 4096; chunk = "core" });
+      rep "cond_hit" "6a050000000000000000001f0039300000"
+        (Proto.Cond_hit { signal = 5; code = 0; ctx_addr = 0x1f0000; suppressed = 12345 });
+      rep "trace_chunk" "746400000008000000020000007472"
+        (Proto.Trace_chunk { total = 100; offset = 8; chunk = "tr" });
+      ("frame", "f5db040302010300000038d3b829616263", Frame.seal ~seq:0x01020304 "abc");
+    ]
+
 let prop_request_roundtrip =
   Testkit.qtest "random requests roundtrip" ~count:500 gen_request roundtrip_request
 
@@ -275,11 +314,7 @@ let test_frame_resync_after_truncation () =
     wait forever. *)
 let test_frame_bogus_length () =
   let a, b = Chan.pair () in
-  let bogus =
-    let open Frame in
-    Printf.sprintf "%c%c" magic0 magic1
-    ^ u32_le 1 ^ u32_le 0x40000000 ^ u32_le 0xdeadbeef
-  in
+  let bogus = Testkit.frame_header Frame.codec ~seq:1 ~len:0x40000000 ~crc:0xdeadbeef in
   Chan.deliver a bogus;
   (match Frame.try_recv b with
   | `Corrupt _ -> ()
@@ -559,7 +594,7 @@ let () =
   Alcotest.run "nub"
     [
       ( "channels",
-        [ case "basic" test_chan_basic; case "pump" test_chan_pump;
+        [ case "pump" test_chan_pump;
           case "disconnect" test_chan_disconnect;
           case "timeout vs disconnect" test_chan_timeout_vs_disconnect;
           case "configurable deadline" test_chan_deadline ] );
@@ -567,6 +602,7 @@ let () =
         [ case "requests" test_request_roundtrips; case "replies" test_reply_roundtrips;
           case "bad sizes rejected" test_decode_rejects_bad_sizes;
           case "bad condition lengths rejected" test_decode_rejects_bad_cond_lengths;
+          case "goldens" test_protocol_goldens;
           prop_request_roundtrip; prop_decode_never_raises; prop_truncation_detected ] );
       ( "frames",
         [ case "roundtrip" test_frame_roundtrip;

@@ -522,15 +522,7 @@ let salvage_case () =
     keys the checkpoint layout on the magic, so old recordings survive
     the format bump instead of failing with a confusing flag error. *)
 let v1_compat_case () =
-  let u32 b v =
-    let cell = Bytes.create 4 in
-    Ldb_util.Endian.set_u32 Ldb_util.Endian.Little cell 0 (Int32.of_int v);
-    Buffer.add_bytes b cell
-  in
-  let str b s =
-    u32 b (String.length s);
-    Buffer.add_string b s
-  in
+  let u32 = Ldb_util.Bytecodec.add_u32 and str = Ldb_util.Bytecodec.add_str in
   let body_of = function
     | Trace.Req r -> ('Q', Proto.encode_request r)
     | Trace.Stop { signal; code; pc; instrs } ->
@@ -621,6 +613,46 @@ let truncated_replay_case () =
   | Error (`Bad_trace _) -> ()  (* cut inside the header: typed refusal is fine *)
   | Error e -> Alcotest.failf "unexpected error: %s" (Replay.error_to_string e)
 
+(** A CRC-valid trace whose checkpoint core carries a floating-register
+    width no reader decodes is refused typed when replay first restores
+    that checkpoint, instead of escaping as an untyped exception. *)
+let odd_freg_checkpoint_case () =
+  let s = Testkit.debug_session ~arch:Arch.Mips loop_sources in
+  Ldb.start_record s.Testkit.tg ~spacing:8;
+  ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "bump" : int);
+  expect_stop "continue" (Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg));
+  let tr =
+    match Trace.of_string (Ldb.trace_bytes s.Testkit.tg) with
+    | Ok (tr, []) -> tr
+    | _ -> Alcotest.fail "pristine trace did not decode cleanly"
+  in
+  let narrow core =
+    match Core.of_string core with
+    | Ok (co, []) ->
+        Core.to_string
+          { co with Core.co_freg_bytes = 4;
+                    co_fregs = Array.map (fun _ -> "\x00\x00\x80\x3f") co.Core.co_fregs }
+    | _ -> Alcotest.fail "pristine checkpoint core did not decode cleanly"
+  in
+  let hostile =
+    { tr with
+      Trace.tr_events =
+        List.map
+          (function
+            | Trace.Checkpoint ck -> Trace.Checkpoint { ck with Trace.ck_core = narrow ck.Trace.ck_core }
+            | e -> e)
+          tr.Trace.tr_events }
+  in
+  let image = Ldb.load_image s.Testkit.d ~loader_ps:s.Testkit.proc.Host.hp_loader_ps in
+  match Replay.of_string s.Testkit.d ~name:"narrow" ~image (Trace.to_string hostile) with
+  | Error (`Bad_trace _) -> ()
+  | Error e -> Alcotest.failf "unexpected error: %s" (Replay.error_to_string e)
+  | Ok (rp, _) -> (
+      match Replay.seek_end rp with
+      | Error (`Bad_trace _) -> ()
+      | Error e -> Alcotest.failf "unexpected error: %s" (Replay.error_to_string e)
+      | Ok _ -> Alcotest.fail "replayed from a checkpoint whose float registers are unreadable")
+
 let () =
   let arch_cases name case =
     List.map
@@ -634,6 +666,8 @@ let () =
         [ Alcotest.test_case "typed reports, usable prefix" `Quick salvage_case;
           Alcotest.test_case "v1 (pre-compaction) traces decode" `Quick
             v1_compat_case;
+          Alcotest.test_case "odd float width in a checkpoint refused typed" `Quick
+            odd_freg_checkpoint_case;
           Alcotest.test_case "replay over a truncated trace" `Quick
             truncated_replay_case ] );
       ("rstep", arch_cases "reverse-step differential" timeline_case);

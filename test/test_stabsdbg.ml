@@ -37,6 +37,20 @@ let test_corrupt_rejected () =
   | exception S.Corrupt _ -> ()
   | _ -> Alcotest.fail "accepted a truncated record"
 
+(** One record pinned to the bytes it encoded to when the layout was
+    fixed, and read back: the u32 value field is unsigned on the wire. *)
+let test_record_golden () =
+  let b = Buffer.create 16 in
+  Ldb_cc.Stabsemit.add_record b ~ty:Ldb_cc.Stabsemit.n_fun ~desc:0x1234 ~value:(-8)
+    ~str:"fib:Fv";
+  Testkit.check_goldens [ ("stab record", "243412f8ffffff06006669623a4676", Buffer.contents b) ];
+  match (S.parse (Buffer.contents b)).S.stabs with
+  | [ s ] ->
+      check Alcotest.(list int) "fields" [ Ldb_cc.Stabsemit.n_fun; 0x1234; 0xfffffff8 ]
+        [ s.S.st_type; s.S.st_desc; s.S.st_value ];
+      check Alcotest.string "name" "fib:Fv" s.S.st_name
+  | l -> Alcotest.failf "%d records decoded from one" (List.length l)
+
 let test_machine_dependence_of_stabs () =
   (* the same program's stabs differ across targets (value fields carry
      machine-dependent frame offsets): this is the machine dependence ldb
@@ -58,5 +72,6 @@ let () =
           case "functions" test_functions_listed;
           case "type display" test_type_display;
           case "corrupt input" test_corrupt_rejected;
+          case "record golden" test_record_golden;
           case "machine dependence" test_machine_dependence_of_stabs ] );
     ]
