@@ -1,352 +1,258 @@
-(** The ldb command line: compile a C program for a simulated target,
-    start it under the nub, and debug it interactively — or, with
-    [-core FILE], examine a core dump post-mortem.
-
-    Commands:
-      break <func> | break :<line>   plant a breakpoint (at no-ops only)
-      break <spec> if <expr>         conditional: the condition is compiled to
-                                     bytecode, verified, and shipped to the nub
-      info breaks                    list breakpoints; conditions show their
-                                     evaluation site and suppressed-trap count
-      clear                          remove all breakpoints
-      run / continue (c)             resume execution
-      step (s) / stepi (si)          source-level / instruction-level step
-      where / bt                     current stop / backtrace
-      print (p) <name>               print a variable via its PostScript printer
-      eval (e) <expr>                evaluate a C expression (expression server)
-      set <name> = <int>             assign to a scalar variable
-      regs                           dump general-purpose registers
-      disas [addr]                   disassemble at addr (default: pc)
-      arch                           show target architecture
-      core <file>                    write a core dump of the stopped target
-      report                         one-shot crash report (best-effort)
-      record [spacing]               start recording for time travel; the nub
-                                     logs every state change and checkpoints
-                                     every [spacing] instructions (default 64)
-      rstep (rsi)                    step one instruction backwards
-      rcontinue (rc)                 run backwards to the previous stop
-      rwatch <name>                  run back to the last write of a variable
-      present                        return from history to the live process
-      detach / kill / quit           connection control
-
-    The reverse commands replay the recording from the nearest
-    checkpoint; every inspection command (where, bt, print, disas,
-    regs, eval) works unchanged at any historical instant.  Commands
-    that change state — continue, step, set, break — return the session
-    to the present first. *)
+(** The ldb command line: compile a C program for a simulated target and
+    debug it.  By default the program starts under the nub and the REPL
+    reads commands on stdin; [-core FILE] examines a core dump post
+    mortem instead; [-listen SOCKET] serves the wire protocol, one
+    session per connection; [-connect SOCKET] is a client of such a
+    daemon.  Every front end speaks the one command language of
+    {!Ldb_ldb.Command}, where the commands are listed, and every server
+    command reaches {!Server.exec}: the REPL is a single-session,
+    in-process client of a {!Server}. *)
 
 open Ldb_ldb
+module Eval = Ldb_exprserver.Eval
 
-let read_file path = In_channel.with_open_text path In_channel.input_all
+(** A debug server for [arch], with the expression server for [arch]
+    compiling its breakpoint conditions.  The expression server lives a
+    library above lib/ldb, so the compiler is injected here, where both
+    are in scope. *)
+let server ~arch =
+  let sv = Server.create () in
+  let esess = Eval.start ~arch in
+  Server.set_cond_compiler sv (fun d tg ~addr cond ->
+      Eval.compile_condition d tg esess ~addr cond);
+  (sv, esess)
 
-(** The interactive loop, shared by live and post-mortem sessions.
-    [proc] is the simulated process when there is one (live sessions);
-    post-mortem sessions have only the dump. *)
-let repl d tg0 sess ~(proc : Host.process option) =
-  let finished = ref false in
-  (* [cur] is what inspection commands look at: the live target, or a
-     historical one materialized by the replay session *)
-  let cur = ref tg0 in
-  let replay : Replay.t option ref = ref None in
-  (* the image is needed to open a replay session over a fetched trace *)
-  let image =
-    match proc with
-    | Some p -> Some (Ldb.load_image d ~loader_ps:p.Host.hp_loader_ps)
-    | None -> None
+let opened = function
+  | Ok id -> id
+  | Error r ->
+      Printf.eprintf "ldb: %s\n" (Server.refusal_to_string r);
+      exit 1
+
+(* --- the REPL ------------------------------------------------------------------ *)
+
+(** Does [c] act on the live process?  Such commands return the REPL
+    from history to the present first. *)
+let changes_present = function
+  | Command.Server (Where | Backtrace | Print _ | Read_int _ | Fetch_core) -> false
+  | Server _ | Break_if _ | Stepi | Set _ | Clear | Record _ -> true
+  | _ -> false
+
+let error_text = function
+  | Eval.Error m | Ldb_exprserver.Exprserver.Error m -> m
+  | e -> Ldb.exn_text e
+
+(** The interactive loop, shared by live and post-mortem sessions: a
+    single-session client of [sv].  A server command runs through
+    {!Server.exec} on session [live], or on the historical session the
+    last time-travel motion admitted, and prints as a [-connect] client
+    prints it, without the [ok: ]/[refused: ] prefix.  The REPL's own
+    commands work on that session's target.  [proc] is the simulated
+    process of a live session; a post-mortem one has only the dump. *)
+let repl sv ~esess ~live ~(proc : Host.process option) =
+  let d = Server.debugger sv in
+  let say = print_endline in
+  (* a replay session over the live recording, and the session of the
+     historical instant it materialized last *)
+  let replay = ref None and past = ref None in
+  let current () = Option.value !past ~default:live in
+  let target id =
+    match Server.session sv id with
+    | Some s -> s.Server.ss_tg
+    | None -> raise (Ldb.Error (Server.refusal_to_string (Server.Session_closed id)))
+  in
+  let leave_past () =
+    Option.iter (Server.close_session sv) !past;
+    past := None
   in
   let to_present ~quiet =
-    match !replay with
-    | None -> ()
-    | Some rp ->
-        (match Replay.target rp with Some t -> Ldb.remove_target d t | None -> ());
-        replay := None;
-        cur := tg0;
-        if not quiet then print_endline "(back in the present)"
+    if !replay <> None then begin
+      leave_past ();
+      replay := None;
+      if not quiet then say "(back in the present)"
+    end
   in
-  (* open (or reuse) a replay session over the live target's recording;
-     a fresh fetch each time it is opened picks up everything recorded
-     since the last trip into history *)
-  let ensure_replay () =
-    match !replay with
-    | Some rp -> Ok rp
-    | None -> (
-        match image with
-        | None -> Error "time travel needs a live recorded process"
-        | Some image -> (
-            let bytes = Ldb.trace_bytes tg0 in
-            match Replay.of_string d ~name:"replay" ~image bytes with
-            | Ok (rp, warns) ->
-                List.iter
-                  (fun w ->
-                    Printf.printf "  ! salvage: %s\n"
-                      (Ldb_nub.Trace.salvage_to_string w))
-                  warns;
-                replay := Some rp;
-                Ok rp
-            | Error e -> Error (Replay.error_to_string e)))
+  let exec id c =
+    let r = Server.exec sv id c in
+    say (match r with Ok r -> Server.reply_to_string r | Error r -> Server.refusal_to_string r);
+    r
   in
+  (* open (or reuse) a replay session over the live recording; a fresh
+     fetch each trip into history picks up everything recorded since *)
+  let history () =
+    match (!replay, proc) with
+    | Some rp, _ -> Ok rp
+    | None, None -> Error "time travel needs a live recorded process"
+    | None, Some p -> (
+        let image = Server.image_for sv ~loader_ps:p.Host.hp_loader_ps in
+        match Replay.of_string d ~name:"replay" ~image (Ldb.trace_bytes (target live)) with
+        | Ok (rp, warns) ->
+            List.iter
+              (fun w -> say ("  ! salvage: " ^ Ldb_nub.Trace.salvage_to_string w))
+              warns;
+            replay := Some rp;
+            Ok rp
+        | Error e -> Error (Replay.error_to_string e))
+  in
+  (* a motion materializes a new historical target: it replaces the
+     previous historical session *)
   let reverse motion =
-    match ensure_replay () with
-    | Error m -> Printf.printf "ldb: %s\n" m
+    match history () with
+    | Error m -> say ("ldb: " ^ m)
     | Ok rp -> (
         match motion rp with
-        | Ok t ->
-            cur := t;
-            Printf.printf "[%s]\n" (Replay.describe rp);
-            print_endline (Ldb.where d t)
-        | Error `End_of_history ->
-            Printf.printf "ldb: %s\n" (Replay.error_to_string `End_of_history)
-        | Error e -> Printf.printf "ldb: %s\n" (Replay.error_to_string e))
+        | Error e -> say ("ldb: " ^ Replay.error_to_string e)
+        | Ok tg -> (
+            leave_past ();
+            match Server.open_target_session sv ~name:"history" ~image:rp.Replay.rp_image tg with
+            | Error r -> say (Server.refusal_to_string r)
+            | Ok id ->
+                past := Some id;
+                Printf.printf "[%s]\n" (Replay.describe rp);
+                ignore (exec id Where)))
   in
-  (* post-mortem queries may have tolerated damaged bytes; surface the
-     per-query warnings the way the answer itself was printed *)
-  let flush_salvage () =
-    List.iter (fun w -> Printf.printf "  ! salvage: %s\n" w) (Ldb.take_salvage !cur)
+  let dead = function Ok _ -> () | Error (`Dead_process m) -> say ("ldb: " ^ m) in
+  let local tg = function
+    | Command.Stepi -> dead (Result.map (fun _ -> say (Ldb.where d tg)) (Ldb.step_instruction d tg))
+    | Eval e ->
+        let v, ty = Eval.evaluate d tg (Ldb.top_frame d tg) esess e in
+        Printf.printf "(%s) %s\n" ty v
+    | Set { name; value } -> dead (Ldb.assign_int d tg (Ldb.top_frame d tg) name value)
+    | Regs ->
+        let fr = Ldb.top_frame d tg in
+        let t = tg.Ldb.tg_tdesc in
+        for r = 0 to Ldb_machine.Target.nregs t - 1 do
+          Printf.printf "%4s=%08x%s"
+            (Ldb_machine.Target.reg_name t r)
+            (Frame.fetch_reg fr r)
+            (if r mod 4 = 3 then "\n" else " ")
+        done
+    | Disas a ->
+        let addr = match a with Some a -> a | None -> (Ldb.top_frame d tg).Frame.fr_pc in
+        say (Disas.to_string (Ldb.disassemble d tg ~addr ~count:8))
+    | Arch -> say (Ldb_machine.Arch.name tg.Ldb.tg_arch)
+    | Info_breaks ->
+        Hashtbl.fold (fun addr bp acc -> (addr, bp) :: acc) tg.Ldb.tg_breaks []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.iter (fun (addr, (bp : Breakpoint.t)) ->
+               match bp.Breakpoint.bp_cond with
+               | Some c ->
+                   Printf.printf "breakpoint at %#x if %s (%s side, %d trap%s silently resumed)\n"
+                     addr c.Breakpoint.c_text
+                     (match c.Breakpoint.c_site with `Nub -> "nub" | `Debugger -> "debugger")
+                     c.Breakpoint.c_suppressed
+                     (if c.Breakpoint.c_suppressed = 1 then "" else "s")
+               | None -> Printf.printf "breakpoint at %#x\n" addr)
+    | Clear -> Breakpoint.remove_all tg.Ldb.tg_breaks tg.Ldb.tg_wire
+    | Write_core path ->
+        let bytes = Ldb.core_bytes tg in
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+        Printf.printf "wrote %d-byte core to %s\n" (String.length bytes) path
+    | Report -> (
+        match Ldb.crash_report d tg with
+        | `Full r -> print_string (Ldb.render_crash_report r)
+        | `Salvage r ->
+            print_string (Ldb.render_crash_report r);
+            say "(report assembled in salvage mode)")
+    | Record spacing ->
+        Ldb.start_record tg ~spacing;
+        Printf.printf "recording (checkpoint every %d instructions)\n" spacing
+    | Rstep -> reverse Replay.rstep
+    | Rcontinue -> reverse Replay.rcontinue
+    | Rwatch name -> (
+        match Ldb.variable_range d tg (Ldb.top_frame d tg) name with
+        | Error m -> say ("ldb: " ^ m)
+        | Ok (_space, addr, size) ->
+            Printf.printf "running back to the last write of %s (%d byte%s at %#x)\n" name size
+              (if size = 1 then "" else "s")
+              addr;
+            reverse (fun rp -> Result.map fst (Replay.run_back_to_write rp ~addr ~size)))
+    | Present ->
+        to_present ~quiet:true;
+        ignore (exec live Where)
+    | Server _ | Break_if _ | Quit -> ()
   in
-  let dead m = Printf.printf "ldb: %s\n" m in
+  let finished = ref false in
   while not !finished do
     Printf.printf "(ldb) %!";
     match In_channel.input_line stdin with
     | None -> finished := true
     | Some line ->
-        (let words =
-           String.split_on_char ' ' (String.trim line) |> List.filter (fun s -> s <> "")
-         in
-         (* state-changing commands act on the live process: leave
-            history before dispatching them *)
-         (match words with
-         | ("run" | "continue" | "c" | "step" | "s" | "stepi" | "si" | "set"
-           | "break" | "b" | "clear" | "kill" | "detach" | "record")
-           :: _ ->
-             to_present ~quiet:false
-         | _ -> ());
-         try
-           let tg = !cur in
-           match words with
-           | [] -> ()
-           | [ "quit" ] | [ "q" ] -> finished := true
-           | [ "arch" ] -> print_endline (Ldb_machine.Arch.name tg.Ldb.tg_arch)
-           | [ "break"; spec ] | [ "b"; spec ] ->
-               if String.length spec > 0 && spec.[0] = ':' then begin
-                 let line = int_of_string (String.sub spec 1 (String.length spec - 1)) in
-                 let addrs = Ldb.break_line d tg ~line in
-                 List.iter (Printf.printf "breakpoint at %#x\n") addrs
-               end
-               else Printf.printf "breakpoint at %#x\n" (Ldb.break_function d tg spec)
-           | "break" :: spec :: "if" :: (_ :: _ as rest)
-           | "b" :: spec :: "if" :: (_ :: _ as rest) ->
-               let expr = String.concat " " rest in
-               let addrs =
-                 if String.length spec > 0 && spec.[0] = ':' then
-                   let line = int_of_string (String.sub spec 1 (String.length spec - 1)) in
-                   Ldb.break_line d tg ~line
-                 else [ Ldb.break_function d tg spec ]
-               in
-               List.iter
-                 (fun addr ->
-                   match Ldb_exprserver.Eval.compile_condition d tg sess ~addr expr with
-                   | Ok prog -> (
-                       match Ldb.set_condition d tg ~addr ~text:expr prog with
-                       | Ok `Nub ->
-                           Printf.printf "breakpoint at %#x if %s (condition runs on the nub)\n"
-                             addr expr
-                       | Ok `Debugger ->
-                           Printf.printf
-                             "breakpoint at %#x if %s (condition runs in the debugger)\n" addr
-                             expr
-                       | Error (`Unverified fs) ->
-                           Printf.printf "ldb: condition rejected by the verifier:\n";
-                           List.iter
-                             (fun f ->
-                               Printf.printf "  %s\n" (Ldb_nub.Bpverify.finding_to_string f))
-                             fs)
-                   | Error (`Unverified fs) ->
-                       Printf.printf "ldb: condition rejected by the verifier:\n";
-                       List.iter
-                         (fun f ->
-                           Printf.printf "  %s\n" (Ldb_nub.Bpverify.finding_to_string f))
-                         fs
-                   | Error (`Unsupported m) ->
-                       Printf.printf "ldb: condition cannot compile to nub bytecode: %s\n" m
-                   | Error (`Error m) -> Printf.printf "ldb: %s\n" m)
-                 addrs
-           | [ "info" ] | [ "info"; "breaks" ] ->
-               Hashtbl.iter
-                 (fun addr (bp : Breakpoint.t) ->
-                   match bp.Breakpoint.bp_cond with
-                   | Some c ->
-                       Printf.printf
-                         "breakpoint at %#x if %s (%s side, %d trap%s silently resumed)\n"
-                         addr c.Breakpoint.c_text
-                         (match c.Breakpoint.c_site with
-                         | `Nub -> "nub"
-                         | `Debugger -> "debugger")
-                         c.Breakpoint.c_suppressed
-                         (if c.Breakpoint.c_suppressed = 1 then "" else "s")
-                   | None -> Printf.printf "breakpoint at %#x\n" addr)
-                 tg.Ldb.tg_breaks
-           | [ "clear" ] -> Breakpoint.remove_all tg.Ldb.tg_breaks tg.Ldb.tg_wire
-           | [ "run" ] | [ "continue" ] | [ "c" ] -> (
-               match Ldb.continue_ d tg with
-               | Ok (Ldb.Exited n) ->
-                   Printf.printf "program exited with status %d\n" n;
-                   (match proc with
-                   | Some p ->
-                       let out = Ldb_machine.Proc.output p.Host.hp_proc in
-                       if out <> "" then Printf.printf "--- program output ---\n%s" out
-                   | None -> ())
-               | Ok _ -> print_endline (Ldb.where d tg)
-               | Error (`Dead_process m) -> dead m)
-           | [ "step" ] | [ "s" ] -> (
-               match Ldb.step_source d tg with
-               | Ok (Ldb.Exited n) -> Printf.printf "program exited with status %d\n" n
-               | Ok _ -> print_endline (Ldb.where d tg)
-               | Error (`Dead_process m) -> dead m)
-           | [ "stepi" ] | [ "si" ] -> (
-               match Ldb.step_instruction d tg with
-               | Ok (Ldb.Exited n) -> Printf.printf "program exited with status %d\n" n
-               | Ok _ -> print_endline (Ldb.where d tg)
-               | Error (`Dead_process m) -> dead m)
-           | [ "disas" ] | [ "disas"; _ ] -> (
-               let addr =
-                 match words with
-                 | [ _; spec ] -> int_of_string spec
-                 | _ -> (Ldb.top_frame d tg).Frame.fr_pc
-               in
-               print_endline (Disas.to_string (Ldb.disassemble d tg ~addr ~count:8)))
-           | [ "where" ] -> print_endline (Ldb.where d tg)
-           | [ "bt" ] | [ "backtrace" ] ->
-               List.iteri
-                 (fun i fr ->
-                   Printf.printf "#%d %s (pc=%#x base=%#x)\n" i (Ldb.frame_function d tg fr)
-                     fr.Frame.fr_pc fr.Frame.fr_base)
-                 (Ldb.backtrace d tg)
-           | [ "print"; name ] | [ "p"; name ] ->
-               Printf.printf "%s = %s\n" name (Ldb.print_value d tg (Ldb.top_frame d tg) name)
-           | "eval" :: rest | "e" :: rest ->
-               let expr = String.concat " " rest in
-               let v, ty =
-                 Ldb_exprserver.Eval.evaluate d tg (Ldb.top_frame d tg) sess expr
-               in
-               Printf.printf "(%s) %s\n" ty v
-           | [ "set"; name; "="; v ] -> (
-               match Ldb.assign_int d tg (Ldb.top_frame d tg) name (int_of_string v) with
-               | Ok () -> ()
-               | Error (`Dead_process m) -> dead m)
-           | [ "regs" ] ->
-               let fr = Ldb.top_frame d tg in
-               let t = tg.Ldb.tg_tdesc in
-               for r = 0 to Ldb_machine.Target.nregs t - 1 do
-                 Printf.printf "%4s=%08x%s"
-                   (Ldb_machine.Target.reg_name t r)
-                   (Frame.fetch_reg fr r)
-                   (if r mod 4 = 3 then "\n" else " ")
-               done
-           | [ "core"; path ] ->
-               let bytes = Ldb.core_bytes tg in
-               Out_channel.with_open_bin path (fun oc ->
-                   Out_channel.output_string oc bytes);
-               Printf.printf "wrote %d-byte core to %s\n" (String.length bytes) path
-           | [ "report" ] -> (
-               match Ldb.crash_report d tg with
-               | `Full r -> print_string (Ldb.render_crash_report r)
-               | `Salvage r ->
-                   print_string (Ldb.render_crash_report r);
-                   print_endline "(report assembled in salvage mode)")
-           | [ "record" ] | [ "record"; _ ] ->
-               let spacing = match words with [ _; s ] -> int_of_string s | _ -> 64 in
-               Ldb.start_record tg ~spacing;
-               Printf.printf "recording (checkpoint every %d instructions)\n" spacing
-           | [ "rstep" ] | [ "rsi" ] -> reverse Replay.rstep
-           | [ "rcontinue" ] | [ "rc" ] -> reverse Replay.rcontinue
-           | [ "rwatch"; name ] -> (
-               match Ldb.variable_range d tg (Ldb.top_frame d tg) name with
-               | Error m -> Printf.printf "ldb: %s\n" m
-               | Ok (_space, addr, size) ->
-                   Printf.printf "running back to the last write of %s (%d byte%s at %#x)\n"
-                     name size
-                     (if size = 1 then "" else "s")
-                     addr;
-                   reverse (fun rp ->
-                       Result.map fst (Replay.run_back_to_write rp ~addr ~size)))
-           | [ "present" ] ->
-               to_present ~quiet:true;
-               print_endline (Ldb.where d !cur)
-           | [ "detach" ] -> Ldb.detach tg
-           | [ "kill" ] ->
-               Ldb.kill tg;
-               finished := true
-           | _ -> Printf.printf "unknown command: %s\n" line
-         with
-         | Failure _ ->
-             (* e.g. int_of_string on `break :abc` — complain, don't die *)
-             Printf.printf "ldb: bad number in command: %s\n" line
-         | Ldb.Error m -> Printf.printf "ldb: %s\n" m
-         | Coredump.Dead_process m -> Printf.printf "ldb: %s\n" m
-         | Transport.Error (_, m) -> Printf.printf "ldb: %s\n" m
-         | Breakpoint.Error m -> Printf.printf "ldb: %s\n" m
-         | Ldb_exprserver.Eval.Error m -> Printf.printf "ldb: %s\n" m
-         | Ldb_exprserver.Exprserver.Error m -> Printf.printf "ldb: %s\n" m);
-        flush_salvage ()
+        (* one tick per line: it renews the session's RPC budget and
+           paces the heartbeats *)
+        Server.tick sv;
+        (match Command.parse line with
+        | Error Command.Blank -> ()
+        | Error e -> say ("ldb: " ^ Command.error_to_string e)
+        | Ok c -> (
+            if changes_present c then to_present ~quiet:false;
+            let id = current () in
+            match c with
+            | Quit -> finished := true
+            | Server cmd -> (
+                (match exec id cmd with
+                | Ok (Server.R_state (Ldb.Exited _)) ->
+                    Option.iter
+                      (fun p ->
+                        let out = Host.output p in
+                        if out <> "" then Printf.printf "--- program output ---\n%s" out)
+                      proc
+                | _ -> ());
+                if cmd = Kill then finished := true)
+            | Break_if { at; cond } -> (
+                match exec id at with
+                | Ok r ->
+                    List.iter
+                      (fun addr -> ignore (exec id (Condition { addr; cond })))
+                      (Server.planted r)
+                | Error _ -> ())
+            | c -> ( try local (target id) c with e -> say ("ldb: " ^ error_text e))));
+        (* post-mortem queries may have tolerated damaged bytes; surface
+           the per-query warnings the way the answer itself was printed *)
+        Option.iter
+          (fun s ->
+            List.iter (fun w -> say ("  ! salvage: " ^ w)) (Ldb.take_salvage s.Server.ss_tg))
+          (Server.session sv (current ()))
   done
 
 let run_session ~arch ~sources =
-  let d = Ldb.create () in
-  let proc, tg = Host.spawn d ~arch ~name:"cli" sources in
-  let sess = Ldb_exprserver.Eval.start ~arch in
+  let sv, esess = server ~arch in
+  let p = Host.launch ~arch sources in
+  let live =
+    opened (Server.open_session sv ~name:"cli" ~loader_ps:p.Host.hp_loader_ps (Host.open_channel p))
+  in
   Printf.printf "ldb: target %s, %d bytes of code, stopped before main\n%!"
     (Ldb_machine.Arch.name arch)
-    (String.length proc.Host.hp_image.Ldb_link.Link.i_code);
-  repl d tg sess ~proc:(Some proc)
+    (String.length p.Host.hp_image.Ldb_link.Link.i_code);
+  repl sv ~esess ~live ~proc:(Some p)
 
-(** Server demo: [n] sessions of one program through a single supervised
-    server, sharing the image cache.  Each session stops in main and
-    reports its frame; the session table and cache stats follow. *)
-let run_server_demo ~arch ~sources ~n =
-  let image = Host.build_image ~arch sources in
-  let sv = Server.create ~limits:{ Server.default_limits with Server.li_max_sessions = n } () in
-  (* the expression server lives a library above lib/ldb, so the
-     condition compiler is injected here, where both are in scope *)
-  let esess = Ldb_exprserver.Eval.start ~arch in
-  Server.set_cond_compiler sv (fun d tg ~addr cond ->
-      Ldb_exprserver.Eval.compile_condition d tg esess ~addr cond);
-  let ids =
-    List.init n (fun i ->
-        let p = Host.launch_image image in
-        match
-          Server.open_session sv
-            ~name:(Printf.sprintf "session-%d" i)
-            ~loader_ps:p.Host.hp_loader_ps (Host.open_channel p)
-        with
-        | Ok id -> id
-        | Error r ->
-            Printf.eprintf "ldb: open refused: %s\n" (Server.refusal_to_string r);
-            exit 1)
-  in
-  List.iter
-    (fun id ->
-      let run cmd =
-        match Server.exec sv id cmd with
-        | Ok r -> Server.reply_to_string r
-        | Error r -> Server.refusal_to_string r
+(** Post-mortem: rebuild the symbol tables from the same sources and open
+    the dump as a read-only session.  The architecture comes from the
+    dump itself; [-a] is ignored when it disagrees. *)
+let run_core_session ~core_path ~sources =
+  let raw = In_channel.with_open_bin core_path In_channel.input_all in
+  match Ldb_machine.Core.of_string raw with
+  | Error m ->
+      Printf.eprintf "ldb: %s is not a usable core: %s\n" core_path m;
+      exit 1
+  | Ok ((core, warnings) as loaded) ->
+      let arch = core.Ldb_machine.Core.co_arch in
+      let _, loader_ps = Ldb_link.Driver.build ~arch sources in
+      let sv, esess = server ~arch in
+      let live =
+        opened (Server.open_core_session sv ~name:(Filename.basename core_path) ~loader_ps loaded)
       in
-      ignore (run (Server.Break_function "main") : string);
-      ignore (run Server.Continue : string);
-      Printf.printf "session %d: %s\n" id (run Server.Where))
-    ids;
-  print_newline ();
-  print_string (Server.render_sessions sv);
-  let st = Server.stats sv in
-  Printf.printf
-    "opened %d, image cache %d hit%s / %d load%s, downs %d, failed %d\n"
-    st.Server.sv_opened st.Server.sv_cache_hits
-    (if st.Server.sv_cache_hits = 1 then "" else "s")
-    st.Server.sv_cache_misses
-    (if st.Server.sv_cache_misses = 1 then "" else "s")
-    st.Server.sv_downs st.Server.sv_failed;
-  List.iter (fun id -> Server.close_session ~kill:true sv id) ids
+      Printf.printf "ldb: post-mortem on %s (%s), fault %s (code %#x)\n%!" core_path
+        (Ldb_machine.Arch.name arch)
+        (match Ldb_machine.Signal.of_number core.Ldb_machine.Core.co_signal with
+        | Some s -> Ldb_machine.Signal.name s
+        | None -> Printf.sprintf "signal %d" core.Ldb_machine.Core.co_signal)
+        core.Ldb_machine.Core.co_code;
+      List.iter
+        (fun w -> Printf.printf "  ! salvage: %s\n" (Ldb_machine.Core.salvage_to_string w))
+        warnings;
+      repl sv ~esess ~live ~proc:None
 
-(* --- the wire daemon and its scripted client -------------------------------- *)
+(* --- the wire daemon and its client ------------------------------------------ *)
 
 (** A Unix socket as an {!Evloop.io}: non-blocking reads (the loop polls),
     buffered non-blocking writes, EOF and errors folding into [io_alive].
@@ -448,10 +354,7 @@ let io_of_fd ~(label : string) (fd : Unix.file_descr) : Evloop.io =
     SIGTERM/SIGINT trigger the graceful drain. *)
 let run_listen ~arch ~sources ~path =
   let image = Host.build_image ~arch sources in
-  let sv = Server.create () in
-  let esess = Ldb_exprserver.Eval.start ~arch in
-  Server.set_cond_compiler sv (fun d tg ~addr cond ->
-      Ldb_exprserver.Eval.compile_condition d tg esess ~addr cond);
+  let sv, _ = server ~arch in
   (* the daemon ticks every ~10ms, so the loop's tick-denominated limits
      must be rescaled to wall-clock terms: the test-suite defaults
      (idle_timeout = 64 ticks ≈ 0.6s) would reap any client that pauses
@@ -506,11 +409,10 @@ let run_listen ~arch ~sources ~path =
     rep.Evloop.dr_salvaged rep.Evloop.dr_conns_closed
     (if rep.Evloop.dr_conns_closed = 1 then "" else "s")
 
-(** [-connect PATH]: a scripted wire client.  Lines on stdin become
-    commands ([break f], [break :N], [continue], [step], [where], [bt],
-    [print v], [read v], [core], [detach], [kill], [bye]); every server
-    message is printed as one line.  This is the CI smoke driver, not an
-    interactive debugger — the REPL stays on the in-process path. *)
+(** [-connect PATH]: a wire client.  Lines on stdin are parsed by
+    {!Command.parse}; a server command becomes one request, and every
+    server message is printed as one line.  A REPL command is refused
+    here and sends nothing. *)
 let run_connect ~path =
   let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
   (try Unix.connect fd (ADDR_UNIX path)
@@ -575,91 +477,51 @@ let run_connect ~path =
   | None ->
       prerr_endline "ldb: server closed the connection";
       exit 1);
-  let parse words =
-    match words with
-    | [ "break"; spec ] when String.length spec > 0 && spec.[0] = ':' ->
-        (* total: `break :abc` is an unknown command, not a crash *)
-        Option.map
-          (fun line -> Server.Break_line { file = None; line })
-          (int_of_string_opt (String.sub spec 1 (String.length spec - 1)))
-    | [ "break"; f ] -> Some (Server.Break_function f)
-    | [ "continue" ] | [ "c" ] -> Some Server.Continue
-    | [ "step" ] | [ "s" ] -> Some Server.Step_source
-    | [ "where" ] -> Some Server.Where
-    | [ "bt" ] | [ "backtrace" ] -> Some Server.Backtrace
-    | [ "print"; v ] | [ "p"; v ] -> Some (Server.Print v)
-    | [ "read"; v ] -> Some (Server.Read_int v)
-    | [ "core" ] -> Some Server.Fetch_core
-    | [ "detach" ] -> Some Server.Detach
-    | [ "kill" ] -> Some Server.Kill
-    | _ -> None
-  in
   let finished = ref false in
+  let gone () =
+    prerr_endline "ldb: server closed the connection";
+    finished := true;
+    None
+  in
+  (* one request, one reply; the server would discard a frame over its
+     limit as a lying header and desynchronize the transcript, so such a
+     command is refused here and nothing is sent *)
+  let roundtrip cmd =
+    let payload = Swire.encode_client (Swire.C_cmd cmd) in
+    let limit = Swire.from_client.max_payload in
+    if String.length payload > limit then begin
+      Printf.printf "client: command not sent: %d bytes, over the %d-byte limit\n"
+        (String.length payload) limit;
+      None
+    end
+    else if not (send_payload payload) then gone ()
+    else
+      match recv_msg () with
+      | None -> gone ()
+      | Some m ->
+          say m;
+          Some m
+  in
   while not !finished do
-    match In_channel.input_line stdin with
-    | None | Some "bye" | Some "quit" ->
+    match Option.map Command.parse (In_channel.input_line stdin) with
+    | None | Some (Ok Command.Quit) ->
         finished := true;
-        if send Swire.C_bye then (
-          match recv_msg () with Some m -> say m | None -> ())
-    | Some line -> (
-        let words =
-          String.split_on_char ' ' (String.trim line) |> List.filter (fun s -> s <> "")
-        in
-        match words with
-        | [] -> ()
-        | _ -> (
-            match parse words with
-            | None -> Printf.printf "client: unknown command %S\n" line
-            | Some cmd ->
-                (* the server would discard a frame over its limit as a
-                   lying header and desynchronize the transcript: refuse
-                   it here and send nothing *)
-                let payload = Swire.encode_client (Swire.C_cmd cmd) in
-                let limit = Swire.from_client.max_payload in
-                if String.length payload > limit then
-                  Printf.printf "client: command not sent: %d bytes, over the %d-byte limit\n"
-                    (String.length payload) limit
-                else if not (send_payload payload) then begin
-                  prerr_endline "ldb: server closed the connection";
-                  finished := true
-                end
-                else (
-                  match recv_msg () with
-                  | Some m -> say m
-                  | None ->
-                      prerr_endline "ldb: server closed the connection";
-                      finished := true)))
+        if send Swire.C_bye then Option.iter say (recv_msg ())
+    | Some (Error Command.Blank) -> ()
+    | Some (Error e) -> Printf.printf "client: %s\n" (Command.error_to_string e)
+    | Some (Ok (Command.Server c)) -> ignore (roundtrip c)
+    | Some (Ok (Command.Break_if { at; cond })) -> (
+        match roundtrip at with
+        | Some (Swire.S_reply r) ->
+            List.iter
+              (fun addr -> ignore (roundtrip (Server.Condition { addr; cond })))
+              (Server.planted r)
+        | _ -> ())
+    | Some (Ok c) ->
+        Printf.printf "client: %s\n"
+          (Command.error_to_string (Command.Not_on_wire (Command.to_string c)))
   done;
   try Unix.close fd with _ -> ()
-
-(** Post-mortem: rebuild the symbol tables from the same sources and open
-    the dump as a read-only target.  The architecture comes from the dump
-    itself; [-a] is ignored when it disagrees. *)
-let run_core_session ~core_path ~sources =
-  let raw = In_channel.with_open_bin core_path In_channel.input_all in
-  match Ldb_machine.Core.of_string raw with
-  | Error m ->
-      Printf.eprintf "ldb: %s is not a usable core: %s\n" core_path m;
-      exit 1
-  | Ok (core, warnings) ->
-      let arch = core.Ldb_machine.Core.co_arch in
-      let _, loader_ps = Ldb_link.Driver.build ~arch sources in
-      let d = Ldb.create () in
-      let tg = Ldb.connect_core d ~name:(Filename.basename core_path) ~loader_ps
-          (core, warnings) in
-      let sess = Ldb_exprserver.Eval.start ~arch in
-      Printf.printf "ldb: post-mortem on %s (%s), fault %s (code %#x)\n%!"
-        core_path
-        (Ldb_machine.Arch.name arch)
-        (match Ldb_machine.Signal.of_number core.Ldb_machine.Core.co_signal with
-        | Some s -> Ldb_machine.Signal.name s
-        | None -> Printf.sprintf "signal %d" core.Ldb_machine.Core.co_signal)
-        core.Ldb_machine.Core.co_code;
-      List.iter
-        (fun w ->
-          Printf.printf "  ! salvage: %s\n" (Ldb_machine.Core.salvage_to_string w))
-        warnings;
-      repl d tg sess ~proc:None
 
 open Cmdliner
 
@@ -682,13 +544,6 @@ let core_t =
            ~doc:"Examine a core dump post-mortem instead of running the program. \
                  The source files are still required to rebuild the symbol tables.")
 
-let serve_t =
-  Arg.(value & opt (some int) None
-       & info [ "serve" ] ~docv:"N"
-           ~doc:"Instead of one interactive session, run $(docv) sessions of the \
-                 program through one supervised debug server sharing an image \
-                 cache, and print the session table and server stats.")
-
 let listen_t =
   Arg.(value & opt (some string) None
        & info [ "listen" ] ~docv:"SOCKET"
@@ -699,14 +554,14 @@ let listen_t =
 let connect_t =
   Arg.(value & opt (some string) None
        & info [ "connect" ] ~docv:"SOCKET"
-           ~doc:"Connect to a $(b,--listen) daemon as a scripted wire client: \
-                 commands on stdin, one reply line per command.")
+           ~doc:"Connect to a $(b,--listen) daemon as a wire client: the REPL's \
+                 server commands on stdin, one reply line per request.")
 
 let files_t =
   (* not non_empty: -connect needs no sources (the daemon has them) *)
   Arg.(value & pos_all file [] & info [] ~docv:"FILE.c" ~doc:"C source files to debug.")
 
-let main arch core serve listen connect files =
+let main arch core listen connect files =
   match connect with
   | Some path -> run_connect ~path
   | None -> (
@@ -714,13 +569,13 @@ let main arch core serve listen connect files =
         Printf.eprintf "ldb: no source files (required unless -connect)\n";
         exit 1
       end;
-      let sources = List.map (fun f -> (Filename.basename f, read_file f)) files in
+      let read f = (Filename.basename f, In_channel.with_open_text f In_channel.input_all) in
+      let sources = List.map read files in
       try
-        match (core, serve, listen) with
-        | Some core_path, _, _ -> run_core_session ~core_path ~sources
-        | None, _, Some path -> run_listen ~arch ~sources ~path
-        | None, Some n, None -> run_server_demo ~arch ~sources ~n
-        | None, None, None -> run_session ~arch ~sources
+        match (core, listen) with
+        | Some core_path, _ -> run_core_session ~core_path ~sources
+        | None, Some path -> run_listen ~arch ~sources ~path
+        | None, None -> run_session ~arch ~sources
       with
       | Ldb_cc.Compile.Error m -> Printf.eprintf "ldb: %s\n" m; exit 1
       | Ldb_link.Link.Error m -> Printf.eprintf "ldb: %s\n" m; exit 1)
@@ -728,17 +583,15 @@ let main arch core serve listen connect files =
 let cmd =
   let doc = "a retargetable source-level debugger for simulated targets" in
   Cmd.v (Cmd.info "ldb" ~doc)
-    Term.(const main $ arch_t $ core_t $ serve_t $ listen_t $ connect_t $ files_t)
+    Term.(const main $ arch_t $ core_t $ listen_t $ connect_t $ files_t)
 
 let () =
-  (* accept the traditional single-dash spellings: ldb -core FILE, -serve N,
+  (* accept the traditional single-dash spellings: ldb -core FILE,
      -listen SOCK, -connect SOCK *)
   let argv =
     Array.map
-      (fun a ->
-        match a with
+      (function
         | "-core" -> "--core"
-        | "-serve" -> "--serve"
         | "-listen" -> "--listen"
         | "-connect" -> "--connect"
         | a -> a)

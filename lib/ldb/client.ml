@@ -33,26 +33,6 @@ let break_when (c : t) ~(addr : int) (cond : Frame.t -> bool) : unit =
   ignore (Breakpoint.plant c.tg.Ldb.tg_breaks c.tg.Ldb.tg_tdesc c.tg.Ldb.tg_wire ~addr);
   c.conditions <- (addr, cond) :: List.remove_assoc addr c.conditions
 
-(** Conditional breakpoint by source line: plant at every stopping point
-    on [line] (in [?file], when given — only that unit's symbol table is
-    forced) and attach [cond] to each. *)
-let break_line_when ?file (c : t) ~(line : int) (cond : Frame.t -> bool) : int list =
-  let addrs = Ldb.break_line ?file c.d c.tg ~line in
-  List.iter
-    (fun addr -> c.conditions <- (addr, cond) :: List.remove_assoc addr c.conditions)
-    addrs;
-  addrs
-
-(** Source position of a frame, via the symbol table's pc index:
-    (procedure, line, column), when the pc maps to a known stopping
-    point. *)
-let source_of (c : t) (frame : Frame.t) : (string * int * int) option =
-  match Ldb.stop_of_frame c.d c.tg frame with
-  | None -> None
-  | Some s ->
-      Some
-        (Symtab.entry_name s.Symtab.stop_proc, s.Symtab.stop_line, s.Symtab.stop_col)
-
 (** Classify the current stop as an event. *)
 let classify (c : t) : event =
   match c.tg.Ldb.tg_state with
@@ -93,20 +73,6 @@ let run (c : t) ~(handler : event -> decision) : event =
     | Ok _ -> classify c
   in
   loop ()
-
-(** Like {!run}, but with every failure typed instead of raised: a server
-    driving a client loop on behalf of a remote session must get a value
-    back whatever the wire does.  [`Dead_process] is the PR-6 post-mortem
-    answer; [`Transport_fault] carries the transport's classification so
-    the supervisor can distinguish a silent peer from a dead link. *)
-let try_run (c : t) ~(handler : event -> decision) :
-    ( event,
-      [ `Dead_process of string | `Transport_fault of Transport.kind * string ] )
-    result =
-  match run c ~handler with
-  | ev -> Ok ev
-  | exception Failure m -> Error (`Dead_process m)
-  | exception Transport.Error (kind, m) -> Error (`Transport_fault (kind, m))
 
 (* --- data watchpoints --------------------------------------------------- *)
 

@@ -74,9 +74,6 @@ let imm_i32 v = A.immediate_i32 (Int32.of_int v)
 (* --- typed access through a frame's memory ------------------------------ *)
 
 let fetch_reg fr r = Int32.to_int (A.fetch_i32 fr.fr_mem (A.absolute 'r' r)) land 0xffffffff
-let fetch_pc fr = Int32.to_int (A.fetch_i32 fr.fr_mem (A.absolute 'x' 0)) land 0xffffffff
-let fetch_word fr addr = Int32.to_int (A.fetch_i32 fr.fr_mem (A.absolute 'd' addr))
-let store_reg fr r v = A.store_i32 fr.fr_mem (A.absolute 'r' r) (Int32.of_int v)
 
 (** Saved-register aliases: a register variable of the {e callee} was saved
     in the callee's frame, so in the caller's frame the register aliases

@@ -347,13 +347,46 @@ let run_rpc (tg : target) (req : Proto.request) : state =
    must be able to see, typedly, that there is nothing left to run. *)
 
 (** Execute exactly one target instruction (the nub's Step extension). *)
-let step_instruction_exn (_d : t) (tg : target) : state =
+let single_step_exn (tg : target) : state =
   if not tg.tg_can_step then
     fail "target %s: this nub does not support single-stepping" tg.tg_name;
   (match tg.tg_state with
   | Stopped _ -> ()
   | _ -> fail "target %s is not stopped" tg.tg_name);
   run_rpc tg Proto.Step
+
+(** Leave the breakpoint the target is stopped at, if any, by executing
+    the instruction its trap stands in for, and say whether it did.  A
+    no-op is "interpreted" by advancing the context pc, as a single step
+    of it would; at a general breakpoint (Sec. 7.1's model) the original
+    instruction is restored, single-stepped, and the trap replanted.
+    Continue, source step and instruction step all start here. *)
+let leave_breakpoint (tg : target) : bool =
+  match tg.tg_state with
+  | Stopped { signal; code = _; ctx_addr } -> (
+      let pc = read_ctx_pc tg ctx_addr in
+      Breakpoint.is_breakpoint_fault tg.tg_breaks ~signal ~pc
+      &&
+      match Hashtbl.find_opt tg.tg_breaks pc with
+      | Some bp when bp.Breakpoint.bp_general ->
+          Breakpoint.remove tg.tg_breaks tg.tg_wire ~addr:pc;
+          (match single_step_exn tg with
+          | Stopped _ ->
+              ignore (Breakpoint.plant_general tg.tg_breaks tg.tg_tdesc tg.tg_wire ~addr:pc)
+          | _ -> (* exited during the step: there is nothing to replant in *) ());
+          true
+      | _ ->
+          write_ctx_pc tg ctx_addr (pc + tg.tg_tdesc.Target.nop_advance);
+          tg.tg_state <- Stopped { signal = SIGTRAP; code = 1; ctx_addr };
+          true)
+  | Running | Exited _ | Detached -> false
+
+(** Execute exactly one instruction: the one under a breakpoint's trap
+    when stopped at one, else the next. *)
+let step_instruction_exn (_d : t) (tg : target) : state =
+  if not tg.tg_can_step then
+    fail "target %s: this nub does not support single-stepping" tg.tg_name;
+  if leave_breakpoint tg then tg.tg_state else single_step_exn tg
 
 (** The environment a breakpoint condition evaluates in on the debugger
     side: registers from the stop context, loads through the wire
@@ -399,13 +432,8 @@ let cond_suppresses (tg : target) ~signal ~ctx_addr : bool =
       | Ok true | Error _ -> false)
   | _ -> false
 
-(** Resume the target and wait for the next event.
-
-    At a no-op breakpoint, the no-op is "interpreted" by skipping it: the
-    context pc advances by the machine-dependent amount.  At a general
-    breakpoint (Sec. 7.1's model), the original instruction is restored,
-    executed with one single step, and the trap replanted before
-    continuing.
+(** Resume the target and wait for the next event, first leaving the
+    breakpoint it is stopped at ({!leave_breakpoint}).
 
     A breakpoint whose condition is evaluated on the debugger side
     ([`Debugger], the fallback when the nub cannot run the bytecode)
@@ -414,21 +442,7 @@ let cond_suppresses (tg : target) ~signal ~ctx_addr : bool =
     which is exactly the cost the nub-side site eliminates. *)
 let rec continue_exn (d : t) (tg : target) : state =
   (match tg.tg_state with
-  | Stopped { signal; code = _; ctx_addr } -> (
-      let pc = read_ctx_pc tg ctx_addr in
-      if Breakpoint.is_breakpoint_fault tg.tg_breaks ~signal ~pc then
-        match Hashtbl.find_opt tg.tg_breaks pc with
-        | Some bp when bp.Breakpoint.bp_general ->
-            (* restore, single-step the original instruction, replant *)
-            Breakpoint.remove tg.tg_breaks tg.tg_wire ~addr:pc;
-            (match step_instruction_exn d tg with
-            | Stopped _ ->
-                ignore
-                  (Breakpoint.plant_general tg.tg_breaks tg.tg_tdesc tg.tg_wire ~addr:pc)
-            | st ->
-                (* exited or faulted during the step: report it *)
-                tg.tg_state <- st)
-        | _ -> write_ctx_pc tg ctx_addr (pc + tg.tg_tdesc.Target.nop_advance))
+  | Stopped _ -> ignore (leave_breakpoint tg : bool)
   | Running -> ()
   | Exited n -> fail "target %s already exited with status %d" tg.tg_name n
   | Detached -> fail "target %s is detached" tg.tg_name);
@@ -908,27 +922,23 @@ let stop_addresses (d : t) (tg : target) ~pc : int list =
     resulting state; gives up after [limit] instructions. *)
 let step_source_exn ?(limit = 200_000) (d : t) (tg : target) : state =
   (match tg.tg_state with
-  | Stopped { signal; ctx_addr; _ } ->
-      (* leaving a breakpoint: skip its no-op first so the step makes
-         progress *)
-      let pc = read_ctx_pc tg ctx_addr in
-      if Breakpoint.is_breakpoint_fault tg.tg_breaks ~signal ~pc then
-        write_ctx_pc tg ctx_addr (pc + tg.tg_tdesc.Target.nop_advance)
+  | Stopped _ -> ignore (leave_breakpoint tg : bool)
   | _ -> fail "target %s is not stopped" tg.tg_name);
-  let start_pc =
-    match tg.tg_state with Stopped { ctx_addr; _ } -> read_ctx_pc tg ctx_addr | _ -> 0
-  in
-  let rec go n =
-    if n >= limit then fail "step: no stopping point within %d instructions" limit
-    else
-      match step_instruction_exn d tg with
-      | Stopped { signal = SIGTRAP; code = 1; ctx_addr } -> (
-          let pc = read_ctx_pc tg ctx_addr in
-          if pc <> start_pc && List.mem pc (stop_addresses d tg ~pc) then tg.tg_state
-          else go (n + 1))
-      | st -> st (* exit, fault, or a planted breakpoint: report it *)
-  in
-  go 0
+  match tg.tg_state with
+  | Stopped { ctx_addr; _ } ->
+      let start_pc = read_ctx_pc tg ctx_addr in
+      let rec go n =
+        if n >= limit then fail "step: no stopping point within %d instructions" limit
+        else
+          match single_step_exn tg with
+          | Stopped { signal = SIGTRAP; code = 1; ctx_addr } -> (
+              let pc = read_ctx_pc tg ctx_addr in
+              if pc <> start_pc && List.mem pc (stop_addresses d tg ~pc) then tg.tg_state
+              else go (n + 1))
+          | st -> st (* exit, fault, or a planted breakpoint: report it *)
+      in
+      go 0
+  | st -> st (* the instruction under a general breakpoint ended the program *)
 
 let step_source ?limit (d : t) (tg : target) : (state, dead) result =
   guard_dead tg (fun () -> step_source_exn ?limit d tg)
@@ -1106,6 +1116,7 @@ let exn_text = function
   | Transport.Error (_, m) -> m
   | A.Error m -> m
   | Coredump.Dead_process m -> m
+  | Breakpoint.Error m -> m
   | e -> Printexc.to_string e
 
 (** One-shot best-effort summary of a stopped (normally: dead) target:

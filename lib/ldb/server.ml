@@ -233,35 +233,22 @@ let live_sessions (sv : t) : int =
 
 (* --- the command protocol --------------------------------------------------- *)
 
-type command =
+(** A session's commands; {!Command} parses and prints them. *)
+type command = Command.server =
   | Break_function of string
   | Break_line of { file : string option; line : int }
   | Condition of { addr : int; cond : string }
-      (** compile, verify and attach a condition to the breakpoint at [addr] *)
   | Continue
   | Step_source
   | Where
   | Backtrace
-  | Print of string  (** print a variable in the top frame *)
-  | Read_int of string  (** fetch a scalar in the top frame *)
+  | Print of string
+  | Read_int of string
   | Fetch_core
   | Detach
   | Kill
 
-let command_name = function
-  | Break_function f -> "break " ^ f
-  | Break_line { file; line } ->
-      Printf.sprintf "break %s:%d" (Option.value ~default:"*" file) line
-  | Condition { addr; cond } -> Printf.sprintf "condition %#x if %s" addr cond
-  | Continue -> "continue"
-  | Step_source -> "step"
-  | Where -> "where"
-  | Backtrace -> "backtrace"
-  | Print v -> "print " ^ v
-  | Read_int v -> "read " ^ v
-  | Fetch_core -> "core"
-  | Detach -> "detach"
-  | Kill -> "kill"
+let command_name = Command.server_to_string
 
 type reply =
   | R_unit
@@ -309,6 +296,10 @@ let reply_to_string = function
   | R_int n -> string_of_int n
   | R_core co -> Printf.sprintf "core (%d bytes)" (String.length (Core.to_string co))
 
+(** The addresses a [break] answered: a front end runs [break SPEC if
+    EXPR] as the plant and then a {!Condition} at each of them. *)
+let planted = function R_addr a -> [ a ] | R_addrs addrs -> addrs | _ -> []
+
 (* --- opening and closing sessions ------------------------------------------- *)
 
 (** The cached image for [loader_ps], loading it on first sight. *)
@@ -353,37 +344,42 @@ let admit (sv : t) (name : string) (tg : Ldb.target) (image : string) : session 
   log sv id "opened (%s, image %s)" name (String.sub image 0 8);
   s
 
-(** Open a session over a nub link.  Admission applies backpressure: a
-    full server refuses with [Overloaded] rather than degrading everyone.
-    Connection failures are typed, not raised. *)
-let open_session ?deadline ?max_retries (sv : t) ~(name : string)
-    ~(loader_ps : string) (chan : Chan.endpoint) : (int, refusal) result =
+(** Admit the target [connect] makes as a session.  Admission applies
+    backpressure: a full server refuses with [Overloaded] rather than
+    degrading everyone.  Connection failures are typed, not raised. *)
+let open_with (sv : t) ~(name : string) ~(image : string) (connect : unit -> Ldb.target) :
+    (int, refusal) result =
   if live_sessions sv >= sv.sv_limits.li_max_sessions then
     refuse sv
       (Overloaded
          (Printf.sprintf "server full: %d live sessions" sv.sv_limits.li_max_sessions))
   else
-    match
-      let image = image_for sv ~loader_ps in
-      Ldb.connect_with_image ?deadline ?max_retries sv.sv_d ~name ~image chan
-    with
-    | tg -> Ok (admit sv name tg (Ldb.image_hash loader_ps)).ss_id
+    match connect () with
+    | tg -> Ok (admit sv name tg image).ss_id
     | exception e ->
         sv.sv_stats.sv_failed <- sv.sv_stats.sv_failed + 1;
         refuse sv (Failed (Ldb.exn_text e))
+
+(** Open a session over a nub link. *)
+let open_session ?deadline ?max_retries (sv : t) ~(name : string)
+    ~(loader_ps : string) (chan : Chan.endpoint) : (int, refusal) result =
+  open_with sv ~name ~image:(Ldb.image_hash loader_ps) (fun () ->
+      let image = image_for sv ~loader_ps in
+      Ldb.connect_with_image ?deadline ?max_retries sv.sv_d ~name ~image chan)
 
 (** Open a post-mortem session over a loaded core dump: queries only, no
     heartbeats, no transport. *)
 let open_core_session (sv : t) ~(name : string) ~(loader_ps : string)
     (loaded : Core.t * Core.salvage list) : (int, refusal) result =
-  match
-    let image = image_for sv ~loader_ps in
-    Ldb.connect_core_with_image sv.sv_d ~name ~image loaded
-  with
-  | tg -> Ok (admit sv name tg (Ldb.image_hash loader_ps)).ss_id
-  | exception e ->
-      sv.sv_stats.sv_failed <- sv.sv_stats.sv_failed + 1;
-      refuse sv (Failed (Ldb.exn_text e))
+  open_with sv ~name ~image:(Ldb.image_hash loader_ps) (fun () ->
+      let image = image_for sv ~loader_ps in
+      Ldb.connect_core_with_image sv.sv_d ~name ~image loaded)
+
+(** Admit a target materialized elsewhere — a historical instant of a
+    {!Replay} session over [image] — as a session of its own. *)
+let open_target_session (sv : t) ~(name : string) ~(image : Ldb.image) (tg : Ldb.target) :
+    (int, refusal) result =
+  open_with sv ~name ~image:image.Ldb.im_hash (fun () -> tg)
 
 (** Forget a released session, leaving only its tombstone. *)
 let bury (sv : t) (s : session) : unit =
@@ -524,7 +520,7 @@ let run_command (sv : t) (s : session) (cmd : command) : reply =
                     match site with `Nub -> "on the nub" | `Debugger -> "in the debugger"
                   in
                   log sv s.ss_id "condition at %#x: %s (runs %s)" addr cond where;
-                  R_text (match site with `Nub -> "nub" | `Debugger -> "debugger")
+                  R_text ("condition runs " ^ where)
               | Error (`Unverified fs) -> rejected fs)
           | Error (`Unverified fs) -> rejected fs
           | Error (`Unsupported m) | Error (`Error m) -> raise (Refused (Failed m))))

@@ -38,7 +38,7 @@ let max_client_payload = 8192
 (** Server→client payloads include serialized core dumps. *)
 let max_server_payload = (1 lsl 24) + 4096
 
-let max_text = 1 lsl 16
+let max_text = Command.max_text
 let max_addrs = 4096
 let max_core_wire = 1 lsl 24
 

@@ -36,11 +36,6 @@ let nfregs = function Mips | Sparc -> 16 | M68k | Vax -> 8
 (** Widest floating value the architecture manipulates, in bits. *)
 let max_float_bits = function M68k -> 80 | Mips | Sparc | Vax -> 64
 
-(** Does the architecture maintain a real frame pointer?  The SIM-MIPS, like
-    the real R3000 under lcc, does not; the debugger must consult the runtime
-    procedure table to walk its stack. *)
-let has_frame_pointer = function Mips -> false | Sparc | M68k | Vax -> true
-
 (** Do loads have an architectural delay slot (result not visible to the next
     instruction)?  True only for SIM-MIPS; the assembler's scheduler must
     fill or pad the slot. *)

@@ -48,8 +48,6 @@ let salvage_to_string = function
       Printf.sprintf "section %S fails CRC: stored %08x, computed %08x" section stored
         computed
 
-let pp_salvage ppf s = Fmt.string ppf (salvage_to_string s)
-
 (** Signals whose delivery ends the process for good — the ones worth a
     dump.  SIGTRAP (breakpoints) and SIGINT (fuel/debugger interrupts)
     are recoverable stops, not deaths. *)
@@ -358,9 +356,6 @@ let damaged_overlap (co : t) ~addr ~size : section list =
       && addr < s.sec_base + String.length s.sec_bytes
       && addr + size > s.sec_base)
     co.co_sections
-
-let find_section (co : t) name =
-  List.find_opt (fun s -> s.sec_name = name) co.co_sections
 
 (** Decode floating register [f] from its raw image. *)
 let freg_value (co : t) (f : int) : float =

@@ -142,7 +142,3 @@ let reads (i : t) : reg list =
   | Push rs -> [ rs ]
   | Pop _ -> []
   | Syscall _ -> []
-
-(** Is [i] an integer load (the only instructions with a delay slot on
-    SIM-MIPS)? *)
-let is_load = function Load _ | Loadu _ -> true | _ -> false

@@ -74,8 +74,6 @@ let finding_to_string = function
   | Zero_divisor { at } -> Printf.sprintf "insn %d: division by constant zero" at
   | Empty_program -> "empty program"
 
-let pp_finding ppf f = Fmt.string ppf (finding_to_string f)
-
 (* --- abstract values ----------------------------------------------------- *)
 
 (** One operand-stack slot.  [Cst] and [Regoff] are the shapes addresses

@@ -92,25 +92,6 @@ let requests (tr : t) : Proto.request array =
 let checkpoints (tr : t) : checkpoint list =
   List.filter_map (function Checkpoint c -> Some c | _ -> None) tr.tr_events
 
-(** The outcome (stop or exit) recorded for execution request [ev],
-    when the trace contains one: the first [Stop]/[Exit] event after the
-    [ev]-th request. *)
-let outcome_of (tr : t) (ev : int) : event option =
-  let rec scan i = function
-    | [] -> None
-    | Req _ :: rest when i = ev ->
-        let rec next = function
-          | [] -> None
-          | (Stop _ as e) :: _ | (Exit _ as e) :: _ -> Some e
-          | Req _ :: _ -> None
-          | Checkpoint _ :: rest -> next rest
-        in
-        next rest
-    | Req _ :: rest -> scan (i + 1) rest
-    | _ :: rest -> scan i rest
-  in
-  scan 0 tr.tr_events
-
 (* --- codec -------------------------------------------------------------- *)
 
 (* Layout (all integers little-endian u32 unless noted):
@@ -330,12 +311,3 @@ let of_string : string -> (t * salvage list, string) result =
   done;
   ( { tr_arch; tr_fuel; tr_spacing; tr_can_step; tr_events = List.rev !events },
     !warns )
-
-let pp_event ppf = function
-  | Req r -> Fmt.pf ppf "req %a" Proto.pp_request r
-  | Stop { signal; code; pc; instrs } ->
-      Fmt.pf ppf "stop sig %d code %d pc %#x after %d" signal code pc instrs
-  | Exit { status; instrs } -> Fmt.pf ppf "exit %d after %d" status instrs
-  | Checkpoint { ck_ev; ck_delta; ck_core; _ } ->
-      Fmt.pf ppf "checkpoint (%d,%d) core %d bytes" ck_ev ck_delta
-        (String.length ck_core)

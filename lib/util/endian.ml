@@ -11,9 +11,6 @@ let pp_order ppf = function
   | Little -> Fmt.string ppf "little"
   | Big -> Fmt.string ppf "big"
 
-let order_equal a b =
-  match (a, b) with Little, Little | Big, Big -> true | _ -> false
-
 (* 8-bit *)
 
 let get_u8 b off = Char.code (Bytes.get b off)
@@ -93,8 +90,6 @@ let set_u64 order b off (v : int64) =
 let sext v bits =
   let shift = Sys.int_size - bits in
   (v lsl shift) asr shift
-
-let sext32 (v : int32) = v
 
 (** Truncate a host int to an unsigned [bits]-bit value. *)
 let trunc v bits = v land ((1 lsl bits) - 1)

@@ -48,18 +48,61 @@ let test_step_instruction_all_archs () =
       ignore (Ldb.break_function d tg "main");
       ignore (Ldb.continue_ d tg);
       let pc0 = (Ldb.top_frame d tg).Frame.fr_pc in
-      (* leaving the breakpoint takes the no-op skip; drive a few steps *)
-      (match tg.Ldb.tg_state with
-      | Ldb.Stopped { ctx_addr; _ } ->
-          Ldb_amemory.Amemory.store_i32 tg.Ldb.tg_wire
-            (Ldb_amemory.Amemory.absolute 'd' (ctx_addr + tg.Ldb.tg_tdesc.Target.ctx_pc_off))
-            (Int32.of_int (pc0 + tg.Ldb.tg_tdesc.Target.nop_advance))
-      | _ -> Alcotest.fail "not stopped");
+      (* the first step leaves the breakpoint, the second executes code *)
+      ignore (Testkit.ok (Ldb.step_instruction d tg) : Ldb.state);
       (match Testkit.ok (Ldb.step_instruction d tg) with
       | Ldb.Stopped { signal = SIGTRAP; code = 1; _ } -> ()
       | _ -> Alcotest.fail "step did not stop with a step event");
       let pc1 = (Ldb.top_frame d tg).Frame.fr_pc in
       Alcotest.(check bool) (Arch.name arch ^ " pc advanced") true (pc1 <> pc0))
+    Arch.all
+
+(** The first instruction at or after [a] that is not a stopping-point
+    no-op. *)
+let rec first_real tg a =
+  let nop = tg.Ldb.tg_tdesc.Target.nop in
+  if Breakpoint.fetch_bytes tg.Ldb.tg_wire a (String.length nop) = nop then
+    first_real tg (a + String.length nop)
+  else a
+
+(** Motion from a breakpoint executes the instruction the trap stands in
+    for: after it, pc and registers are what the same motion gives once
+    the breakpoint is cleared.  Two [stepi]s from a no-op and from a
+    general breakpoint, and a [step] from a general one, on all four
+    targets.  (A [step] from a no-op breakpoint counts its start after
+    the no-op, so it passes over an adjacent stopping point that the
+    cleared step stops at: ROADMAP item 4.) *)
+let test_leave_breakpoint () =
+  List.iter
+    (fun arch ->
+      (* stop at [plant]'s breakpoint, optionally clear it, then move *)
+      let after plant motions ~clear =
+        let d, tg, _ = session arch in
+        plant d tg;
+        ignore (Testkit.ok (Ldb.continue_ d tg) : Ldb.state);
+        if clear then Breakpoint.remove_all tg.Ldb.tg_breaks tg.Ldb.tg_wire;
+        List.map
+          (fun motion ->
+            ignore (Testkit.ok (motion d tg) : Ldb.state);
+            let fr = Ldb.top_frame d tg in
+            fr.Frame.fr_pc :: List.init (Target.nregs tg.Ldb.tg_tdesc) (Frame.fetch_reg fr))
+          motions
+      in
+      let same what plant (how, motions) =
+        check
+          Alcotest.(list (list int))
+          (Printf.sprintf "%s: %s leaves a %s breakpoint" (Arch.name arch) how what)
+          (after plant motions ~clear:true) (after plant motions ~clear:false)
+      in
+      let stepi = ("stepi", [ Ldb.step_instruction; Ldb.step_instruction ]) in
+      let step = ("step", [ (fun d tg -> Ldb.step_source d tg) ]) in
+      let general d tg =
+        let entry = Ldb.break_function d tg "triple" in
+        Ldb.clear_breakpoint tg ~addr:entry;
+        Ldb.break_address d tg ~addr:(first_real tg entry)
+      in
+      same "no-op" (fun d tg -> ignore (Ldb.break_function d tg "triple" : int)) stepi;
+      List.iter (same "general" general) [ stepi; step ])
     Arch.all
 
 let test_step_unsupported () =
@@ -84,15 +127,7 @@ let test_general_breakpoint () =
       (* plant over the *second* instruction of triple: not a no-op *)
       let entry = Ldb.break_function d tg "triple" in
       Ldb.clear_breakpoint tg ~addr:entry;
-      let nop_len = String.length tg.Ldb.tg_tdesc.Target.nop in
-      (* skip consecutive stopping-point no-ops to real code *)
-      let rec first_real a =
-        if Breakpoint.fetch_bytes tg.Ldb.tg_wire a nop_len = tg.Ldb.tg_tdesc.Target.nop then
-          first_real (a + nop_len)
-        else a
-      in
-      let addr = first_real entry in
-      Ldb.break_address d tg ~addr;
+      Ldb.break_address d tg ~addr:(first_real tg entry);
       (* six calls to triple: the general breakpoint must hit six times and
          execution must stay correct (restore / step / replant) *)
       let hits = ref 0 in
@@ -207,10 +242,8 @@ let test_watchpoint () =
   ignore p;
   let client = Client.create d tg in
   (* address of the global through the symbol machinery *)
-  let main_bp = Ldb.break_function d tg "main" in
+  ignore (Ldb.break_function d tg "main" : int);
   ignore (Ldb.continue_ d tg);
-  (* the watch single-steps from here: restore the no-op first *)
-  Ldb.clear_breakpoint tg ~addr:main_bp;
   let fr = Ldb.top_frame d tg in
   let addr =
     match Ldb.resolve d tg fr "counter" with
@@ -240,6 +273,7 @@ let () =
     [
       ( "instruction stepping",
         [ case "steps on all targets" test_step_instruction_all_archs;
+          case "motion leaves a breakpoint on all targets" test_leave_breakpoint;
           case "unsupported nub degrades gracefully" test_step_unsupported ] );
       ( "general breakpoints",
         [ case "restore/step/replant on all targets" test_general_breakpoint;
