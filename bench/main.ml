@@ -191,6 +191,23 @@ let t2 () =
       in
       ignore (Ldb_ldb.Ldb.top_frame d tg)
   in
+  (* the -listen daemon's connect: a session of a program whose image the
+     server already holds, opened on a paused process and detached again
+     (a detached process stays paused in its nub for the next open) *)
+  let server_open sources =
+    let sv = Ldb_ldb.Server.create () in
+    let p = Ldb_ldb.Host.launch ~arch sources in
+    let loader_ps = p.Ldb_ldb.Host.hp_loader_ps in
+    let open_close () =
+      match
+        Ldb_ldb.Server.open_session sv ~name:"bench" ~loader_ps (Ldb_ldb.Host.open_channel p)
+      with
+      | Ok id -> Ldb_ldb.Server.close_session sv id
+      | Error r -> failwith (Ldb_ldb.Server.refusal_to_string r)
+    in
+    open_close ();  (* the one miss: it loads the image *)
+    open_close
+  in
   let read_symtab ps =
     let d = Ldb_ldb.Ldb.create () in
     fun () ->
@@ -212,6 +229,7 @@ let t2 () =
       Test.make ~name:"read symtab large prog" (Staged.stage (read_symtab large_ps));
       Test.make ~name:"connect (one machine)"
         (Staged.stage (connect_once ~arch:Mips hello_c));
+      Test.make ~name:"session open, cached image (server)" (Staged.stage (server_open hello_c));
       Test.make ~name:"connect large (one machine)"
         (Staged.stage (connect_once ~arch:Mips large));
       Test.make ~name:"connect large (two machines)"

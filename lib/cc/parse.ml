@@ -11,15 +11,16 @@ exception Error of string * Lex.pos
 
 type state = {
   mutable toks : Lex.lexeme list;
+  mutable last : Lex.pos;  (** position of the token consumed most recently *)
   structs : (string, Ctype.struct_def) Hashtbl.t;
 }
 
-let make toks = { toks; structs = Hashtbl.create 8 }
+let make toks = { toks; last = { line = 0; col = 0 }; structs = Hashtbl.create 8 }
 
 let peek st = match st.toks with l :: _ -> l | [] -> { Lex.tok = Teof; pos = { line = 0; col = 0 } }
 let pos st = (peek st).Lex.pos
 
-let advance st = match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
+let advance st = match st.toks with l :: rest -> st.last <- l.Lex.pos; st.toks <- rest | [] -> ()
 
 let fail st msg = raise (Error (msg, pos st))
 
@@ -541,7 +542,7 @@ let parse_top st arch : top option =
           Some (Tfuncdecl (name, Ctype.Func (ty, List.map (fun (_, t, _) -> t) (List.rev !params)), dpos))
         else begin
           let body = block st arch in
-          let fendpos = pos st in
+          let fendpos = st.last (* the closing brace [block] just consumed *) in
           Some
             (Tfunc
                {

@@ -127,15 +127,17 @@ let read_loader_ps (d : t) ~(defs : V.dict) (loader_ps : string) : V.dict * V.di
     symbol table with whatever units and indexes queries have forced so
     far.  All of it is a pure function of the loader PostScript, so
     sessions debugging the same program can share one image — forcing a
-    unit once serves them all — and [im_hash] is the cache key. *)
+    unit once serves them all — cached by that text, with [im_hash] as its id. *)
 type image = {
-  im_hash : string;  (** digest of the loader PostScript *)
+  im_hash : string;  (** digest of the loader PostScript, computed once per image *)
   im_loader_ps : string;
   im_defs : V.dict;
   im_loader : V.dict;
   im_symtab : Symtab.t;
 }
 
+(** An image's id (MD5 of its loader text): {!load_image} computes it once;
+    caches key by the text itself, which a hit need not digest. *)
 let image_hash (loader_ps : string) : string = Digest.to_hex (Digest.string loader_ps)
 
 (** Read a program's loader PostScript into a fresh image. *)

@@ -302,6 +302,29 @@ let test_handshake_policing () =
   check Alcotest.int "no session was ever opened" 0
     (Server.stats (Evloop.server loop)).Server.sv_opened
 
+(** Sessions of one image share it: 20 hello/bye cycles, one after
+    another, alternating the four targets, load each target's image once
+    and serve the other 16 opens from the cache. *)
+let test_hello_bye_cache () =
+  let images = Array.map (fun arch -> Host.build_image ~arch fib_sources) (Array.of_list Arch.all) in
+  let arch_of_conn = Hashtbl.create 32 in
+  let loop = make_loop ~images ~arch_of_conn () in
+  let hellos =
+    List.init 20 (fun i ->
+        let cl, res = connect ~arch_ix:(i mod 4) loop arch_of_conn [] in
+        ignore (conn_exn res);
+        client_send cl (Swire.C_hello { magic = Swire.version_magic });
+        cl.cl_awaiting <- true;
+        let step () = step_healthy cl; not cl.cl_done in
+        ignore (run_clients loop [ step ] ~max_ticks:50);
+        List.filter (has_prefix "hello: ") cl.cl_transcript)
+  in
+  check Alcotest.int "20 distinct hellos" 20
+    (List.length (List.sort_uniq compare (List.concat hellos)));
+  let st = Server.stats (Evloop.server loop) in
+  check Alcotest.(pair int int) "4 misses, 16 hits" (4, 16)
+    (st.Server.sv_cache_misses, st.Server.sv_cache_hits)
+
 (** Slowloris: a client dribbling a frame slower than the read deadline
     earns strikes and is quarantined with a typed goodbye; its session is
     released cleanly. *)
@@ -877,7 +900,9 @@ let () =
     [
       ( "admission",
         [ case "cap and drain refuse typed, pre-handshake" test_admission_cap ] );
-      ("handshake", [ case "version and order policed" test_handshake_policing ]);
+      ( "handshake",
+        [ case "version and order policed" test_handshake_policing;
+          case "hello/bye cycles hit the image cache" test_hello_bye_cache ] );
       ( "hostile",
         [
           case "slowloris quarantined" test_slowloris_quarantine;

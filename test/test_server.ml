@@ -108,6 +108,52 @@ let test_image_cache_shared () =
       ignore (ok "break afun again" (Server.exec sv id2 (Server.Break_function "afun")));
       check Alcotest.int "no re-force for the second session" 0 !forces)
 
+(** The cache is keyed by the loader text, not by a per-open digest: 50
+    opens of one program, each passing a fresh copy of its loader text,
+    load one image and hit it 49 times, and every session's image id is
+    that image's own [im_hash] (physically), so no open digests the text
+    again.  Another program misses.  Open sessions and tombstones render
+    the same 8-hex id, the loader text's MD5. *)
+let test_image_cache_keyed_by_text () =
+  let sv = Server.create () in
+  let ((_, loader_ps) as image) = Host.build_image ~arch:Arch.Mips fib_sources in
+  let ids =
+    List.init 50 (fun i ->
+        let p = Host.launch_image image in
+        ok "open"
+          (Server.open_session sv ~name:(Printf.sprintf "s%d" i)
+             ~loader_ps:(Bytes.to_string (Bytes.of_string loader_ps))
+             (Host.open_channel p)))
+  in
+  let st = Server.stats sv in
+  check Alcotest.(pair int int) "1 miss, 49 hits" (1, 49)
+    (st.Server.sv_cache_misses, st.Server.sv_cache_hits);
+  check Alcotest.int "one cached image" 1 (Server.cached_images sv);
+  let im = Hashtbl.find sv.Server.sv_images loader_ps in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) "session id is the image's own digest" true
+        ((session_exn sv id).Server.ss_image == im.Ldb.im_hash))
+    ids;
+  let other = Host.build_image ~arch:Arch.Mips two_unit_sources in
+  ignore (open_on sv other ~name:"other");
+  check Alcotest.(pair int int) "another program misses" (2, 2)
+    (st.Server.sv_cache_misses, Server.cached_images sv);
+  List.iter (Server.close_session sv) (List.filteri (fun i _ -> i mod 2 = 0) ids);
+  let short = String.sub (Ldb.image_hash loader_ps) 0 8 in
+  let rows =
+    String.split_on_char '\n' (Server.render_sessions sv)
+    |> List.map (fun r -> List.filter (( <> ) "") (String.split_on_char ' ' r))
+  in
+  let with_id state =
+    List.length
+      (List.filter
+         (function [ _; _; st; "image"; h ] -> st = state && h = short | _ -> false)
+         rows)
+  in
+  check Alcotest.(pair int int) "healthy and closed rows carry the 8-hex id" (25, 25)
+    (with_id "healthy", with_id "closed")
+
 (** The server against isolated debuggers: 16 sessions per target run
     break / continue / read / backtrace / run to exit, once through one
     server and once as one private debugger (and image) per session.
@@ -728,6 +774,7 @@ let () =
     [
       ( "cache",
         [ case "image shared across sessions" test_image_cache_shared;
+          case "keyed by loader text, one digest per image" test_image_cache_keyed_by_text;
           case "quarantine shared, typed, no re-force" test_quarantine_shared;
           case "server beats isolated sessions" test_server_vs_isolated ] );
       ( "isolation",

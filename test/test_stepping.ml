@@ -188,6 +188,38 @@ let test_step_source_enters_callee () =
   in
   go 6
 
+(** A function's exit stopping point carries the line of its closing
+    brace (line 5 here): blank lines after the function must not move
+    it, in the PostScript table or in the stabs, on all four targets. *)
+let test_exit_stop_line () =
+  let src gap =
+    "int g;\nvoid poke(int x)\n{\n    g = g + x;\n}\n" ^ String.make gap '\n'
+    ^ "int main(void) { poke(1); return 0; }\n"
+  in
+  let last l = List.nth l (List.length l - 1) in
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun gap ->
+          let img, loader_ps = Ldb_link.Driver.build ~arch [ ("t.c", src gap) ] in
+          let what = Printf.sprintf "%s, %d blank lines" (Arch.name arch) gap in
+          let st = (Ldb.load_image (Ldb.create ()) ~loader_ps).Ldb.im_symtab in
+          (match Ldb_ldb.Symtab.proc_by_name st "poke" with
+          | Some p ->
+              check Alcotest.int (what ^ ": PostScript exit stop") 5
+                (last (Ldb_ldb.Symtab.stops_of_proc p)).Ldb_ldb.Symtab.stop_line
+          | None -> Alcotest.fail "poke not in the symbol table");
+          let module S = Ldb_stabsdbg.Stabsdbg in
+          match
+            List.concat_map (fun u -> u.S.uv_funcs) (S.units (S.start img))
+            |> List.find_opt (fun f -> S.stab_name f.S.fv_fun = "poke")
+          with
+          | Some f ->
+              check Alcotest.int (what ^ ": stabs exit stop") 5 (last f.S.fv_slines).S.st_desc
+          | None -> Alcotest.fail "poke not in the stabs")
+        [ 0; 3 ])
+    Arch.all
+
 (* --- event-driven client / conditional breakpoints ---------------------------- *)
 
 let test_conditional_breakpoint () =
@@ -280,7 +312,8 @@ let () =
           case "requires the extension" test_general_needs_stepping ] );
       ( "source stepping",
         [ case "lands on stopping points" test_step_source;
-          case "enters callees" test_step_source_enters_callee ] );
+          case "enters callees" test_step_source_enters_callee;
+          case "exit stop on the closing brace on all targets" test_exit_stop_line ] );
       ( "client events",
         [ case "conditional breakpoints" test_conditional_breakpoint;
           case "classification" test_event_classification;
