@@ -60,7 +60,8 @@ type t = {
   rp_out : Trace.event option array;  (** recorded outcome per request *)
   rp_cks : Trace.checkpoint array;  (** cursor-ascending *)
   rp_cores : Core.t option array;
-      (** [rp_cks]' dumps, decoded and CRC-checked on first restore *)
+      (** [rp_cks]' dumps, decompressed, decoded and CRC-checked on first
+          restore *)
   mutable rp_pos : int * int;  (** current cursor *)
   mutable rp_tg : Ldb.target option;  (** target materialized at [rp_pos] *)
   mutable rp_cost : int;  (** instructions re-executed by the last seek *)
@@ -183,15 +184,16 @@ let status_str = function
   | Proc.Stopped (s, code) -> Printf.sprintf "stop sig %d code %d" (Signal.number s) code
   | Proc.Exited n -> Printf.sprintf "exit %d" n
 
-(** Checkpoint [i]'s dump, decoded once.  A checkpoint whose core comes
-    back damaged is refused: salvaged memory would replay into fabricated
-    history, and an earlier checkpoint cannot substitute (replaying across
-    the damage still reads it). *)
+(** Checkpoint [i]'s dump, decompressed and decoded once, when a seek
+    first restores it.  A checkpoint whose core comes back damaged is
+    refused: salvaged memory would replay into fabricated history, and an
+    earlier checkpoint cannot substitute (replaying across the damage
+    still reads it). *)
 let checkpoint_core (t : t) (i : int) : Core.t =
   match t.rp_cores.(i) with
   | Some co -> co
   | None -> (
-      match Core.of_string t.rp_cks.(i).Trace.ck_core with
+      match Result.bind (Trace.checkpoint_core t.rp_cks.(i)) Core.of_string with
       | Error m -> raise (Fail (`Bad_trace ("checkpoint core unreadable: " ^ m)))
       | Ok (_, _ :: _) -> raise (Fail (`Bad_trace "checkpoint core damaged"))
       | Ok (co, []) ->

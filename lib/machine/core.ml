@@ -155,10 +155,30 @@ let section_of (ram : Ram.t) ~name ~base ~limit : section option =
       Some { sec_name = name; sec_base = base + lo; sec_bytes;
              sec_crc = Crc32.string sec_bytes; sec_ok = true }
 
+(** The nonzero parts of layout range [\[base, limit)] as sections: the
+    range is split at every all-zero page and each piece trimmed by
+    {!section_of}, so a stray word far into a range does not drag the
+    zero pages before it into the dump.  The first piece keeps [name];
+    later ones are named by their page's offset, as in ["data+8000"], so
+    every section of a dump has a name of its own. *)
+let sections_of (ram : Ram.t) ~name ~base ~limit : section list =
+  let zero p = Ram.nonzero_extent ram ~lo:p ~hi:(min limit (p + Ram.page_size)) = None in
+  let rec pieces lo acc =
+    if lo >= limit then List.rev acc
+    else if zero lo then pieces (lo + Ram.page_size) acc
+    else
+      let rec stop p = if p < limit && not (zero p) then stop (p + Ram.page_size) else min p limit in
+      let hi = stop lo in
+      let name = if acc = [] then name else Printf.sprintf "%s+%x" name (lo - base) in
+      pieces hi (Option.to_list (section_of ram ~name ~base:lo ~limit:hi) @ acc)
+  in
+  pieces base []
+
 (** Freeze a stopped process into a dump.  The register files are taken
     from the CPU (after draining any pending delayed load); memory is
     split along the standard layout into code / data / ctx / stack
-    sections, each trimmed of zero margins and checksummed. *)
+    ranges, each cut into sections at its zero pages ({!sections_of}),
+    trimmed of zero margins and checksummed. *)
 let of_proc (p : Proc.t) ~(signal : int) ~(code : int) : t =
   let t = p.Proc.target in
   let cpu = p.Proc.cpu in
@@ -175,8 +195,8 @@ let of_proc (p : Proc.t) ~(signal : int) ~(code : int) : t =
   let ram = p.Proc.ram in
   let open Ram.Layout in
   let sections =
-    List.filter_map
-      (fun (name, base, limit) -> section_of ram ~name ~base ~limit)
+    List.concat_map
+      (fun (name, base, limit) -> sections_of ram ~name ~base ~limit)
       [
         ("code", code_base, data_base);
         ("data", data_base, context_base);

@@ -35,21 +35,22 @@
 
 open Ldb_machine
 
-(** Recording state for the record/replay subsystem.  Events accumulate
-    newest-first; the serialized form is rebuilt lazily and cached keyed
-    by the event count, so polling [Fetch_trace] after every stop costs
-    one serialization per new event batch rather than per chunk. *)
+(** Recording state for the record/replay subsystem.  A fetch encodes
+    only the events recorded since the previous one and appends them to
+    the trace fetched so far, so polling [Fetch_trace] after every stop
+    encodes (and compresses) each event once.  Capture itself encodes
+    nothing: a checkpoint waits raw until the next fetch. *)
 type recorder = {
   rc_spacing : int;  (** requested instructions between checkpoints *)
-  mutable rc_events : Trace.event list;  (** reversed stream order *)
-  mutable rc_nev : int;  (** total events recorded (cache key) *)
-  mutable rc_nreq : int;  (** state-changing requests among them *)
+  rc_trace : Buffer.t;  (** header and every event fetched so far *)
+  mutable rc_new : Trace.event list;
+      (** recorded since the last fetch, newest first *)
+  mutable rc_nreq : int;  (** state-changing requests recorded *)
   mutable rc_since : int;  (** instructions retired since last checkpoint *)
   mutable rc_blocked : bool;
       (** a checkpoint came due at a point where the CPU held a pending
           delayed load (SIM-MIPS): dumping would have committed it early
           and changed delay-slot semantics, so it was deferred *)
-  mutable rc_cache : (int * string) option;
 }
 
 type t = {
@@ -197,8 +198,7 @@ let rec_event n (e : Trace.event) =
   match n.recorder with
   | None -> ()
   | Some rc ->
-      rc.rc_events <- e :: rc.rc_events;
-      rc.rc_nev <- rc.rc_nev + 1;
+      rc.rc_new <- e :: rc.rc_new;
       (match e with
       | Trace.Req _ -> rc.rc_nreq <- rc.rc_nreq + 1
       | _ -> ())
@@ -230,7 +230,8 @@ let checkpoint_of n ~(ev : int) ~(delta : int) : Trace.checkpoint =
     | Proc.Exited st -> (Trace.Ck_exited st, 0, 0)
   in
   { Trace.ck_ev = ev; ck_delta = delta; ck_status = status;
-    ck_core = Core.to_string (Core.of_proc n.proc ~signal ~code) }
+    ck_stored = Core.to_string (Core.of_proc n.proc ~signal ~code);
+    ck_packing = Trace.Fresh }
 
 let rec_checkpoint n ~ev ~delta =
   match n.recorder with
@@ -535,10 +536,14 @@ let serve_one n (ep : Chan.endpoint) (req : Proto.request) =
   | Proto.Record { spacing } -> (
       match n.proc.Proc.status with
       | Proc.Stopped _ ->
+          let rc_trace = Buffer.create 4096 in
+          Trace.add_header rc_trace
+            { Trace.tr_arch = (target n).Target.arch; tr_fuel = n.fuel;
+              tr_can_step = n.can_step; tr_spacing = spacing; tr_events = [] };
           n.recorder <-
             Some
-              { rc_spacing = spacing; rc_events = []; rc_nev = 0; rc_nreq = 0;
-                rc_since = 0; rc_blocked = false; rc_cache = None };
+              { rc_spacing = spacing; rc_trace; rc_new = []; rc_nreq = 0; rc_since = 0;
+                rc_blocked = false };
           (* history starts here: the initial checkpoint anchors replay
              at cursor (0, 0), before any logged request *)
           rec_checkpoint n ~ev:0 ~delta:0;
@@ -550,26 +555,15 @@ let serve_one n (ep : Chan.endpoint) (req : Proto.request) =
       match n.recorder with
       | None -> send_reply n ep (Proto.Nub_error "nub: not recording")
       | Some rc ->
-          let dump =
-            match rc.rc_cache with
-            | Some (key, s) when key = rc.rc_nev -> s
-            | _ ->
-                let s =
-                  Trace.to_string
-                    { Trace.tr_arch = (target n).Target.arch; tr_fuel = n.fuel;
-                      tr_can_step = n.can_step; tr_spacing = rc.rc_spacing;
-                      tr_events = List.rev rc.rc_events }
-                in
-                rc.rc_cache <- Some (rc.rc_nev, s);
-                s
-          in
-          let total = String.length dump in
+          List.iter (Trace.add_event rc.rc_trace) (List.rev rc.rc_new);
+          rc.rc_new <- [];
+          let total = Buffer.length rc.rc_trace in
           if offset < 0 || offset > total then
             send_reply n ep (Proto.Nub_error "nub: trace offset out of range")
           else
             let len = min Proto.max_trace_chunk (total - offset) in
             send_reply n ep
-              (Proto.Trace_chunk { total; offset; chunk = String.sub dump offset len }))
+              (Proto.Trace_chunk { total; offset; chunk = Buffer.sub rc.rc_trace offset len }))
 
 (** Serve one incoming frame, enforcing at-most-once execution: a frame
     numbered at or below the last served request is a duplicate of a

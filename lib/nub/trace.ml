@@ -36,6 +36,12 @@ type ck_status =
   | Ck_stopped of { signal : int; code : int }
   | Ck_exited of int
 
+(** How a checkpoint holds its dump. *)
+type packing =
+  | Fresh  (** raw, as captured: the encoder compresses it if that is smaller *)
+  | Raw  (** raw, as read from a trace *)
+  | Lzw  (** LZW-compressed, as read from a trace *)
+
 type checkpoint = {
   ck_ev : int;
       (** index of the next state-changing request not yet (fully)
@@ -44,7 +50,10 @@ type checkpoint = {
       (** instructions of request [ck_ev]'s execution already retired
           (nonzero only inside a continue) *)
   ck_status : ck_status;
-  ck_core : string;  (** serialized [LDBCORE1] dump *)
+  ck_stored : string;
+      (** the serialized [LDBCORE1] dump, packed as [ck_packing] says;
+          {!checkpoint_core} reads it *)
+  ck_packing : packing;
 }
 
 type event =
@@ -81,17 +90,6 @@ let salvage_to_string = function
   | Bad_record { index; what } ->
       Printf.sprintf "trace record %d malformed: %s" index what
 
-(* --- accessors used by replay ------------------------------------------ *)
-
-(** The state-changing requests in order; [ck_ev] indexes this array. *)
-let requests (tr : t) : Proto.request array =
-  Array.of_list
-    (List.filter_map (function Req r -> Some r | _ -> None) tr.tr_events)
-
-(** All checkpoints, in stream order (cursor-ascending by construction). *)
-let checkpoints (tr : t) : checkpoint list =
-  List.filter_map (function Checkpoint c -> Some c | _ -> None) tr.tr_events
-
 (* --- codec -------------------------------------------------------------- *)
 
 (* Layout (all integers little-endian u32 unless noted):
@@ -109,7 +107,8 @@ let checkpoints (tr : t) : checkpoint list =
             (kind 'r': running, a=b=0; 's': a=signal b=code; 'x': a=status;
              comp 'L': stored bytes are the LZW-compressed core,
              comp 'R': stored bytes are the raw core — the encoder picks
-             whichever is smaller, the decoder is transparent)
+             whichever is smaller and writes a decoded checkpoint's
+             stored bytes back as they were read)
    Version 1 ("LDBTRACE1") is identical except that its 'C' body has no
    compression flag: after kind/a/b comes the raw core length directly.
    The decoder keys on the magic and accepts both; the encoder always
@@ -125,9 +124,21 @@ let max_core_bytes = 1 lsl 26
 
 let max_record_bytes = max_core_bytes + 4096
 
+(** A checkpoint's [LDBCORE1] dump: the one place a trace decompresses,
+    so a trace opens without decoding the checkpoints replay never
+    restores.  Bounded: a CRC-valid but hostile stream must not expand
+    past what we would accept as a raw core. *)
+let checkpoint_core (ck : checkpoint) : (string, string) result =
+  match ck.ck_packing with
+  | Fresh | Raw -> Ok ck.ck_stored
+  | Lzw -> (
+      try Ok (Lzw.decompress ~max_out:max_core_bytes ck.ck_stored)
+      with Invalid_argument m -> Error ("compressed core: " ^ m))
+
 (** Checkpoint cores dominate a trace's size and compress well (sparse
-    dumps are runs of structure); each is stored LZW-compressed when that
-    is actually smaller, raw otherwise, one flag byte deciding. *)
+    dumps are runs of structure); a fresh one is stored LZW-compressed
+    when that is actually smaller, raw otherwise, one flag byte
+    deciding. *)
 let encode_event (e : event) : char * string =
   let b = Buffer.create 64 in
   let tag =
@@ -161,33 +172,41 @@ let encode_event (e : event) : char * string =
             Buffer.add_char b 'x';
             add_u32 b status;
             add_u32 b 0);
-        let packed = Lzw.compress ck.ck_core in
-        if String.length packed < String.length ck.ck_core then begin
-          Buffer.add_char b 'L';
-          add_str b packed
-        end
-        else begin
-          Buffer.add_char b 'R';
-          add_str b ck.ck_core
-        end;
+        let flag, stored =
+          match ck.ck_packing with
+          | Raw -> ('R', ck.ck_stored)
+          | Lzw -> ('L', ck.ck_stored)
+          | Fresh ->
+              let packed = Lzw.compress ck.ck_stored in
+              if String.length packed < String.length ck.ck_stored then ('L', packed)
+              else ('R', ck.ck_stored)
+        in
+        Buffer.add_char b flag;
+        add_str b stored;
         'C'
   in
   (tag, Buffer.contents b)
 
-let to_string (tr : t) : string =
-  let b = Buffer.create 4096 in
+(** Append [tr]'s header (not its events) to [b]. *)
+let add_header b (tr : t) =
   Buffer.add_string b magic;
   add_str b (Arch.name tr.tr_arch);
   add_u32 b tr.tr_fuel;
   add_u32 b tr.tr_spacing;
-  Buffer.add_char b (if tr.tr_can_step then 'S' else '-');
-  List.iter
-    (fun e ->
-      let tag, body = encode_event e in
-      Buffer.add_char b tag;
-      add_str b body;
-      add_u32 b (Crc32.string body))
-    tr.tr_events;
+  Buffer.add_char b (if tr.tr_can_step then 'S' else '-')
+
+(** Append one event's record to [b]: a trace is its header followed by
+    its events' records, so a recorder can encode each event once. *)
+let add_event b (e : event) =
+  let tag, body = encode_event e in
+  Buffer.add_char b tag;
+  add_str b body;
+  add_u32 b (Crc32.string body)
+
+let to_string (tr : t) : string =
+  let b = Buffer.create 4096 in
+  add_header b tr;
+  List.iter (add_event b) tr.tr_events;
   Buffer.contents b
 
 (* Decoder: header damage is hard, body damage salvages the prefix. *)
@@ -224,24 +243,17 @@ let decode_body ~(version : int) (tag : char) (body : string) :
             | 'x' -> Ck_exited (Int32.to_int (Int32.of_int a))
             | k -> hard "bad checkpoint kind %C" k
           in
-          (* v1 checkpoints have no compression flag: the core is raw *)
-          let comp =
-            if version < 2 then 'R'
-            else Char.chr (u8 c "checkpoint compression flag")
-          in
-          let stored = str c ~limit:max_core_bytes "checkpoint core" in
-          let ck_core =
-            match comp with
-            | 'R' -> stored
-            | 'L' -> (
-                (* bounded: a CRC-valid but hostile stream must not
-                   expand past what we would accept as a raw core *)
-                try Lzw.decompress ~max_out:max_core_bytes stored
-                with Invalid_argument _ ->
-                  raise (Hard "corrupt compressed checkpoint core"))
+          (* v1 checkpoints have no compression flag: the core is raw;
+             a compressed one stays compressed until replay restores it *)
+          let flag = if version < 2 then 'R' else Char.chr (u8 c "checkpoint compression flag") in
+          let ck_packing =
+            match flag with
+            | 'R' -> Raw
+            | 'L' -> Lzw
             | f -> hard "bad compression flag %C" f
           in
-          Checkpoint { ck_ev; ck_delta; ck_status; ck_core }
+          let ck_stored = str c ~limit:max_core_bytes "checkpoint core" in
+          Checkpoint { ck_ev; ck_delta; ck_status; ck_stored; ck_packing }
       | t -> hard "unknown record tag %C" t)
     body
 

@@ -2,24 +2,27 @@
     reproduce the paper's "PostScript symbol tables are ~9x dbx stabs, ~2x
     after compression" measurement (Sec. 7).
 
-    Variable-width codes (9..16 bits).  Encoder and decoder derive the code
-    width from the same counter of codes transmitted, so the two sides can
-    never disagree about the width schedule. *)
+    Variable-width codes (9..16 bits).  Encoder and decoder step the same
+    width {!schedule} once per code transmitted, so the two sides can never
+    disagree about it. *)
 
 let min_bits = 9
 let max_bits = 16
 let max_entries = 1 lsl max_bits
 let first_code = 256
 
-(* Width in effect for the [n]-th (1-based) code of the stream: wide enough
-   for every code the encoder could possibly send at that point. *)
-let width_at n =
-  let virtual_next = min (first_code + (n - 1)) max_entries in
-  let b = ref min_bits in
-  while 1 lsl !b < virtual_next do
-    incr b
-  done;
-  !b
+(* The code width schedule.  Each code is as wide as the largest code the
+   encoder could have defined when it sent it: [vnext] steps once per code
+   on both sides and passes each power of two one code at a time, so the
+   width grows by at most one bit per code and the sides never disagree. *)
+type schedule = { mutable width : int; mutable vnext : int }
+
+let schedule () = { width = min_bits; vnext = first_code }
+
+let next_width sc =
+  if sc.vnext > 1 lsl sc.width then sc.width <- sc.width + 1;
+  if sc.vnext < max_entries then sc.vnext <- sc.vnext + 1;
+  sc.width
 
 type bitwriter = { out : Buffer.t; mutable acc : int; mutable nbits : int }
 
@@ -29,30 +32,12 @@ let bw_put bw code bits =
   bw.acc <- bw.acc lor (code lsl bw.nbits);
   bw.nbits <- bw.nbits + bits;
   while bw.nbits >= 8 do
-    Buffer.add_char bw.out (Char.chr (bw.acc land 0xff));
+    Buffer.add_char bw.out (Char.unsafe_chr (bw.acc land 0xff));
     bw.acc <- bw.acc lsr 8;
     bw.nbits <- bw.nbits - 8
   done
 
 let bw_flush bw = if bw.nbits > 0 then Buffer.add_char bw.out (Char.chr (bw.acc land 0xff))
-
-type bitreader = { src : string; mutable pos : int; mutable racc : int; mutable rbits : int }
-
-let br_make src = { src; pos = 0; racc = 0; rbits = 0 }
-
-let br_get br bits =
-  while br.rbits < bits && br.pos < String.length br.src do
-    br.racc <- br.racc lor (Char.code br.src.[br.pos] lsl br.rbits);
-    br.rbits <- br.rbits + 8;
-    br.pos <- br.pos + 1
-  done;
-  if br.rbits < bits then None
-  else begin
-    let code = br.racc land ((1 lsl bits) - 1) in
-    br.racc <- br.racc lsr bits;
-    br.rbits <- br.rbits - bits;
-    Some code
-  end
 
 (* The slot of [key] in an open-addressed table of [keys] (a power of two
    in size, never full): where it is, or the empty slot where it goes. *)
@@ -87,13 +72,9 @@ let compress (s : string) : string =
           end)
         old_keys
     in
-    let bw = bw_make () in
+    let bw = bw_make () and sc = schedule () in
     let next_code = ref first_code in
-    let sent = ref 0 in
-    let emit code =
-      incr sent;
-      bw_put bw code (width_at !sent)
-    in
+    let emit code = bw_put bw code (next_width sc) in
     (* single bytes are codes 0..255 implicitly *)
     let w = ref (Char.code s.[0]) in
     for i = 1 to n - 1 do
@@ -127,60 +108,67 @@ let decompress ?(max_out = max_int) (s : string) : string =
     (* Every entry past the single bytes is output already written: the
        previous entry plus the byte after it, [out.[start.(e) .. start.(e)
        + len.(e))].  Decoding copies within the output and never builds an
-       entry as a string. *)
-    let cap = min max_entries (first_code + (String.length s * 8 / min_bits) + 2) in
+       entry as a string.  One loop with no closures reads each code and
+       writes its entry, so its counters stay in registers. *)
+    let n = String.length s in
+    let cap = min max_entries (first_code + (n * 8 / min_bits) + 2) in
     let start = Array.make cap 0 and len = Array.make cap 0 in
-    let length code = if code < first_code then 1 else len.(code) in
-    let br = br_make s in
-    let next_code = ref first_code in
-    let received = ref 0 in
-    let read () =
-      incr received;
-      br_get br (width_at !received)
-    in
-    let out = ref (Bytes.create (max 16 (min max_out (String.length s * 3)))) in
-    let pos = ref 0 in
-    let add code =
-      let l = length code in
-      if !pos + l > max_out then invalid_arg "Lzw.decompress: output over bound";
-      if !pos + l > Bytes.length !out then begin
-        let bigger = Bytes.create (max (!pos + l) (2 * Bytes.length !out)) in
-        Bytes.blit !out 0 bigger 0 !pos;
-        out := bigger
+    let out = ref (Bytes.create (max 16 (min max_out (n * 3)))) in
+    let pos = ref 0 and next_code = ref first_code and prev = ref (-1) in
+    let acc = ref 0 and nbits = ref 0 and ipos = ref 0 and sc = schedule () in
+    let more = ref true in
+    while !more do
+      let width = next_width sc in
+      (* a code is at most 16 bits wide: two more bytes always suffice *)
+      if !nbits < width && !ipos < n then begin
+        acc := !acc lor (Char.code (String.unsafe_get s !ipos) lsl !nbits);
+        nbits := !nbits + 8;
+        incr ipos;
+        if !nbits < width && !ipos < n then begin
+          acc := !acc lor (Char.code (String.unsafe_get s !ipos) lsl !nbits);
+          nbits := !nbits + 8;
+          incr ipos
+        end
       end;
-      let o = !out in
-      if code < first_code then Bytes.set o !pos (Char.chr code)
+      if !nbits < width then more := false
       else begin
-        (* the last byte is copied after the rest: for the entry being
-           defined right now it is the first byte just written *)
-        let src = start.(code) in
-        Bytes.blit o src o !pos (l - 1);
-        Bytes.set o (!pos + l - 1) (Bytes.get o (src + l - 1))
-      end;
-      pos := !pos + l
-    in
-    match read () with
-    | None -> ""
-    | Some c0 ->
-        if c0 >= first_code then invalid_arg "Lzw.decompress";
-        add c0;
-        let prev = ref c0 and prev_at = ref 0 in
-        let continue = ref true in
-        while !continue do
-          match read () with
-          | None -> continue := false
-          | Some code ->
-              if code > !next_code then invalid_arg "Lzw.decompress: corrupt stream";
-              if !next_code < max_entries then begin
-                start.(!next_code) <- !prev_at;
-                len.(!next_code) <- length !prev + 1;
-                incr next_code
-              end;
-              prev_at := !pos;
-              add code;
-              prev := code
-        done;
-        Bytes.sub_string !out 0 !pos
+        let c = !acc land ((1 lsl width) - 1) in
+        acc := !acc lsr width;
+        nbits := !nbits - width;
+        if !prev < 0 then (if c >= first_code then invalid_arg "Lzw.decompress")
+        else begin
+          if c > !next_code then invalid_arg "Lzw.decompress: corrupt stream";
+          if !next_code < max_entries then begin
+            (* the previous entry, just written, plus this one's first byte *)
+            let lp = if !prev < first_code then 1 else len.(!prev) in
+            start.(!next_code) <- !pos - lp;
+            len.(!next_code) <- lp + 1;
+            incr next_code
+          end
+        end;
+        let l = if c < first_code then 1 else len.(c) in
+        if !pos + l > max_out then invalid_arg "Lzw.decompress: output over bound";
+        if !pos + l > Bytes.length !out then begin
+          let bigger = Bytes.create (max (!pos + l) (2 * Bytes.length !out)) in
+          Bytes.blit !out 0 bigger 0 !pos;
+          out := bigger
+        end;
+        let o = !out and p = !pos in
+        if c < first_code then Bytes.unsafe_set o p (Char.unsafe_chr c)
+        else begin
+          (* in bounds: [src + l - 1] is at most [p], and [p + l] fits.
+             Copied forward, so for the entry defined just now its last
+             byte is the first one this copy wrote. *)
+          let src = start.(c) in
+          for k = 0 to l - 1 do
+            Bytes.unsafe_set o (p + k) (Bytes.unsafe_get o (src + k))
+          done
+        end;
+        pos := p + l;
+        prev := c
+      end
+    done;
+    Bytes.sub_string !out 0 !pos
   end
 
 (** Compression ratio original/compressed; 1.0 for empty input. *)

@@ -284,38 +284,42 @@ let rwatch_case () =
 
 (* --- determinism gate -------------------------------------------------------- *)
 
+(* The seeded session both determinism cases record; [poll] fetches the
+   trace after every continue, as the REPL does on each trip into
+   history. *)
+let determinism_script ?(poll = false) () : Testkit.session =
+  let s = Testkit.debug_session ~arch:Arch.Mips loop_sources in
+  Ldb.start_record s.Testkit.tg ~spacing:8;
+  ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "bump" : int);
+  for _ = 1 to 3 do
+    expect_stop "continue" (Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg));
+    if poll then ignore (Ldb.trace_bytes s.Testkit.tg : string)
+  done;
+  s
+
+(* When LDB_TRACE_DIR is set, traces land there for CI to upload. *)
+let keep_trace name bytes =
+  match Sys.getenv_opt "LDB_TRACE_DIR" with
+  | Some dir ->
+      Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+          Out_channel.output_string oc bytes)
+  | None -> ()
+
+(* pinned across builds too: bytes that change the same way in every
+   recording (checkpoint dumps, their compaction) still fail here *)
+let golden_trace_crc = "76f41a9b"
+
 (** The CI job's contract: two recordings of the same seeded session are
     byte-identical, and replaying one to the end reproduces the live
-    process's registers and memory exactly (compared as core dumps).
-    When LDB_TRACE_DIR is set the traces are written there so a failing
-    CI run can upload them. *)
+    process's registers and memory exactly (compared as core dumps). *)
 let determinism_case () =
-  let script (s : Testkit.session) =
-    Ldb.start_record s.Testkit.tg ~spacing:8;
-    ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "bump" : int);
-    for _ = 1 to 3 do
-      expect_stop "continue" (Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg))
-    done
-  in
-  let s1 = Testkit.debug_session ~arch:Arch.Mips loop_sources in
-  let s2 = Testkit.debug_session ~arch:Arch.Mips loop_sources in
-  script s1;
-  script s2;
+  let s1 = determinism_script () and s2 = determinism_script () in
   let t1 = Ldb.trace_bytes s1.Testkit.tg and t2 = Ldb.trace_bytes s2.Testkit.tg in
-  (match Sys.getenv_opt "LDB_TRACE_DIR" with
-  | Some dir ->
-      let wr name bytes =
-        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
-            Out_channel.output_string oc bytes)
-      in
-      wr "trace-a.bin" t1;
-      wr "trace-b.bin" t2
-  | None -> ());
+  keep_trace "trace-a.bin" t1;
+  keep_trace "trace-b.bin" t2;
   check Alcotest.bool "same session records byte-identical traces" true
     (String.equal t1 t2);
-  (* pinned across builds too: bytes that change the same way in both
-     recordings (checkpoint dumps, their compaction) still fail here *)
-  check Alcotest.string "trace matches its golden CRC-32" "5c7c726a"
+  check Alcotest.string "trace matches its golden CRC-32" golden_trace_crc
     (Printf.sprintf "%08x" (Ldb_util.Crc32.string t1));
   let image = Ldb.load_image s1.Testkit.d ~loader_ps:s1.Testkit.proc.Host.hp_loader_ps in
   let rp =
@@ -327,6 +331,17 @@ let determinism_case () =
   let tg = reach (Replay.seek_end rp) in
   check Alcotest.bool "replayed end dumps the live core" true
     (String.equal (Ldb.core_bytes tg) (Ldb.core_bytes s1.Testkit.tg))
+
+(** A recorder polled after every continue encodes each event once, into
+    the same bytes one final fetch would have: the trace it ends with is
+    byte-identical to the single-fetch recording and to the golden CRC. *)
+let polled_fetch_case () =
+  let polled = Ldb.trace_bytes (determinism_script ~poll:true ()).Testkit.tg in
+  let single = Ldb.trace_bytes (determinism_script ()).Testkit.tg in
+  keep_trace "trace-polled.bin" polled;
+  check Alcotest.bool "polled trace = one final fetch" true (String.equal polled single);
+  check Alcotest.string "polled trace matches the golden CRC-32" golden_trace_crc
+    (Printf.sprintf "%08x" (Ldb_util.Crc32.string polled))
 
 (* --- cost ------------------------------------------------------------------------ *)
 
@@ -407,7 +422,10 @@ let spacing_sweep_case () =
         | Ok (tr, []) ->
             List.fold_left
               (fun acc -> function
-                | Trace.Checkpoint ck -> acc + String.length ck.Trace.ck_core
+                | Trace.Checkpoint ck -> (
+                    match Trace.checkpoint_core ck with
+                    | Ok core -> acc + String.length core
+                    | Error m -> Alcotest.failf "checkpoint core: %s" m)
                 | _ -> acc)
               0 tr.Trace.tr_events
         | _ -> Alcotest.fail "the recorded trace does not decode cleanly"
@@ -441,7 +459,8 @@ let gen_ck_trace : Trace.t QCheck.arbitrary =
       [ Trace.Ck_running; Trace.Ck_stopped { signal; code }; Trace.Ck_exited status ]
     >>= fun ck_status ->
     let ck =
-      { Trace.ck_ev = ev; ck_delta = delta; ck_status; ck_core = Core.to_string co }
+      { Trace.ck_ev = ev; ck_delta = delta; ck_status; ck_stored = Core.to_string co;
+        ck_packing = Trace.Fresh }
     in
     oneofl Arch.all >>= fun arch ->
     int_range 1 1000 >>= fun fuel ->
@@ -461,16 +480,124 @@ let gen_ck_trace : Trace.t QCheck.arbitrary =
   in
   QCheck.make gen
 
+(* events with each checkpoint's core read out, however it is packed *)
+let unpacked (tr : Trace.t) =
+  List.map
+    (function
+      | Trace.Checkpoint ck ->
+          `Ck (ck.Trace.ck_ev, ck.Trace.ck_delta, ck.Trace.ck_status, Trace.checkpoint_core ck)
+      | e -> `Ev e)
+    tr.Trace.tr_events
+
+(* decoding keeps each core as stored, and encoding writes it back
+   unchanged: a decoded trace re-encodes to the same bytes *)
 let prop_checkpoint_roundtrip =
   Testkit.qtest "checkpointed traces roundtrip" ~count:200 gen_ck_trace (fun tr ->
-      match Trace.of_string (Trace.to_string tr) with
-      | Ok (tr', []) -> tr' = tr
+      let bytes = Trace.to_string tr in
+      match Trace.of_string bytes with
+      | Ok (tr', []) ->
+          { tr' with Trace.tr_events = [] } = { tr with Trace.tr_events = [] }
+          && unpacked tr' = unpacked tr
+          && Trace.to_string tr' = bytes
       | Ok (_, _ :: _) | Error _ -> false)
 
 let prop_decode_total =
   Testkit.qtest "trace of_string never raises" ~count:300
     QCheck.(string_gen_of_size (Gen.int_bound 400) Gen.char)
     (fun s -> match Trace.of_string s with Ok _ | Error _ -> true)
+
+(* A short recording to damage: MIPS, checkpoints every 8 instructions,
+   decoded once. *)
+let recorded =
+  lazy
+    (let s = Testkit.debug_session ~arch:Arch.Mips loop_sources in
+     Ldb.start_record s.Testkit.tg ~spacing:8;
+     ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "bump" : int);
+     expect_stop "continue" (Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg));
+     let image = Ldb.load_image s.Testkit.d ~loader_ps:s.Testkit.proc.Host.hp_loader_ps in
+     match Trace.of_string (Ldb.trace_bytes s.Testkit.tg) with
+     | Ok (tr, []) -> (s, image, tr)
+     | _ -> Alcotest.fail "pristine trace did not decode cleanly")
+
+(* [tr] with checkpoint [k]'s stored bytes replaced by [f] of them *)
+let with_stored (tr : Trace.t) k f =
+  let i = ref (-1) in
+  let edit = function
+    | Trace.Checkpoint ck ->
+        incr i;
+        Trace.Checkpoint (if !i = k then { ck with Trace.ck_stored = f ck.Trace.ck_stored } else ck)
+    | e -> e
+  in
+  { tr with Trace.tr_events = List.map edit tr.Trace.tr_events }
+
+(* close a replay session's historical target *)
+let close_replay d rp =
+  match Replay.target rp with Some tg -> Ldb.remove_target d tg | None -> ()
+
+let checkpoints (tr : Trace.t) =
+  List.filter_map (function Trace.Checkpoint ck -> Some ck | _ -> None) tr.Trace.tr_events
+
+(** qcheck: flip bytes inside the checkpoint bodies of a recorded trace,
+    re-seal every record's CRC, and restore each checkpoint in turn.
+    Decoding happens only there, so only typed errors may come back. *)
+let prop_restore_total =
+  Testkit.qtest "damaged checkpoints restore typed or not at all" ~count:60
+    QCheck.(list_of_size (Gen.int_range 1 4) (triple small_nat small_nat (int_range 1 255)))
+    (fun flips ->
+      let s, image, tr = Lazy.force recorded in
+      let n = List.length (checkpoints tr) in
+      let hostile =
+        List.fold_left
+          (fun tr (k, at, x) ->
+            with_stored tr (k mod n) (fun b ->
+                let b = Bytes.of_string b in
+                let at = at * 37 mod Bytes.length b in
+                Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor x));
+                Bytes.to_string b))
+          tr flips
+      in
+      match Replay.of_string s.Testkit.d ~name:"flipped" ~image (Trace.to_string hostile) with
+      | Error _ -> true
+      | Ok (rp, _) ->
+          List.iter
+            (fun ck ->
+              match Replay.seek rp ~ev:ck.Trace.ck_ev ~delta:ck.Trace.ck_delta with
+              | Ok _ | Error _ -> ())
+            (checkpoints hostile);
+          close_replay s.Testkit.d rp;
+          true)
+
+(** A CRC-valid trace whose compressed checkpoint holds a corrupt LZW
+    stream still opens: the stream is read only when a seek restores that
+    checkpoint, which then fails typed, while positions before it still
+    materialize. *)
+let lazy_decode_case () =
+  let s, image, tr = Lazy.force recorded in
+  let cks = checkpoints tr in
+  let k =
+    match
+      List.find_index (fun ck -> ck.Trace.ck_packing = Trace.Lzw) (List.tl cks)
+    with
+    | Some k -> k + 1
+    | None -> Alcotest.fail "no compressed checkpoint after the first"
+  in
+  let bad = List.nth cks k in
+  (* the first 9-bit code reads 511, past every single-byte code *)
+  let hostile = with_stored tr k (fun b -> "\xff\xff" ^ b) in
+  match Replay.of_string s.Testkit.d ~name:"lazy" ~image (Trace.to_string hostile) with
+  | Error e -> Alcotest.failf "open: %s" (Replay.error_to_string e)
+  | Ok (rp, ws) -> (
+      check Alcotest.int "no salvage: every record is CRC-valid" 0 (List.length ws);
+      (match Replay.seek rp ~ev:bad.Trace.ck_ev ~delta:bad.Trace.ck_delta with
+      | Error (`Bad_trace m) ->
+          check Alcotest.bool ("typed refusal: " ^ m) true
+            (contains ~needle:"checkpoint core unreadable" m)
+      | Error e -> Alcotest.failf "unexpected error: %s" (Replay.error_to_string e)
+      | Ok _ -> Alcotest.fail "restored a checkpoint whose core is unreadable");
+      (match Replay.seek rp ~ev:0 ~delta:0 with
+      | Ok tg -> ignore (view s.Testkit.d tg ~vars:[ "total" ] : string)
+      | Error e -> Alcotest.failf "seek before the damage: %s" (Replay.error_to_string e));
+      close_replay s.Testkit.d rp)
 
 (** Salvage: damage ends the usable prefix with a typed report instead
     of an exception, and every prefix of a trace is itself a trace. *)
@@ -552,14 +679,15 @@ let v1_compat_case () =
             Buffer.add_char b 'x';
             u32 b status;
             u32 b 0);
-        str b ck.Trace.ck_core;
+        str b ck.Trace.ck_stored;
         ('C', Buffer.contents b)
   in
   let ck =
     { Trace.ck_ev = 1; ck_delta = 7;
       ck_status = Trace.Ck_stopped { signal = 5; code = 0 };
       (* Trace treats the core as opaque bytes; content is not parsed here *)
-      ck_core = "pretend-core-bytes \x00\x01\x02 with runs aaaaaaaaaaaa" }
+      ck_stored = "pretend-core-bytes \x00\x01\x02 with runs aaaaaaaaaaaa";
+      ck_packing = Trace.Raw }
   in
   let events =
     [ Trace.Req Proto.Continue;
@@ -626,8 +754,8 @@ let odd_freg_checkpoint_case () =
     | Ok (tr, []) -> tr
     | _ -> Alcotest.fail "pristine trace did not decode cleanly"
   in
-  let narrow core =
-    match Core.of_string core with
+  let narrow ck =
+    match Result.bind (Trace.checkpoint_core ck) Core.of_string with
     | Ok (co, []) ->
         Core.to_string
           { co with Core.co_freg_bytes = 4;
@@ -639,7 +767,8 @@ let odd_freg_checkpoint_case () =
       Trace.tr_events =
         List.map
           (function
-            | Trace.Checkpoint ck -> Trace.Checkpoint { ck with Trace.ck_core = narrow ck.Trace.ck_core }
+            | Trace.Checkpoint ck ->
+                Trace.Checkpoint { ck with Trace.ck_stored = narrow ck; ck_packing = Trace.Fresh }
             | e -> e)
           tr.Trace.tr_events }
   in
@@ -661,13 +790,15 @@ let () =
   in
   Alcotest.run "replay"
     [
-      ("codec", [ prop_checkpoint_roundtrip; prop_decode_total ]);
+      ("codec", [ prop_checkpoint_roundtrip; prop_decode_total; prop_restore_total ]);
       ( "salvage",
         [ Alcotest.test_case "typed reports, usable prefix" `Quick salvage_case;
           Alcotest.test_case "v1 (pre-compaction) traces decode" `Quick
             v1_compat_case;
           Alcotest.test_case "odd float width in a checkpoint refused typed" `Quick
             odd_freg_checkpoint_case;
+          Alcotest.test_case "corrupt compressed checkpoint refused on restore" `Quick
+            lazy_decode_case;
           Alcotest.test_case "replay over a truncated trace" `Quick
             truncated_replay_case ] );
       ("rstep", arch_cases "reverse-step differential" timeline_case);
@@ -680,5 +811,6 @@ let () =
             spacing_sweep_case ] );
       ( "determinism",
         [ Alcotest.test_case "identical traces, identical end state" `Quick
-            determinism_case ] );
+            determinism_case;
+          Alcotest.test_case "polled fetch = one final fetch" `Quick polled_fetch_case ] );
     ]

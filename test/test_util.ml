@@ -89,6 +89,189 @@ let prop_lzw_printable =
     QCheck.(string_gen_of_size (QCheck.Gen.int_bound 5000) QCheck.Gen.printable)
     (fun s -> Lzw.decompress (Lzw.compress s) = s)
 
+(* The integer-keyed codec as it stood before the width schedule was
+   tracked incrementally and decoding became one loop, kept verbatim: the
+   current codec must write the same bytes, read what it wrote, and
+   refuse the streams this one refuses. *)
+module Lzw_prev = struct
+  let min_bits = 9
+  let max_bits = 16
+  let max_entries = 1 lsl max_bits
+  let first_code = 256
+
+  (* Width in effect for the [n]-th (1-based) code of the stream: wide enough
+     for every code the encoder could possibly send at that point. *)
+  let width_at n =
+    let virtual_next = min (first_code + (n - 1)) max_entries in
+    let b = ref min_bits in
+    while 1 lsl !b < virtual_next do
+      incr b
+    done;
+    !b
+
+  type bitwriter = { out : Buffer.t; mutable acc : int; mutable nbits : int }
+
+  let bw_make () = { out = Buffer.create 1024; acc = 0; nbits = 0 }
+
+  let bw_put bw code bits =
+    bw.acc <- bw.acc lor (code lsl bw.nbits);
+    bw.nbits <- bw.nbits + bits;
+    while bw.nbits >= 8 do
+      Buffer.add_char bw.out (Char.chr (bw.acc land 0xff));
+      bw.acc <- bw.acc lsr 8;
+      bw.nbits <- bw.nbits - 8
+    done
+
+  let bw_flush bw = if bw.nbits > 0 then Buffer.add_char bw.out (Char.chr (bw.acc land 0xff))
+
+  type bitreader = { src : string; mutable pos : int; mutable racc : int; mutable rbits : int }
+
+  let br_make src = { src; pos = 0; racc = 0; rbits = 0 }
+
+  let br_get br bits =
+    while br.rbits < bits && br.pos < String.length br.src do
+      br.racc <- br.racc lor (Char.code br.src.[br.pos] lsl br.rbits);
+      br.rbits <- br.rbits + 8;
+      br.pos <- br.pos + 1
+    done;
+    if br.rbits < bits then None
+    else begin
+      let code = br.racc land ((1 lsl bits) - 1) in
+      br.racc <- br.racc lsr bits;
+      br.rbits <- br.rbits - bits;
+      Some code
+    end
+
+  (* The slot of [key] in an open-addressed table of [keys] (a power of two
+     in size, never full): where it is, or the empty slot where it goes. *)
+  let slot (keys : int array) key =
+    let mask = Array.length keys - 1 in
+    let rec probe i =
+      let k = Array.unsafe_get keys i in
+      if k = key || k < 0 then i else probe ((i + 1) land mask)
+    in
+    probe (((key * 0x9e3779b1) lsr 16) land mask)
+
+  (** [compress s] returns the LZW-compressed form of [s]. *)
+  let compress (s : string) : string =
+    let n = String.length s in
+    if n = 0 then ""
+    else begin
+      (* The dictionary maps (prefix code, next byte) to a code; both fit one
+         int key, [(prefix lsl 8) lor byte], held in an open-addressed table
+         that doubles when half full.  No string is built or hashed per
+         input byte, and a lookup allocates nothing. *)
+      let keys = ref (Array.make 1024 (-1)) and codes = ref (Array.make 1024 0) in
+      let grow () =
+        let old_keys = !keys and old_codes = !codes in
+        keys := Array.make (2 * Array.length old_keys) (-1);
+        codes := Array.make (2 * Array.length old_keys) 0;
+        Array.iteri
+          (fun i k ->
+            if k >= 0 then begin
+              let j = slot !keys k in
+              !keys.(j) <- k;
+              !codes.(j) <- old_codes.(i)
+            end)
+          old_keys
+      in
+      let bw = bw_make () in
+      let next_code = ref first_code in
+      let sent = ref 0 in
+      let emit code =
+        incr sent;
+        bw_put bw code (width_at !sent)
+      in
+      (* single bytes are codes 0..255 implicitly *)
+      let w = ref (Char.code s.[0]) in
+      for i = 1 to n - 1 do
+        let c = Char.code (String.unsafe_get s i) in
+        let key = (!w lsl 8) lor c in
+        let j = slot !keys key in
+        if !keys.(j) = key then w := !codes.(j)
+        else begin
+          emit !w;
+          if !next_code < max_entries then begin
+            !keys.(j) <- key;
+            !codes.(j) <- !next_code;
+            incr next_code;
+            if 2 * (!next_code - first_code) >= Array.length !keys then grow ()
+          end;
+          w := c
+        end
+      done;
+      emit !w;
+      bw_flush bw;
+      Buffer.contents bw.out
+    end
+
+  (** [decompress s] inverts {!compress}.  Raises [Invalid_argument] on a
+      corrupt stream, or when the output would exceed [max_out] — callers
+      decoding untrusted bytes pass the bound they would accept raw, so a
+      small hostile stream cannot demand an enormous expansion. *)
+  let decompress ?(max_out = max_int) (s : string) : string =
+    if s = "" then ""
+    else begin
+      (* Every entry past the single bytes is output already written: the
+         previous entry plus the byte after it, [out.[start.(e) .. start.(e)
+         + len.(e))].  Decoding copies within the output and never builds an
+         entry as a string. *)
+      let cap = min max_entries (first_code + (String.length s * 8 / min_bits) + 2) in
+      let start = Array.make cap 0 and len = Array.make cap 0 in
+      let length code = if code < first_code then 1 else len.(code) in
+      let br = br_make s in
+      let next_code = ref first_code in
+      let received = ref 0 in
+      let read () =
+        incr received;
+        br_get br (width_at !received)
+      in
+      let out = ref (Bytes.create (max 16 (min max_out (String.length s * 3)))) in
+      let pos = ref 0 in
+      let add code =
+        let l = length code in
+        if !pos + l > max_out then invalid_arg "Lzw.decompress: output over bound";
+        if !pos + l > Bytes.length !out then begin
+          let bigger = Bytes.create (max (!pos + l) (2 * Bytes.length !out)) in
+          Bytes.blit !out 0 bigger 0 !pos;
+          out := bigger
+        end;
+        let o = !out in
+        if code < first_code then Bytes.set o !pos (Char.chr code)
+        else begin
+          (* the last byte is copied after the rest: for the entry being
+             defined right now it is the first byte just written *)
+          let src = start.(code) in
+          Bytes.blit o src o !pos (l - 1);
+          Bytes.set o (!pos + l - 1) (Bytes.get o (src + l - 1))
+        end;
+        pos := !pos + l
+      in
+      match read () with
+      | None -> ""
+      | Some c0 ->
+          if c0 >= first_code then invalid_arg "Lzw.decompress";
+          add c0;
+          let prev = ref c0 and prev_at = ref 0 in
+          let continue = ref true in
+          while !continue do
+            match read () with
+            | None -> continue := false
+            | Some code ->
+                if code > !next_code then invalid_arg "Lzw.decompress: corrupt stream";
+                if !next_code < max_entries then begin
+                  start.(!next_code) <- !prev_at;
+                  len.(!next_code) <- length !prev + 1;
+                  incr next_code
+                end;
+                prev_at := !pos;
+                add code;
+                prev := code
+          done;
+          Bytes.sub_string !out 0 !pos
+    end
+end
+
 (* The string-keyed codec, kept as the reference the integer-keyed one must
    match byte for byte (compression) and verdict for verdict
    (decompression, corrupt streams included). *)
@@ -104,7 +287,7 @@ module Lzw_ref = struct
       let emit code =
         incr sent;
         acc := !acc lor (code lsl !nbits);
-        nbits := !nbits + Lzw.width_at !sent;
+        nbits := !nbits + Lzw_prev.width_at !sent;
         while !nbits >= 8 do
           Buffer.add_char out (Char.chr (!acc land 0xff));
           acc := !acc lsr 8;
@@ -134,10 +317,10 @@ module Lzw_ref = struct
     for i = 0 to 255 do
       Hashtbl.replace dict i (String.make 1 (Char.chr i))
     done;
-    let br = Lzw.br_make s and received = ref 0 and next = ref Lzw.first_code in
+    let br = Lzw_prev.br_make s and received = ref 0 and next = ref Lzw.first_code in
     let read () =
       incr received;
-      Lzw.br_get br (Lzw.width_at !received)
+      Lzw_prev.br_get br (Lzw_prev.width_at !received)
     in
     let out = Buffer.create 64 in
     let add e =
@@ -177,10 +360,34 @@ let gen_core_like =
     string_gen_of_size (Gen.int_bound 6000)
       (Gen.frequency [ (6, Gen.return '\000'); (1, Gen.char); (1, Gen.oneofl [ 'a'; 'b' ]) ]))
 
+(* runs of one byte, short and long, like zero-filled memory with islands *)
+let gen_runs =
+  QCheck.(
+    map (String.concat "")
+      (list_of_size (Gen.int_bound 40)
+         (map
+            (fun (c, n) -> String.make n c)
+            (pair (oneofl [ '\000'; '\000'; '\xff'; 'a'; 'b' ]) (int_bound 700)))))
+
 let prop_lzw_matches_reference =
   Testkit.qtest "lzw output = string-keyed reference" ~count:300
     QCheck.(choose [ gen_core_like; string_gen_of_size (Gen.int_bound 3000) Gen.char ])
     (fun s -> Lzw.compress s = Lzw_ref.compress s)
+
+let prop_lzw_matches_previous =
+  Testkit.qtest "lzw output = previous codec on random and run-heavy inputs" ~count:300
+    QCheck.(
+      choose [ gen_core_like; gen_runs; string_gen_of_size (Gen.int_bound 3000) Gen.char ])
+    (fun s -> Lzw.compress s = Lzw_prev.compress s)
+
+let prop_lzw_both_decoders =
+  Testkit.qtest "lzw roundtrips through both decoders" ~count:300
+    QCheck.(
+      choose [ gen_core_like; gen_runs; string_gen_of_size (Gen.int_bound 3000) Gen.char ])
+    (fun s ->
+      let z = Lzw.compress s in
+      Lzw.decompress z = s && Lzw_prev.decompress z = s
+      && Lzw.decompress (Lzw_prev.compress s) = s)
 
 (* long enough to fill the 16-bit dictionary and keep coding past it *)
 let test_lzw_full_dictionary () =
@@ -188,7 +395,9 @@ let test_lzw_full_dictionary () =
   let s = String.init 300_000 (fun _ -> Char.chr (Random.State.int rng 256)) in
   let c = Lzw.compress s in
   check Alcotest.bool "same bytes as the reference" true (c = Lzw_ref.compress s);
-  check Alcotest.bool "roundtrip" true (Lzw.decompress c = s)
+  check Alcotest.bool "same bytes as the previous codec" true (c = Lzw_prev.compress s);
+  check Alcotest.bool "roundtrip" true (Lzw.decompress c = s);
+  check Alcotest.bool "previous decoder reads it" true (Lzw_prev.decompress c = s)
 
 let prop_lzw_decode_matches_reference =
   Testkit.qtest "lzw decode = reference, corrupt streams included" ~count:500
@@ -199,7 +408,9 @@ let prop_lzw_decode_matches_reference =
              string_gen_of_size (Gen.int_bound 300) Gen.char ]))
     (fun (max_out, z) ->
       let run f = try Some (f ()) with Invalid_argument _ -> None in
-      run (fun () -> Lzw.decompress ~max_out z) = run (fun () -> Lzw_ref.decompress ~max_out z))
+      let got = run (fun () -> Lzw.decompress ~max_out z) in
+      got = run (fun () -> Lzw_ref.decompress ~max_out z)
+      && got = run (fun () -> Lzw_prev.decompress ~max_out z))
 
 (* --- CRC-32 ----------------------------------------------------------------- *)
 
@@ -270,6 +481,8 @@ let () =
           prop_lzw_roundtrip;
           prop_lzw_printable;
           prop_lzw_matches_reference;
+          prop_lzw_matches_previous;
+          prop_lzw_both_decoders;
           Alcotest.test_case "full dictionary" `Quick test_lzw_full_dictionary;
           prop_lzw_decode_matches_reference;
         ] );
