@@ -32,23 +32,20 @@ let kind_name = function
   | Unreachable -> "unreachable"
   | Truncated -> "truncated"
 
-let kind_of_name = function
-  | "uninit-read" -> Some Uninit_read
-  | "dead-store" -> Some Dead_store
-  | "unreachable" -> Some Unreachable
-  | "truncated" -> Some Truncated
-  | _ -> None
+(** Every kind, in declaration order. *)
+let kinds = [ Uninit_read; Dead_store; Unreachable; Truncated ]
+
+let kind_of_name s = List.find_opt (fun k -> kind_name k = s) kinds
 
 type finding = { kind : kind; file : string; line : int; col : int; msg : string }
 
 let finding_to_string f =
   Printf.sprintf "%s:%d:%d: %s: %s" f.file f.line f.col (kind_name f.kind) f.msg
 
-let json_escape = Ldb_util.Json.escape
-
 let finding_to_json f =
   Printf.sprintf {|{"kind":"%s","file":"%s","line":%d,"col":%d,"msg":"%s"}|}
-    (kind_name f.kind) (json_escape f.file) f.line f.col (json_escape f.msg)
+    (kind_name f.kind) (Ldb_util.Json.escape f.file) f.line f.col
+    (Ldb_util.Json.escape f.msg)
 
 (** [`Fail] makes a finding a compile error, [`Warn] (the default) records
     it in [collected] for the driver/CLI to report, [`Off] skips the pass. *)

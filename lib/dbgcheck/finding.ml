@@ -68,32 +68,15 @@ let kind_name = function
   | Validity_unsound -> "validity-unsound"
   | Table_error -> "table-error"
 
-let kind_of_name = function
-  | "bad-nop" -> Some Bad_nop
-  | "misaligned-stop" -> Some Misaligned_stop
-  | "nop-advance" -> Some Nop_advance
-  | "bad-decode" -> Some Bad_decode
-  | "unresolved-symbol" -> Some Unresolved_sym
-  | "bad-segment" -> Some Bad_segment
-  | "alias-clash" -> Some Alias_clash
-  | "dangling-slot" -> Some Dangling_slot
-  | "frame-bounds" -> Some Frame_bounds
-  | "bad-reg-var" -> Some Bad_reg_var
-  | "rpt-mismatch" -> Some Rpt_mismatch
-  | "stabs-mismatch" -> Some Stabs_mismatch
-  | "line-clamped" -> Some Line_clamped
-  | "hint-mismatch" -> Some Hint_mismatch
-  | "bpcverify" -> Some Bpc_verify
-  | "core-arch" -> Some Core_arch
-  | "core-crc" -> Some Core_crc
-  | "core-reg-width" -> Some Core_reg_width
-  | "core-pc" -> Some Core_pc
-  | "validity-missing" -> Some Validity_missing
-  | "validity-range" -> Some Validity_range
-  | "validity-stabs-mismatch" -> Some Validity_stabs_mismatch
-  | "validity-unsound" -> Some Validity_unsound
-  | "table-error" -> Some Table_error
-  | _ -> None
+(** Every kind, in declaration order. *)
+let kinds =
+  [ Bad_nop; Misaligned_stop; Nop_advance; Bad_decode; Unresolved_sym; Bad_segment;
+    Alias_clash; Dangling_slot; Frame_bounds; Bad_reg_var; Rpt_mismatch; Stabs_mismatch;
+    Line_clamped; Hint_mismatch; Bpc_verify; Core_arch; Core_crc; Core_reg_width; Core_pc;
+    Validity_missing; Validity_range; Validity_stabs_mismatch; Validity_unsound;
+    Table_error ]
+
+let kind_of_name s = List.find_opt (fun k -> kind_name k = s) kinds
 
 type t = {
   kind : kind;
@@ -107,8 +90,7 @@ let at_pos file line = Printf.sprintf "%s:%d" file line
 
 let to_string f = Printf.sprintf "%s: %s: %s: %s" f.target (kind_name f.kind) f.where f.msg
 
-let json_escape = Ldb_util.Json.escape
-
 let to_json f =
   Printf.sprintf {|{"target":"%s","kind":"%s","where":"%s","msg":"%s"}|}
-    (json_escape f.target) (kind_name f.kind) (json_escape f.where) (json_escape f.msg)
+    (Ldb_util.Json.escape f.target) (kind_name f.kind) (Ldb_util.Json.escape f.where)
+    (Ldb_util.Json.escape f.msg)

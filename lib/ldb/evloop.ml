@@ -445,10 +445,7 @@ let check_read_deadline (t : t) (c : conn) : unit =
 
 let session_rpcs (t : t) (sid : int) : int =
   match Server.session t.el_sv sid with
-  | Some s -> (
-      match s.Server.ss_tg.Ldb.tg_conn with
-      | Ldb.Live tr -> (Transport.stats tr).Transport.st_rpcs
-      | Ldb.Postmortem _ -> 0)
+  | Some s -> Ldb.rpcs s.Server.ss_tg
   | None -> 0
 
 (** Serve one connection's queue under its deficit.  Post-charging DRR:

@@ -55,7 +55,9 @@ type target = {
   tg_can_step : bool;  (** nub offers the single-step protocol extension *)
   mutable tg_state : state;
   mutable tg_core : Core.t option;
-      (** the core dump captured as (or after) the target died *)
+      (** the core dump captured as (or after) the target died, or
+          fetched at the current stop; dropped when the target runs or
+          is written *)
 }
 
 (** The live transport under a target; post-mortem targets have none. *)
@@ -68,6 +70,12 @@ let dead_msg tg =
   Printf.sprintf "target %s is dead: examining a core dump (read-only)" tg.tg_name
 
 let is_postmortem tg = match tg.tg_conn with Postmortem _ -> true | Live _ -> false
+
+(** Requests the target's transport has issued; a core dump issues none. *)
+let rpcs (tg : target) : int =
+  match tg.tg_conn with
+  | Live tr -> (Transport.stats tr).Transport.st_rpcs
+  | Postmortem _ -> 0
 
 type t = {
   interp : I.t;
@@ -250,7 +258,13 @@ let connect_with_image ?deadline ?max_retries (d : t) ~(name : string)
   if not (Arch.equal image.im_symtab.Symtab.arch arch) then
     fail "symbol table is for %s but the target runs %s"
       (Arch.name image.im_symtab.Symtab.arch) (Arch.name arch);
-  let wire = A.rpc_wire (Transport.rpc tr) in
+  (* a store outdates the target's cached dump, as it does the nub's *)
+  let on_store = ref ignore in
+  let wire =
+    A.rpc_wire (fun req ->
+        (match req with Proto.Store _ -> !on_store () | _ -> ());
+        Transport.rpc tr req)
+  in
   let li = Linkerif.make ~arch ~loader:image.im_loader ~wire in
   let tg =
     {
@@ -270,6 +284,7 @@ let connect_with_image ?deadline ?max_retries (d : t) ~(name : string)
       tg_core = None;
     }
   in
+  on_store := (fun () -> tg.tg_core <- None);
   (* On the way down — deliberate kill/detach, or an RPC finding the link
      dead — grab the core of a fatally-stopped target while (if) the
      channel still answers.  Best-effort by design: a lost link usually
@@ -322,6 +337,7 @@ let write_ctx_pc tg ctx_addr pc =
     duplicate suppression guarantees the target runs at most once no
     matter how many times the request had to be re-sent. *)
 let run_rpc (tg : target) (req : Proto.request) : state =
+  tg.tg_core <- None;
   let st =
     match Transport.rpc (transport tg) req with
     | Proto.Event { signal; code; ctx_addr } ->
@@ -967,7 +983,8 @@ let disassemble (d : t) (tg : target) ~(addr : int) ~(count : int) : Disas.line 
     the wire (the nub serializes the current stop on demand, and keeps
     serving the dump its target's death left behind even after an exit);
     on a post-mortem target it is simply the dump the session opened.
-    The fetched core is cached on the target. *)
+    The fetched core is cached on the target until it next runs or is
+    written. *)
 let fetch_core (tg : target) : Core.t =
   match tg.tg_conn with
   | Postmortem cd -> Coredump.core cd

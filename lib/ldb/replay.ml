@@ -4,10 +4,10 @@
     historical instant of the recorded execution as an ordinary
     {!Ldb.target}: restore the nearest checkpoint at or before the
     requested cursor ({!Ldb_machine.Core.to_proc}), re-apply the logged
-    requests through a fresh nub's own code paths
-    ({!Ldb_nub.Nub.replay_apply}), and connect the debugger to it over a
-    private channel with {!Ldb.connect_with_image}.  From there the
-    whole machine-independent DAG — frame walking, printing,
+    requests to a fresh nub through the very definitions the live wire
+    serves them with ({!Ldb_nub.Nub.apply}), and connect the debugger to
+    it over a private channel with {!Ldb.connect_with_image}.  From
+    there the whole machine-independent DAG — frame walking, printing,
     validity-aware display, disassembly — works unchanged, because the
     historical target answers the wire protocol exactly as the live one
     did at that instant.
@@ -211,7 +211,11 @@ let restore (t : t) (i : int) : Nub.t =
     | Trace.Ck_stopped { signal; code } ->
         Proc.Stopped (Option.value ~default:Signal.SIGINT (Signal.of_number signal), code)
     | Trace.Ck_exited st -> Proc.Exited st);
-  Nub.create ~fuel:t.rp_trace.Trace.tr_fuel ~can_step:t.rp_trace.Trace.tr_can_step p
+  let n = Nub.create ~fuel:t.rp_trace.Trace.tr_fuel ~can_step:t.rp_trace.Trace.tr_can_step p in
+  (* a fatal stop keeps the dump its fault left, as the live nub did
+     when the checkpoint was taken *)
+  Nub.record_core n;
+  n
 
 (** Hold a replayed execution to account: the stop it reached must be
     the stop the recording reached, field for field. *)
@@ -240,20 +244,20 @@ let check_outcome (t : t) (n : Nub.t) ~(ev : int) ~(used : int) : unit =
   | _ -> ()
 
 let apply (t : t) (n : Nub.t) (i : int) ~cap : int =
-  match Nub.replay_apply n t.rp_reqs.(i) ~cap with
+  match Nub.apply ?cap n t.rp_reqs.(i) with
   | Ok used ->
       t.rp_cost <- t.rp_cost + used;
       used
-  | Error m -> raise (Fail (`Divergence m))
+  | Error m -> raise (Fail (`Divergence (Printf.sprintf "request %d refused: %s" i m)))
 
 let resume (t : t) (n : Nub.t) ~consumed ~cap : int =
-  let used = Nub.replay_resume n ~consumed ~cap in
+  let used = Nub.run ~consumed ?cap n in
   t.rp_cost <- t.rp_cost + used;
   used
 
 (** Materialize the machine at cursor [(ev, delta)] in a fresh nub,
     without forcing a mid-run position into a stop — callers that want
-    an inspectable target follow with {!Nub.replay_position}. *)
+    an inspectable target settle a running one with {!Nub.settle}. *)
 let position_raw (t : t) ~(ev : int) ~(delta : int) : Nub.t =
   let nreq = Array.length t.rp_reqs in
   if ev < 0 || ev > nreq || delta < 0 || (ev = nreq && delta > 0) then
@@ -326,7 +330,9 @@ let seek (t : t) ~(ev : int) ~(delta : int) : (Ldb.target, error) result =
   in
   match
     let n = position_raw t ~ev ~delta in
-    Nub.replay_position n;
+    (* a stop is already settled, and saving its context again would
+       undo the debugger's stores there *)
+    if n.Nub.proc.Proc.status = Proc.Running then Nub.settle n;
     n
   with
   | n ->

@@ -332,9 +332,7 @@ let admit (sv : t) (name : string) ((im : Ldb.image), tg) : session =
       ss_state = Healthy;
       ss_rpc_floor =
         (* the connect handshake is not charged against the first tick *)
-        (match tg.Ldb.tg_conn with
-        | Ldb.Live tr -> (Transport.stats tr).Transport.st_rpcs
-        | Ldb.Postmortem _ -> 0);
+        Ldb.rpcs tg;
       ss_hb_due = sv.sv_tick + sv.sv_limits.li_hb_every;
     }
   in
@@ -464,10 +462,7 @@ let suspect (sv : t) (s : session) ~(what : string) : unit =
       sv.sv_limits.li_hb_max_misses backoff
   end
 
-let rpcs_since_tick (s : session) : int =
-  match s.ss_tg.Ldb.tg_conn with
-  | Ldb.Live tr -> (Transport.stats tr).Transport.st_rpcs - s.ss_rpc_floor
-  | Ldb.Postmortem _ -> 0
+let rpcs_since_tick (s : session) : int = Ldb.rpcs s.ss_tg - s.ss_rpc_floor
 
 exception Refused of refusal
 
@@ -641,9 +636,7 @@ let tick (sv : t) : unit =
   sv.sv_tick <- sv.sv_tick + 1;
   Hashtbl.iter
     (fun _ s ->
-      (match s.ss_tg.Ldb.tg_conn with
-      | Ldb.Live tr -> s.ss_rpc_floor <- (Transport.stats tr).Transport.st_rpcs
-      | Ldb.Postmortem _ -> ());
+      s.ss_rpc_floor <- Ldb.rpcs s.ss_tg;
       match s.ss_state with
       | Healthy when sv.sv_tick >= s.ss_hb_due -> heartbeat sv s
       | Unresponsive { next_beat; _ } when sv.sv_tick >= next_beat -> heartbeat sv s

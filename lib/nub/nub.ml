@@ -352,19 +352,71 @@ let notify n =
       send_reply n ep (Proto.Exit_event st)
   | _ -> ()
 
-(* --- main service pump ------------------------------------------------- *)
+(* --- the state-changing requests ------------------------------------------ *)
 
-(** Consecutive quiet pumps tolerated while bytes are buffered but no
-    frame completes, before assuming a lying length field and forcing a
-    resync. *)
-let rx_stall_limit = 8
+(* What each request the recorder logs does to the machine, defined once.
+   The wire ([serve_one] and the deferred run in [pump]) wraps these in
+   trace logging, replies and notification; replay ({!Ldb_ldb.Replay})
+   applies a recorded request with {!apply} to a nub rebuilt from a
+   checkpoint, so replayed execution is the live request path with a cap
+   on it, not a copy of it. *)
 
-(** One continue's worth of target time, shared by live execution and
-    replay.  Runs until the target stops, exits, exhausts [fuel] (then a
-    SIGINT stop, as an interrupt would), or — replay positioning — has
-    retired [cap] counted instruction units, in which case the target is
-    left [Running] for the caller to turn into a step-style stop.
-    Returns the units retired.
+(** Settle a stepped or capped CPU into a stop, the one a [Step] reports:
+    a target still running becomes a SIGTRAP stop, and the stop's context
+    is saved. *)
+let settle n =
+  (match n.proc.Proc.status with
+  | Proc.Running ->
+      n.proc.Proc.status <- Proc.Stopped (SIGTRAP, 1);
+      save_context n
+  | Proc.Stopped _ -> save_context n
+  | Proc.Exited _ -> ());
+  record_core n
+
+(** An applied store outdates the dump of a recoverable stop; a fatal
+    stop and an exit keep the dump their demise left. *)
+let store n ~space ~addr bytes : (unit, string) result =
+  let r = do_store n ~space ~addr bytes in
+  (match (r, n.proc.Proc.status) with
+  | Ok (), Proc.Stopped (s, _) when not (Core.fatal_signal s) -> n.core <- None
+  | _ -> ());
+  r
+
+(** Never trust the peer: decode totally, then re-verify.  A program the
+    verifier rejects is refused before it can ever run. *)
+let set_cond n ~addr prog : (unit, string) result =
+  match Bpcode.decode prog with
+  | Error m -> Error ("nub: bad condition: " ^ m)
+  | Ok p -> (
+      match Bpverify.verify (target n) p with
+      | [] -> Ok (Hashtbl.replace n.conds addr p)
+      | f :: _ -> Error ("nub: unverified condition: " ^ Bpverify.finding_to_string f))
+
+(** Preserve the dying stop as a core before the state is gone. *)
+let kill n =
+  record_core ~force:true n;
+  n.killed <- true;
+  n.proc.Proc.status <- Proc.Exited 137
+
+(** How Continue and Step leave a stop: its dump is outdated, and the
+    target resumes from its saved context, with whatever the debugger
+    stored there. *)
+let leave_stop n ~(step : bool) : (unit, string) result =
+  if step && not n.can_step then Error "nub: single-step not supported"
+  else begin
+    n.core <- None;
+    restore_context n;
+    Proc.set_running n.proc;
+    Ok ()
+  end
+
+(** Continue's execution, once the target has left its stop: one
+    continue's worth of target time.  Runs until the target stops,
+    exits, exhausts the fuel left to this continue (then a SIGINT stop,
+    as an interrupt would; [consumed] of it is already spent when
+    resuming from a mid-run checkpoint), or — replay positioning — has
+    retired [cap] counted instruction units, in which case the target
+    stays [Running] until {!settle}.  Returns the units retired.
 
     Execution proceeds in chunks so the recorder can take a checkpoint
     every [rc_spacing] instructions without perturbing semantics: a
@@ -373,8 +425,8 @@ let rx_stall_limit = 8
     silent condition-driven resumes burn from the same tank, so a
     never-true condition in an infinite loop still ends in a SIGINT,
     not a hang. *)
-let run_loop n ~fuel:fuel0 ~(cap : int option) : int =
-  let fuel = ref fuel0 in
+let run ?(consumed = 0) ?cap n : int =
+  let fuel = ref (n.fuel - consumed) in
   let total = ref 0 in
   let continue = ref true in
   while !continue do
@@ -420,32 +472,53 @@ let run_loop n ~fuel:fuel0 ~(cap : int option) : int =
           | None -> continue := false)
     end
   done;
+  record_core n;
   !total
 
-let run_target n =
-  let instrs = run_loop n ~fuel:n.fuel ~cap:None in
-  record_core n;
+(** Step's execution: exactly one instruction, settled into a stop. *)
+let step n : int =
+  Proc.step n.proc;
+  settle n;
+  1
+
+(** Apply one state-changing request and return the units it retired;
+    a refused request changed nothing.  Anything the recorder does not
+    log is refused, as evidence of a corrupt trace. *)
+let apply ?cap n (req : Proto.request) : (int, string) result =
+  match req with
+  | Proto.Store { space; addr; bytes } ->
+      Result.map (fun () -> 0) (store n ~space ~addr bytes)
+  | Proto.Set_cond { addr; prog } -> Result.map (fun () -> 0) (set_cond n ~addr prog)
+  | Proto.Clear_cond { addr } ->
+      Hashtbl.remove n.conds addr;
+      Ok 0
+  | Proto.Kill ->
+      kill n;
+      Ok 0
+  | Proto.Continue -> Result.map (fun () -> run ?cap n) (leave_stop n ~step:false)
+  | Proto.Step -> Result.map (fun () -> step n) (leave_stop n ~step:true)
+  | Proto.Hello | Proto.Fetch _ | Proto.Detach | Proto.Dump _ | Proto.Record _
+  | Proto.Fetch_trace _ ->
+      Error "nub: request is not state-changing"
+
+(* --- main service pump ------------------------------------------------- *)
+
+(** Log the finished execution's outcome, checkpoint if one is due, and
+    report the new stop. *)
+let report n ~instrs =
   rec_outcome n ~instrs;
   rec_stop_checkpoint n;
   n.notified <- false;
   notify n
 
+let run_target n = report n ~instrs:(run n)
+
 (** Execute exactly one instruction and report the stop, as the [Step]
-    extension requires; shared by the live pump and replay. *)
+    extension requires. *)
 let step_target n =
-  Proc.step n.proc;
-  (match n.proc.Proc.status with
-  | Proc.Running -> n.proc.Proc.status <- Proc.Stopped (SIGTRAP, 1)
-  | _ -> ());
-  (match n.proc.Proc.status with
-  | Proc.Stopped _ -> save_context n
-  | _ -> ());
-  record_core n;
-  rec_charge n 1;
-  rec_outcome n ~instrs:1;
-  rec_stop_checkpoint n;
-  n.notified <- false;
-  notify n
+  let instrs = step n in
+  rec_charge n instrs;
+  report n ~instrs
 
 let serve_one n (ep : Chan.endpoint) (req : Proto.request) =
   match req with
@@ -458,35 +531,25 @@ let serve_one n (ep : Chan.endpoint) (req : Proto.request) =
       match do_fetch n ~space ~addr ~size with
       | Ok bytes -> send_reply n ep (Proto.Fetched bytes)
       | Error m -> send_reply n ep (Proto.Nub_error m))
-  | Proto.Store { space; addr; bytes } -> (
-      match do_store n ~space ~addr bytes with
-      | Ok () ->
-          (* only applied stores enter the trace: a refused store changed
+  | Proto.Store _ | Proto.Set_cond _ | Proto.Clear_cond _ -> (
+      match apply n req with
+      | Ok _ ->
+          (* only applied requests enter the trace: a refused one changed
              nothing and replay must not re-attempt it *)
           rec_event n (Trace.Req req);
           send_reply n ep Proto.Stored
       | Error m -> send_reply n ep (Proto.Nub_error m))
-  | Proto.Continue ->
-      n.core <- None;
-      rec_event n (Trace.Req req);
-      restore_context n;
-      Proc.set_running n.proc;
-      n.resume <- true
-  | Proto.Step ->
-      if n.can_step then begin
-        n.core <- None;
-        rec_event n (Trace.Req req);
-        restore_context n;
-        Proc.set_running n.proc;
-        n.step <- true
-      end
-      else send_reply n ep (Proto.Nub_error "nub: single-step not supported")
+  | Proto.Continue | Proto.Step -> (
+      (* the run itself is deferred to [pump] *)
+      let stepping = req = Proto.Step in
+      match leave_stop n ~step:stepping with
+      | Ok () ->
+          rec_event n (Trace.Req req);
+          if stepping then n.step <- true else n.resume <- true
+      | Error m -> send_reply n ep (Proto.Nub_error m))
   | Proto.Kill ->
-      (* preserve the dying stop as a core before the state is gone *)
-      record_core ~force:true n;
-      rec_event n (Trace.Req req);
-      n.killed <- true;
-      n.proc.Proc.status <- Proc.Exited 137
+      kill n;
+      rec_event n (Trace.Req req)
   | Proto.Detach -> (
       match n.conn with
       | Some e ->
@@ -514,25 +577,6 @@ let serve_one n (ep : Chan.endpoint) (req : Proto.request) =
             let len = min Proto.max_core_chunk (total - offset) in
             send_reply n ep
               (Proto.Core_chunk { total; offset; chunk = String.sub dump offset len }))
-  | Proto.Set_cond { addr; prog } -> (
-      (* never trust the peer: decode totally, then re-verify.  A program
-         the verifier rejects is refused before it can ever run. *)
-      match Bpcode.decode prog with
-      | Error m -> send_reply n ep (Proto.Nub_error ("nub: bad condition: " ^ m))
-      | Ok p -> (
-          match Bpverify.verify (target n) p with
-          | [] ->
-              Hashtbl.replace n.conds addr p;
-              rec_event n (Trace.Req req);
-              send_reply n ep Proto.Stored
-          | f :: _ ->
-              send_reply n ep
-                (Proto.Nub_error
-                   ("nub: unverified condition: " ^ Bpverify.finding_to_string f))))
-  | Proto.Clear_cond { addr } ->
-      Hashtbl.remove n.conds addr;
-      rec_event n (Trace.Req req);
-      send_reply n ep Proto.Stored
   | Proto.Record { spacing } -> (
       match n.proc.Proc.status with
       | Proc.Stopped _ ->
@@ -589,6 +633,11 @@ let serve_frame n (ep : Chan.endpoint) (f : Frame.frame) =
     | Ok req -> serve_one n ep req
     | Error m -> send_reply n ep (Proto.Nub_error ("nub: bad request: " ^ m))
   end
+
+(** Consecutive quiet pumps tolerated while bytes are buffered but no
+    frame completes, before assuming a lying length field and forcing a
+    resync. *)
+let rx_stall_limit = 8
 
 (** Process every pending request, running the target when a continue has
     been received.  This is the closure installed as the debugger
@@ -674,94 +723,3 @@ let start ?(paused = true) n =
     n.notified <- true (* nobody to notify yet; Hello will report it *)
   end
   else run_target n
-
-(* --- replay ------------------------------------------------------------- *)
-
-(* The other half of record/replay: a nub wrapped around a process
-   rebuilt from a checkpoint ({!Core.to_proc}) re-applies recorded
-   requests through the {e same} code paths the live nub executed —
-   [do_store], the condition verifier, [run_loop], the step block — so
-   replayed execution cannot diverge from recorded execution by
-   construction rather than by careful imitation.  These entry points
-   are driven by {!Ldb_ldb.Replay}, not by the wire. *)
-
-(** Re-apply one recorded state-changing request.  [cap], for replay
-    positioning, bounds a continue to that many counted instruction
-    units; a capped continue that reaches its cap leaves the target
-    [Running] mid-continue (see {!replay_position}).  Returns the units
-    retired.  Only requests the recorder logs are accepted — anything
-    else in a trace is evidence of corruption the caller reports. *)
-let replay_apply n (req : Proto.request) ~(cap : int option) : (int, string) result =
-  match req with
-  | Proto.Store { space; addr; bytes } -> (
-      match do_store n ~space ~addr bytes with
-      | Ok () -> Ok 0
-      | Error m -> Error ("replay: recorded store refused: " ^ m))
-  | Proto.Set_cond { addr; prog } -> (
-      match Bpcode.decode prog with
-      | Error m -> Error ("replay: recorded condition undecodable: " ^ m)
-      | Ok p -> (
-          match Bpverify.verify (target n) p with
-          | [] ->
-              Hashtbl.replace n.conds addr p;
-              Ok 0
-          | f :: _ ->
-              Error
-                ("replay: recorded condition unverifiable: "
-                ^ Bpverify.finding_to_string f)))
-  | Proto.Clear_cond { addr } ->
-      Hashtbl.remove n.conds addr;
-      Ok 0
-  | Proto.Kill ->
-      record_core ~force:true n;
-      n.killed <- true;
-      n.proc.Proc.status <- Proc.Exited 137;
-      Ok 0
-  | Proto.Continue ->
-      restore_context n;
-      Proc.set_running n.proc;
-      let used = run_loop n ~fuel:n.fuel ~cap in
-      record_core n;
-      Ok used
-  | Proto.Step ->
-      if not n.can_step then Error "replay: trace steps but this nub cannot"
-      else begin
-        restore_context n;
-        Proc.set_running n.proc;
-        Proc.step n.proc;
-        (match n.proc.Proc.status with
-        | Proc.Running -> n.proc.Proc.status <- Proc.Stopped (SIGTRAP, 1)
-        | _ -> ());
-        (match n.proc.Proc.status with
-        | Proc.Stopped _ -> save_context n
-        | _ -> ());
-        record_core n;
-        Ok 1
-      end
-  | Proto.Hello | Proto.Fetch _ | Proto.Detach | Proto.Dump _ | Proto.Record _
-  | Proto.Fetch_trace _ ->
-      Error "replay: request is not state-changing"
-
-(** Resume execution from a mid-continue checkpoint: the restored CPU is
-    already [consumed] instructions into its continue, so only the
-    remaining fuel is available, and [cap] (if any) is measured from
-    here.  Used when the nearest checkpoint before a target cursor lies
-    inside the same continue. *)
-let replay_resume n ~(consumed : int) ~(cap : int option) : int =
-  Proc.set_running n.proc;
-  let used = run_loop n ~fuel:(n.fuel - consumed) ~cap in
-  record_core n;
-  used
-
-(** Turn a mid-continue position into an observable stop, exactly the
-    way the step extension would: a running target becomes a SIGTRAP
-    stop with its context saved, indistinguishable from the stop a
-    live [stepi] at the same instant would have produced. *)
-let replay_position n =
-  (match n.proc.Proc.status with
-  | Proc.Running -> n.proc.Proc.status <- Proc.Stopped (SIGTRAP, 1)
-  | _ -> ());
-  (match n.proc.Proc.status with
-  | Proc.Stopped _ -> save_context n
-  | _ -> ());
-  record_core n

@@ -128,24 +128,19 @@ let kind_name = function
   | Range -> "rangecheck"
   | Syntax -> "syntax"
 
-let kind_of_name = function
-  | "unknown-op" -> Some Unknown_op
-  | "underflow" -> Some Underflow
-  | "type-clash" -> Some Type_clash
-  | "unmatched-mark" -> Some Unmatched_mark
-  | "branch-arity" -> Some Branch_arity
-  | "dict-access" -> Some Dict_access
-  | "rangecheck" -> Some Range
-  | "syntax" -> Some Syntax
-  | _ -> None
+(** Every kind, in declaration order. *)
+let kinds =
+  [ Unknown_op; Underflow; Type_clash; Unmatched_mark; Branch_arity; Dict_access; Range;
+    Syntax ]
+
+let kind_of_name s = List.find_opt (fun k -> kind_name k = s) kinds
 
 type finding = { kind : kind; file : string; line : int; col : int; msg : string }
 
 let finding_to_string f =
   Printf.sprintf "%s:%d:%d: %s: %s" f.file f.line f.col (kind_name f.kind) f.msg
 
-let json_escape = Ldb_util.Json.escape
-
 let finding_to_json f =
   Printf.sprintf {|{"kind":"%s","file":"%s","line":%d,"col":%d,"msg":"%s"}|}
-    (kind_name f.kind) (json_escape f.file) f.line f.col (json_escape f.msg)
+    (kind_name f.kind) (Ldb_util.Json.escape f.file) f.line f.col
+    (Ldb_util.Json.escape f.msg)

@@ -463,16 +463,23 @@ let test_json_pin () =
   let g = { Irlint.kind = Irlint.Uninit_read; file = "a.c"; line = 3; col = 5; msg = "m" } in
   check Alcotest.string "irlint JSON"
     {|{"kind":"uninit-read","file":"a.c","line":3,"col":5,"msg":"m"}|}
-    (Irlint.finding_to_json g);
-  (* every kind name round-trips *)
-  List.iter
-    (fun k ->
-      check Alcotest.bool (F.kind_name k) true (F.kind_of_name (F.kind_name k) = Some k))
-    [ F.Bad_nop; F.Misaligned_stop; F.Nop_advance; F.Bad_decode; F.Unresolved_sym;
-      F.Bad_segment; F.Alias_clash; F.Dangling_slot; F.Frame_bounds; F.Bad_reg_var;
-      F.Rpt_mismatch; F.Stabs_mismatch; F.Line_clamped; F.Hint_mismatch;
-      F.Validity_missing; F.Validity_range; F.Validity_stabs_mismatch;
-      F.Validity_unsound; F.Table_error ]
+    (Irlint.finding_to_json g)
+
+(** Each finding module's [kind_of_name] is derived from its one list of
+    kinds; every kind must come back from its own name. *)
+let test_kind_names () =
+  let roundtrip modname kinds name of_name =
+    check Alcotest.bool (modname ^ " lists each kind once") true
+      (List.length (List.sort_uniq compare kinds) = List.length kinds);
+    List.iter
+      (fun k -> check Alcotest.bool (modname ^ " " ^ name k) true (of_name (name k) = Some k))
+      kinds
+  in
+  roundtrip "Finding" F.kinds F.kind_name F.kind_of_name;
+  roundtrip "Irlint" Irlint.kinds Irlint.kind_name Irlint.kind_of_name;
+  roundtrip "Lattice" Ldb_pscheck.Lattice.kinds Ldb_pscheck.Lattice.kind_name
+    Ldb_pscheck.Lattice.kind_of_name;
+  check Alcotest.bool "an unknown name is no kind" true (F.kind_of_name "no-such-kind" = None)
 
 (* --- driver modes ---------------------------------------------------------------- *)
 
@@ -721,7 +728,9 @@ let () =
           Alcotest.test_case "register-file width" `Quick test_core_reg_width;
           Alcotest.test_case "fault pc outside code" `Quick test_core_pc_outside;
         ] );
-      ( "format", [ Alcotest.test_case "JSON pin" `Quick test_json_pin ] );
+      ( "format",
+        [ Alcotest.test_case "JSON pin" `Quick test_json_pin;
+          Alcotest.test_case "kind names round-trip" `Quick test_kind_names ] );
       ( "driver", [ Alcotest.test_case "Fail/Warn/Off modes" `Quick test_driver_modes ] );
       ( "irlint",
         [

@@ -343,6 +343,75 @@ let polled_fetch_case () =
   check Alcotest.string "polled trace matches the golden CRC-32" golden_trace_crc
     (Printf.sprintf "%08x" (Ldb_util.Crc32.string polled))
 
+(* a division by zero, then a call to break in *)
+let fpe_c =
+  {|
+int zero;
+int q;
+void mark(int v)
+{
+    q = v;
+}
+int main(void)
+{
+    q = 100 / zero;
+    mark(7);
+    return 0;
+}
+|}
+
+(** Replay serves a stop's dump exactly as the live nub does: after the
+    debugger moved the context pc past a SIGFPE's faulting instruction
+    and continued to [mark], the breakpoint stop's dump, not the
+    fault's.  With [spacing] wider than the run, replay re-executes the
+    fault.  With a checkpoint every instruction it restores one taken at
+    the fault, and there it must also serve the fault's dump after the
+    pc store ([at_fault]). *)
+let fixed_fault_case ~spacing ~at_fault arch () =
+  let s = Testkit.debug_session ~arch [ ("fpe.c", fpe_c) ] in
+  let d = s.Testkit.d and tg = s.Testkit.tg in
+  let signal_of bytes =
+    match Core.of_string bytes with
+    | Ok (co, _) -> Signal.name (Option.get (Signal.of_number co.Core.co_signal))
+    | Error m -> m
+  in
+  let same_dump what =
+    let live = Ldb.core_bytes tg in
+    let replayed = Ldb.core_bytes (reach (Replay.seek_end (open_replay s))) in
+    check Alcotest.string (what ^ ": replayed dump's signal") (signal_of live)
+      (signal_of replayed);
+    check Alcotest.bool (what ^ ": replayed end dumps the live core") true
+      (String.equal live replayed)
+  in
+  Ldb.start_record tg ~spacing;
+  ignore (Ldb.break_function d tg "mark" : int);
+  (match Testkit.ok (Ldb.continue_ d tg) with
+  | Ldb.Stopped { signal = Signal.SIGFPE; ctx_addr; _ } -> (
+      match Ldb.disassemble d tg ~addr:(Ldb.read_ctx_pc tg ctx_addr) ~count:2 with
+      | [ _; next ] -> Ldb.write_ctx_pc tg ctx_addr next.Disas.di_addr
+      | _ -> Alcotest.fail "no instruction after the fault")
+  | _ -> Alcotest.fail "expected a SIGFPE stop");
+  if at_fault then same_dump "at the fault";
+  (match Testkit.ok (Ldb.continue_ d tg) with
+  | Ldb.Stopped { signal = Signal.SIGTRAP; _ } -> ()
+  | _ -> Alcotest.fail "expected the breakpoint in mark");
+  same_dump "at the breakpoint"
+
+(** [stepi] off a no-op breakpoint only moves the context pc, a store
+    and no run: the end of history must show the moved pc, as live. *)
+let stepi_end_case arch () =
+  let s = Testkit.debug_session ~arch loop_sources in
+  let d = s.Testkit.d and tg = s.Testkit.tg in
+  Ldb.start_record tg ~spacing:8;
+  ignore (Ldb.break_function d tg "bump" : int);
+  expect_stop "continue" (Testkit.ok (Ldb.continue_ d tg));
+  expect_stop "stepi" (Testkit.ok (Ldb.step_instruction d tg));
+  let live = Ldb.core_bytes tg in
+  let rtg = reach (Replay.seek_end (open_replay s)) in
+  check Alcotest.string "replayed where" (Ldb.where d tg) (Ldb.where d rtg);
+  check Alcotest.bool "replayed end dumps the live core" true
+    (String.equal live (Ldb.core_bytes rtg))
+
 (* --- cost ------------------------------------------------------------------------ *)
 
 (* the loop again, long enough that recording and seeking do real work *)
@@ -812,5 +881,10 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "identical traces, identical end state" `Quick
             determinism_case;
-          Alcotest.test_case "polled fetch = one final fetch" `Quick polled_fetch_case ] );
+          Alcotest.test_case "polled fetch = one final fetch" `Quick polled_fetch_case ]
+        @ arch_cases "fixed fault: replayed dump = live dump"
+            (fixed_fault_case ~spacing:1_000_000 ~at_fault:false)
+        @ arch_cases "fault checkpoint: replayed dump = live dump"
+            (fixed_fault_case ~spacing:1 ~at_fault:true)
+        @ arch_cases "stepi off a breakpoint: replayed end = live" stepi_end_case );
     ]

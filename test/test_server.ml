@@ -548,6 +548,58 @@ let test_core_session () =
         | Ok r -> Server.reply_to_string r
         | Error r -> Server.refusal_to_string r)
 
+(* a breakpoint hit three times *)
+let bump_sources =
+  [
+    ( "bump.c",
+      {|
+int total;
+void bump(int n)
+{
+    total = total + n;
+}
+int main(void)
+{
+    bump(1);
+    bump(2);
+    bump(3);
+    return 0;
+}
+|} );
+  ]
+
+(** A [core] describes the stop it was taken at: at [bump]'s breakpoint,
+    take a core, then [next] (a continue to the next hit, or a store to
+    [n]); the core after that must equal a fresh session's at the same
+    stop with the same stores, taken without the earlier core. *)
+let core_is_current ~(next : [ `Continue | `Store ]) arch () =
+  let sv = Server.create () in
+  let image = Host.build_image ~arch bump_sources in
+  let run ~early_core =
+    let id, _ = open_on sv image ~name:"bump" in
+    let continue () =
+      match ok "continue" (Server.exec sv id Server.Continue) with
+      | Server.R_state (Ldb.Stopped { signal = Signal.SIGTRAP; _ }) -> ()
+      | r -> Alcotest.failf "expected the breakpoint, got %s" (Server.reply_to_string r)
+    in
+    let core () =
+      match ok "core" (Server.exec sv id Server.Fetch_core) with
+      | Server.R_core co -> Core.to_string co
+      | r -> Alcotest.failf "expected a core, got %s" (Server.reply_to_string r)
+    in
+    ignore (ok "break" (Server.exec sv id (Server.Break_function "bump")));
+    continue ();
+    if early_core then ignore (core () : string);
+    (match next with
+    | `Continue -> continue ()
+    | `Store ->
+        let d = Server.debugger sv and tg = (session_exn sv id).Server.ss_tg in
+        Testkit.ok_unit (Ldb.assign_int d tg (Ldb.top_frame d tg) "n" 30));
+    core ()
+  in
+  let taken = run ~early_core:true and fresh = run ~early_core:false in
+  check Alcotest.bool "the dump is the fresh session's" true (String.equal taken fresh)
+
 (* --- the chaos soak ------------------------------------------------------------ *)
 
 (** What the chaos schedule does to a session: nothing, cut the link
@@ -784,6 +836,14 @@ let () =
       ("liveness", [ case "heartbeats escalate to down" test_heartbeat_escalation ]);
       ("flight recorder", [ case "log truncation leaves a marker" test_log_truncation_marker ]);
       ("post-mortem", [ case "core-backed session shares the image" test_core_session ]);
+      ( "core",
+        List.concat_map
+          (fun arch ->
+            [ case ("dump after continue = fresh dump on " ^ Arch.name arch)
+                (core_is_current ~next:`Continue arch);
+              case ("dump after a store = fresh dump on " ^ Arch.name arch)
+                (core_is_current ~next:`Store arch) ])
+          Arch.all );
       ("release", [ case "closed sessions are freed" test_closed_session_freed ]);
       ("soak", [ case "chaos soak: 64 sessions, 5% faults" test_chaos_soak ]);
     ]
