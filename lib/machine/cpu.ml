@@ -1,5 +1,6 @@
-(** The shared execution engine.  One [step] decodes the instruction at the
-    pc through the target's own encoder and executes the shared semantics.
+(** The shared execution engine.  One [step] executes the instruction at
+    the pc with the shared semantics, decoding it through the target's
+    own encoder unless the target's predecode table already holds it.
 
     SIM-MIPS load delay slots are modelled architecturally: the result of an
     integer load is not visible to the immediately following instruction
@@ -13,13 +14,50 @@ type event =
   | Trap of Signal.t * int  (** signal and an associated code (eg fault addr) *)
   | Sys of int              (** syscall wanting kernel service *)
 
+(* --- predecoded instructions ----------------------------------------------- *)
+
+(** A direct-mapped table of decoded instructions.  An entry holds a pc,
+    the eight bytes at that pc when it was decoded (as two {!Ram.raw32}
+    words), the instruction and its length.  A hit re-reads the eight
+    bytes and compares them, so any write to the instruction — a
+    breakpoint planted or cleared, a store from the debugger, a restored
+    checkpoint, a relaunch, the program's own store — is a mismatch that
+    decodes that one entry again.  Decoding is a pure function of the
+    target and the bytes, so every CPU of a target shares one table: a
+    relaunched or replay-restored process starts with its decodes. *)
+type predecode = {
+  shift : int;  (** log2 of the target's instruction unit *)
+  pcs : int array;  (** -1 marks an empty slot *)
+  lo : int array;  (** the bytes [\[pc, pc+4)] *)
+  hi : int array;  (** the bytes [\[pc+4, pc+8)] *)
+  insns : Insn.t array;
+  lens : int array;
+}
+
+let slots = 1024
+
+(** The bytes the check covers; every encoding must fit in them. *)
+let max_insn_bytes = 8
+
+let tables =
+  List.map
+    (fun (t : Target.t) ->
+      let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+      ( t.Target.arch,
+        { shift = log2 t.Target.insn_unit; pcs = Array.make slots (-1);
+          lo = Array.make slots 0; hi = Array.make slots 0;
+          insns = Array.make slots Nop; lens = Array.make slots 0 } ))
+    Target.all
+
 type t = {
   target : Target.t;
   regs : int32 array;
   fregs : float array;
   mutable pc : int;
-  mutable pending_load : (reg * int32) option;  (* SIM-MIPS delay slot *)
+  mutable pending_reg : reg;  (** SIM-MIPS delay slot: -1, or the load's register *)
+  mutable pending_val : int32;  (** and the value it will receive *)
   mutable icount : int;  (** instructions retired, for benchmarks *)
+  decoded : predecode;  (** the target's table *)
 }
 
 let create target =
@@ -28,8 +66,10 @@ let create target =
     regs = Array.make (Target.nregs target) 0l;
     fregs = Array.make (Target.nfregs target) 0.0;
     pc = Ram.Layout.code_base;
-    pending_load = None;
+    pending_reg = -1;
+    pending_val = 0l;
     icount = 0;
+    decoded = List.assoc target.Target.arch tables;
   }
 
 let reg cpu r = cpu.regs.(r)
@@ -37,14 +77,16 @@ let set_reg cpu r v = cpu.regs.(r) <- v
 let freg cpu f = cpu.fregs.(f)
 let set_freg cpu f v = cpu.fregs.(f) <- v
 
+(** Is a delayed load still to be committed? *)
+let load_pending cpu = cpu.pending_reg >= 0
+
 (** Commit a delayed load (used before capturing a context so the nub never
     sees a half-completed load). *)
 let drain cpu =
-  match cpu.pending_load with
-  | Some (r, v) ->
-      cpu.regs.(r) <- v;
-      cpu.pending_load <- None
-  | None -> ()
+  if cpu.pending_reg >= 0 then begin
+    cpu.regs.(cpu.pending_reg) <- cpu.pending_val;
+    cpu.pending_reg <- -1
+  end
 
 let i32 = Int32.of_int
 let to_addr (v : int32) = Int32.to_int (Int32.logand v 0xffffffffl) land 0xffffffff
@@ -128,154 +170,175 @@ let push cpu ram v =
   cpu.regs.(cpu.target.Target.sp) <- sp;
   Ram.set_u32 ram (to_addr sp) v
 
+(* Save a return address per the target's calling convention. *)
+let link cpu ram ret =
+  match cpu.target.Target.ra with
+  | Some ra -> cpu.regs.(ra) <- i32 ret
+  | None -> push cpu ram (i32 ret)
+
 let pop cpu ram =
   let spr = cpu.target.Target.sp in
   let v = Ram.get_u32 ram (to_addr cpu.regs.(spr)) in
   cpu.regs.(spr) <- Int32.add cpu.regs.(spr) 4l;
   v
 
-(** Execute one instruction.  Returns the resulting event; on [Trap], the pc
-    is left at the faulting instruction. *)
-let step cpu (ram : Ram.t) : event =
+(* Execute [insn], which is neither [Break] nor [Syscall] and is [len]
+   bytes long.  A control transfer sets the pc to its destination less
+   [len], which retiring the instruction adds back. *)
+let execute cpu ram insn len =
   let t = cpu.target in
-  let start_pc = cpu.pc in
-  let fetch a = Ram.get_u8 ram a in
-  match Target.decode t ~fetch cpu.pc with
-  | exception Ram.Fault _ -> Trap (SIGSEGV, start_pc)
-  | exception Optab.Bad_encoding _ -> Trap (SIGILL, start_pc)
-  | insn, len -> (
-      let next = cpu.pc + len in
-      (* Read all source operands before committing any pending load, so the
-         delay-slot instruction observes the pre-load register value. *)
-      let rd r = cpu.regs.(r) in
-      let result =
-        try
-          let new_pending = ref None in
-          let ev = ref Running in
-          (match insn with
-          | Li (r, v) ->
-              drain cpu;
-              cpu.regs.(r) <- v
-          | Mov (r, s) ->
-              let v = rd s in
-              drain cpu;
-              cpu.regs.(r) <- v
-          | Alu (op, r, s, u) ->
-              let a = rd s and b = rd u in
-              drain cpu;
-              cpu.regs.(r) <- alu op a b
-          | Alui (op, r, s, imm) ->
-              let a = rd s in
-              drain cpu;
-              cpu.regs.(r) <- alu op a imm
-          | Load (sz, r, s, off) ->
-              let addr = to_addr (Int32.add (rd s) off) in
-              drain cpu;
-              let v = load_value ram sz ~unsigned:false addr in
-              if Arch.has_load_delay t.Target.arch then new_pending := Some (r, v)
-              else cpu.regs.(r) <- v
-          | Loadu (sz, r, s, off) ->
-              let addr = to_addr (Int32.add (rd s) off) in
-              drain cpu;
-              let v = load_value ram sz ~unsigned:true addr in
-              if Arch.has_load_delay t.Target.arch then new_pending := Some (r, v)
-              else cpu.regs.(r) <- v
-          | Store (sz, rv, rs, off) ->
-              let addr = to_addr (Int32.add (rd rs) off) and v = rd rv in
-              drain cpu;
-              store_value ram sz addr v
-          | Fload (fsz, fd, rs, off) ->
-              let addr = to_addr (Int32.add (rd rs) off) in
-              drain cpu;
-              cpu.fregs.(fd) <- fload_value ram fsz addr
-          | Fstore (fsz, fv, rs, off) ->
-              let addr = to_addr (Int32.add (rd rs) off) in
-              drain cpu;
-              fstore_value ram fsz addr cpu.fregs.(fv)
-          | Falu (op, fd, fa, fb) ->
-              drain cpu;
-              let x = cpu.fregs.(fa) and y = cpu.fregs.(fb) in
-              cpu.fregs.(fd) <-
-                (match op with
-                | Fadd -> x +. y
-                | Fsub -> x -. y
-                | Fmul -> x *. y
-                | Fdiv -> x /. y)
-          | Fcmp (c, r, fa, fb) ->
-              drain cpu;
-              cpu.regs.(r) <- (if fcond_holds c cpu.fregs.(fa) cpu.fregs.(fb) then 1l else 0l)
-          | Fmov (fd, fs) ->
-              drain cpu;
-              cpu.fregs.(fd) <- cpu.fregs.(fs)
-          | Cvtif (fd, rs) ->
-              let v = rd rs in
-              drain cpu;
-              cpu.fregs.(fd) <- Int32.to_float v
-          | Cvtfi (r, fs) ->
-              drain cpu;
-              cpu.regs.(r) <- Int32.of_float cpu.fregs.(fs)
-          | Br (c, rs, rt, addr) ->
-              let a = rd rs and b = rd rt in
-              drain cpu;
-              if cond_holds c a b then cpu.pc <- to_addr addr - len
-              (* -len: compensated below by +len *)
-          | Jmp addr ->
-              drain cpu;
-              cpu.pc <- to_addr addr - len
-          | Jr rs ->
-              let a = rd rs in
-              drain cpu;
-              cpu.pc <- to_addr a - len
-          | Call addr ->
-              drain cpu;
-              (match t.Target.ra with
-              | Some ra -> cpu.regs.(ra) <- i32 next
-              | None -> push cpu ram (i32 next));
-              cpu.pc <- to_addr addr - len
-          | Callr rs ->
-              let a = rd rs in
-              drain cpu;
-              (match t.Target.ra with
-              | Some ra -> cpu.regs.(ra) <- i32 next
-              | None -> push cpu ram (i32 next));
-              cpu.pc <- to_addr a - len
-          | Ret ->
-              drain cpu;
-              let dest =
-                match t.Target.ra with
-                | Some ra -> cpu.regs.(ra)
-                | None -> pop cpu ram
-              in
-              cpu.pc <- to_addr dest - len
-          | Push rs ->
-              let v = rd rs in
-              drain cpu;
-              push cpu ram v
-          | Pop r ->
-              drain cpu;
-              cpu.regs.(r) <- pop cpu ram
-          | Nop -> drain cpu
-          | Break ->
-              drain cpu;
-              ev := Trap (SIGTRAP, start_pc)
-          | Syscall n ->
-              drain cpu;
-              ev := Sys n);
-          cpu.pending_load <- !new_pending;
-          !ev
-        with
-        | Ram.Fault a ->
-            drain cpu;
-            Trap (SIGSEGV, a)
-        | Division_by_zero ->
-            drain cpu;
-            Trap (SIGFPE, start_pc)
+  (* Read all source operands before committing any pending load, so the
+     delay-slot instruction observes the pre-load register value. *)
+  match insn with
+  | Li (r, v) ->
+      drain cpu;
+      cpu.regs.(r) <- v
+  | Mov (r, s) ->
+      let v = cpu.regs.(s) in
+      drain cpu;
+      cpu.regs.(r) <- v
+  | Alu (op, r, s, u) ->
+      let a = cpu.regs.(s) and b = cpu.regs.(u) in
+      drain cpu;
+      cpu.regs.(r) <- alu op a b
+  | Alui (op, r, s, imm) ->
+      let a = cpu.regs.(s) in
+      drain cpu;
+      cpu.regs.(r) <- alu op a imm
+  | Load (sz, r, s, off) | Loadu (sz, r, s, off) ->
+      let addr = to_addr (Int32.add cpu.regs.(s) off) in
+      drain cpu;
+      let unsigned = match insn with Loadu _ -> true | _ -> false in
+      let v = load_value ram sz ~unsigned addr in
+      if Arch.has_load_delay t.Target.arch then begin
+        cpu.pending_reg <- r;
+        cpu.pending_val <- v
+      end
+      else cpu.regs.(r) <- v
+  | Store (sz, rv, rs, off) ->
+      let addr = to_addr (Int32.add cpu.regs.(rs) off) and v = cpu.regs.(rv) in
+      drain cpu;
+      store_value ram sz addr v
+  | Fload (fsz, fd, rs, off) ->
+      let addr = to_addr (Int32.add cpu.regs.(rs) off) in
+      drain cpu;
+      cpu.fregs.(fd) <- fload_value ram fsz addr
+  | Fstore (fsz, fv, rs, off) ->
+      let addr = to_addr (Int32.add cpu.regs.(rs) off) in
+      drain cpu;
+      fstore_value ram fsz addr cpu.fregs.(fv)
+  | Falu (op, fd, fa, fb) ->
+      drain cpu;
+      let x = cpu.fregs.(fa) and y = cpu.fregs.(fb) in
+      cpu.fregs.(fd) <-
+        (match op with
+        | Fadd -> x +. y
+        | Fsub -> x -. y
+        | Fmul -> x *. y
+        | Fdiv -> x /. y)
+  | Fcmp (c, r, fa, fb) ->
+      drain cpu;
+      cpu.regs.(r) <- (if fcond_holds c cpu.fregs.(fa) cpu.fregs.(fb) then 1l else 0l)
+  | Fmov (fd, fs) ->
+      drain cpu;
+      cpu.fregs.(fd) <- cpu.fregs.(fs)
+  | Cvtif (fd, rs) ->
+      let v = cpu.regs.(rs) in
+      drain cpu;
+      cpu.fregs.(fd) <- Int32.to_float v
+  | Cvtfi (r, fs) ->
+      drain cpu;
+      cpu.regs.(r) <- Int32.of_float cpu.fregs.(fs)
+  | Br (c, rs, rt, addr) ->
+      let a = cpu.regs.(rs) and b = cpu.regs.(rt) in
+      drain cpu;
+      if cond_holds c a b then cpu.pc <- to_addr addr - len
+  | Jmp addr ->
+      drain cpu;
+      cpu.pc <- to_addr addr - len
+  | Jr rs ->
+      let a = cpu.regs.(rs) in
+      drain cpu;
+      cpu.pc <- to_addr a - len
+  | Call addr ->
+      drain cpu;
+      link cpu ram (cpu.pc + len);
+      cpu.pc <- to_addr addr - len
+  | Callr rs ->
+      let a = cpu.regs.(rs) in
+      drain cpu;
+      link cpu ram (cpu.pc + len);
+      cpu.pc <- to_addr a - len
+  | Ret ->
+      drain cpu;
+      let dest =
+        match t.Target.ra with
+        | Some ra -> cpu.regs.(ra)
+        | None -> pop cpu ram
       in
-      match result with
-      | Running | Sys _ ->
-          cpu.pc <- cpu.pc + len;
-          cpu.icount <- cpu.icount + 1;
-          result
-      | Trap _ ->
+      cpu.pc <- to_addr dest - len
+  | Push rs ->
+      let v = cpu.regs.(rs) in
+      drain cpu;
+      push cpu ram v
+  | Pop r ->
+      drain cpu;
+      cpu.regs.(r) <- pop cpu ram
+  | Nop | Break | Syscall _ -> drain cpu
+
+let retire cpu len =
+  cpu.pc <- cpu.pc + len;
+  cpu.icount <- cpu.icount + 1
+
+(** Execute [insn], the [len]-byte instruction at the pc.  Returns the
+    resulting event; on [Trap], the pc is left at the faulting
+    instruction. *)
+let exec cpu ram insn len : event =
+  let start_pc = cpu.pc in
+  match insn with
+  | Break ->
+      drain cpu;
+      Trap (SIGTRAP, start_pc)
+  | Syscall n ->
+      drain cpu;
+      retire cpu len;
+      Sys n
+  | _ -> (
+      match execute cpu ram insn len with
+      | () ->
+          retire cpu len;
+          Running
+      | exception Ram.Fault a ->
+          drain cpu;
           cpu.pc <- start_pc;
-          result)
+          Trap (SIGSEGV, a)
+      | exception Division_by_zero ->
+          drain cpu;
+          cpu.pc <- start_pc;
+          Trap (SIGFPE, start_pc))
+
+(** Execute one instruction, from the predecode table when the eight
+    bytes at the pc are the ones its entry was decoded from.  A pc too
+    near the top of memory for the check decodes without being cached. *)
+let step cpu (ram : Ram.t) : event =
+  let pc = cpu.pc and tb = cpu.decoded in
+  let slot = (pc lsr tb.shift) land (slots - 1) in
+  let cacheable = pc >= 0 && pc <= Ram.size ram - max_insn_bytes in
+  if
+    cacheable && tb.pcs.(slot) = pc
+    && tb.lo.(slot) = Ram.raw32 ram pc
+    && tb.hi.(slot) = Ram.raw32 ram (pc + 4)
+  then exec cpu ram tb.insns.(slot) tb.lens.(slot)
+  else
+    match Target.decode cpu.target ~fetch:(Ram.get_u8 ram) pc with
+    | exception Ram.Fault _ -> Trap (SIGSEGV, pc)
+    | exception Optab.Bad_encoding _ -> Trap (SIGILL, pc)
+    | insn, len ->
+        if cacheable && len <= max_insn_bytes then begin
+          tb.pcs.(slot) <- pc;
+          tb.lo.(slot) <- Ram.raw32 ram pc;
+          tb.hi.(slot) <- Ram.raw32 ram (pc + 4);
+          tb.insns.(slot) <- insn;
+          tb.lens.(slot) <- len
+        end;
+        exec cpu ram insn len

@@ -61,9 +61,9 @@ let decode ~fetch addr =
         let a = (w0 lsr 4) land 0xf and b = w0 land 0xf in
         if has_imm s then
           let imm = Encoder.fetch32 ~order:Big ~fetch (addr + 2) in
-          (build s ~a ~b ~c:0 ~imm, 6)
+          (build arch s ~a ~b ~c:0 ~imm, 6)
         else if three_reg s then
           let c = Encoder.fetch16_be ~fetch (addr + 2) land 0xf in
-          (build s ~a ~b ~c ~imm:0l, 4)
-        else (build s ~a ~b ~c:0 ~imm:0l, 2)
+          (build arch s ~a ~b ~c ~imm:0l, 4)
+        else (build arch s ~a ~b ~c:0 ~imm:0l, 2)
   end

@@ -50,6 +50,6 @@ let decode ~fetch addr =
         let a = field 19 and b = field 14 and c = field 9 in
         if has_imm s then
           let imm = Encoder.fetch32 ~order:Big ~fetch (addr + 4) in
-          (build s ~a ~b ~c ~imm, 8)
-        else (build s ~a ~b ~c ~imm:0l, 4)
+          (build arch s ~a ~b ~c ~imm, 8)
+        else (build arch s ~a ~b ~c ~imm:0l, 4)
   end

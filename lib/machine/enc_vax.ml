@@ -71,5 +71,5 @@ let decode ~fetch addr =
         let a = reg 0 and b = reg 1 and c = reg 2 in
         if has_imm s then
           let imm = Encoder.fetch32 ~order:Little ~fetch (addr + 1 + nr) in
-          (build s ~a ~b ~c ~imm, 1 + nr + 4)
-        else (build s ~a ~b ~c ~imm:0l, 1 + nr)
+          (build arch s ~a ~b ~c ~imm, 1 + nr + 4)
+        else (build arch s ~a ~b ~c ~imm:0l, 1 + nr)

@@ -92,31 +92,44 @@ let has_imm (s : shape) =
 
 exception Bad_encoding of string
 
-(** Recompose an instruction from its packed fields. *)
-let build (s : shape) ~a ~b ~c ~(imm : int32) : Insn.t =
+(* A decoded register field, refused when [arch]'s register file has no
+   such register: an encoding can name more registers than the file holds. *)
+let reg arch v =
+  if v < Arch.nregs arch then v
+  else raise (Bad_encoding (Fmt.str "%s: no register r%d" (Arch.name arch) v))
+
+let freg arch v =
+  if v < Arch.nfregs arch then v
+  else raise (Bad_encoding (Fmt.str "%s: no float register f%d" (Arch.name arch) v))
+
+(** Recompose an instruction from its packed fields, which are never
+    negative.  Raises {!Bad_encoding} on a register field outside
+    [arch]'s register files. *)
+let build arch (s : shape) ~a ~b ~c ~(imm : int32) : Insn.t =
+  let r = reg arch and f = freg arch in
   match s with
-  | SLi -> Li (a, imm)
-  | SMov -> Mov (a, b)
-  | SAlu op -> Alu (op, a, b, c)
-  | SAlui op -> Alui (op, a, b, imm)
-  | SLoad sz -> Load (sz, a, b, imm)
-  | SLoadu sz -> Loadu (sz, a, b, imm)
-  | SStore sz -> Store (sz, a, b, imm)
-  | SFload sz -> Fload (sz, a, b, imm)
-  | SFstore sz -> Fstore (sz, a, b, imm)
-  | SFalu op -> Falu (op, a, b, c)
-  | SFcmp cd -> Fcmp (cd, a, b, c)
-  | SFmov -> Fmov (a, b)
-  | SCvtif -> Cvtif (a, b)
-  | SCvtfi -> Cvtfi (a, b)
-  | SBr cd -> Br (cd, a, b, imm)
+  | SLi -> Li (r a, imm)
+  | SMov -> Mov (r a, r b)
+  | SAlu op -> Alu (op, r a, r b, r c)
+  | SAlui op -> Alui (op, r a, r b, imm)
+  | SLoad sz -> Load (sz, r a, r b, imm)
+  | SLoadu sz -> Loadu (sz, r a, r b, imm)
+  | SStore sz -> Store (sz, r a, r b, imm)
+  | SFload sz -> Fload (sz, f a, r b, imm)
+  | SFstore sz -> Fstore (sz, f a, r b, imm)
+  | SFalu op -> Falu (op, f a, f b, f c)
+  | SFcmp cd -> Fcmp (cd, r a, f b, f c)
+  | SFmov -> Fmov (f a, f b)
+  | SCvtif -> Cvtif (f a, r b)
+  | SCvtfi -> Cvtfi (r a, f b)
+  | SBr cd -> Br (cd, r a, r b, imm)
   | SJmp -> Jmp imm
-  | SJr -> Jr a
+  | SJr -> Jr (r a)
   | SCall -> Call imm
-  | SCallr -> Callr a
+  | SCallr -> Callr (r a)
   | SRet -> Ret
-  | SPush -> Push a
-  | SPop -> Pop a
+  | SPush -> Push (r a)
+  | SPop -> Pop (r a)
   | SNop -> Nop
   | SBreak -> Break
   | SSyscall -> Syscall a

@@ -128,6 +128,20 @@ let set_u64 m addr v =
     scatter m addr 8
   end
 
+(** The four bytes at [addr] as one little-endian int, whatever the
+    memory's byte order: the CPU compares code bytes with it.  Allocates
+    nothing; the caller has checked that [\[addr, addr+4)] is in range. *)
+let raw32 m addr =
+  if in_page addr 4 then Int32.to_int (Bytes.get_int32_le (page m addr) (addr land page_mask))
+  else begin
+    let v = ref 0 in
+    for i = 3 downto 0 do
+      let a = addr + i in
+      v := (!v lsl 8) lor Char.code (Bytes.unsafe_get (page m a) (a land page_mask))
+    done;
+    Int32.to_int (Int32.of_int !v)
+  end
+
 (** Raw byte-string accessors, used to load program images and to service
     nub fetch requests.  Both walk the range a page at a time. *)
 let blit_in m ~addr (s : string) =

@@ -265,7 +265,7 @@ let rec_mid_checkpoint n ~(delta : int) =
   | None -> ()
   | Some rc ->
       if rc.rc_since >= rc.rc_spacing then begin
-        if n.proc.Proc.cpu.Cpu.pending_load = None then
+        if not (Cpu.load_pending n.proc.Proc.cpu) then
           rec_checkpoint n ~ev:(rc.rc_nreq - 1) ~delta
         else rc.rc_blocked <- true
       end

@@ -112,6 +112,13 @@ let median_ratio ~slow ~fast () =
   Array.sort compare ratios;
   ratios.(reps / 2)
 
+(** An instruction naming a register [arch] does not have: its encoding
+    has room for the field, the register file has no such register. *)
+let bad_register_insn : Arch.t -> Insn.t = function
+  | Mips | Sparc -> Insn.Fmov (20, 0) (* 5-bit field, 16 float registers *)
+  | M68k -> Insn.Fmov (9, 0) (* 4-bit field, 8 float registers *)
+  | Vax -> Insn.Mov (200, 1) (* a register byte, 16 registers *)
+
 (** qcheck: arbitrary abstract instruction (well-formed for [arch]). *)
 let gen_insn (arch : Arch.t) : Insn.t QCheck.Gen.t =
   let open QCheck.Gen in

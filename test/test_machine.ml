@@ -440,6 +440,260 @@ let test_rpt_roundtrip () =
   | Some e -> check Alcotest.int "find" 0x1100 e.Rpt.addr
   | None -> Alcotest.fail "find failed"
 
+(* --- register fields beyond the register file --------------------------------- *)
+
+let test_bad_register_refused () =
+  List.iter
+    (fun arch ->
+      let target = Target.of_arch arch in
+      let bytes = Target.encode target (Testkit.bad_register_insn arch) in
+      (match Target.decode target ~fetch:(fun i -> Char.code bytes.[i]) 0 with
+      | exception Optab.Bad_encoding _ -> ()
+      | i, _ -> Alcotest.failf "%s decoded %s" (Arch.name arch) (Insn.to_string i));
+      let proc = run_insns arch [ Testkit.bad_register_insn arch ] in
+      match proc.Proc.status with
+      | Proc.Stopped (SIGILL, pc) ->
+          check Alcotest.int (Arch.name arch ^ " SIGILL at the instruction") Ram.Layout.code_base pc
+      | _ -> Alcotest.failf "%s: expected SIGILL" (Arch.name arch))
+    Arch.all
+
+(* --- the predecode table against a reference stepper ------------------------ *)
+
+(* The predecode table's byte check covers [Cpu.max_insn_bytes]; an
+   encoding any wider must fail here rather than be cached wrongly. *)
+let test_every_shape_fits () =
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun s ->
+          let insn = Optab.build arch s ~a:0 ~b:0 ~c:0 ~imm:0l in
+          let n = String.length (Target.encode (Target.of_arch arch) insn) in
+          if n > Cpu.max_insn_bytes then
+            Alcotest.failf "%s %s is %d bytes" (Arch.name arch) (Insn.to_string insn) n)
+        Optab.all_shapes)
+    Arch.all
+
+(* The reference: decode afresh with [Target.decode] at every step, then
+   run the shared semantics. *)
+let ref_step (p : Proc.t) =
+  let cpu = p.Proc.cpu and pc = p.Proc.cpu.Cpu.pc in
+  let ev =
+    match Target.decode cpu.Cpu.target ~fetch:(Ram.get_u8 p.Proc.ram) pc with
+    | exception Ram.Fault _ -> Cpu.Trap (SIGSEGV, pc)
+    | exception Optab.Bad_encoding _ -> Cpu.Trap (SIGILL, pc)
+    | insn, len -> Cpu.exec cpu p.Proc.ram insn len
+  in
+  match (p.Proc.status, ev) with
+  | Proc.Running, Cpu.Running -> ()
+  | Proc.Running, Cpu.Sys n -> Proc.do_syscall p n
+  | Proc.Running, Cpu.Trap (s, code) -> p.Proc.status <- Proc.Stopped (s, code)
+  | (Proc.Stopped _ | Proc.Exited _), _ -> assert false
+
+let running (p : Proc.t) = p.Proc.status = Proc.Running
+
+let same_state (a : Proc.t) (b : Proc.t) =
+  let ca = a.Proc.cpu and cb = b.Proc.cpu in
+  ca.Cpu.regs = cb.Cpu.regs
+  && Array.map Int64.bits_of_float ca.Cpu.fregs = Array.map Int64.bits_of_float cb.Cpu.fregs
+  && ca.Cpu.pc = cb.Cpu.pc
+  && a.Proc.status = b.Proc.status
+  && ca.Cpu.icount = cb.Cpu.icount
+  && Proc.output a = Proc.output b
+
+(* Step [cached] with [Proc.step] and [reference] with [ref_step] while
+   they run, at most [fuel] steps, comparing them after every step;
+   [after i] may then change both alike. *)
+let lockstep ?(fuel = 100_000) ?(after = fun _ -> ()) what (cached : Proc.t) (reference : Proc.t) =
+  let rec go i =
+    if i < fuel && running cached then begin
+      Proc.step cached;
+      ref_step reference;
+      if not (same_state cached reference) then
+        Alcotest.failf "%s: step %d differs (pc %#x, reference pc %#x)" what i
+          cached.Proc.cpu.Cpu.pc reference.Proc.cpu.Cpu.pc;
+      after i;
+      go (i + 1)
+    end
+  in
+  go 0
+
+(* Two processes loaded from one image, or from one code string at [at]. *)
+let twins_of_image img = (Ldb_link.Link.load img, Ldb_link.Link.load img)
+
+let twins_of_code arch ~at code =
+  let mk () =
+    let p = Proc.create (Target.of_arch arch) in
+    Ram.blit_in p.Proc.ram ~addr:at code;
+    Proc.set_pc p at;
+    p
+  in
+  (mk (), mk ())
+
+let assemble arch insns = String.concat "" (List.map (Target.encode (Target.of_arch arch)) insns)
+let span arch insns = List.fold_left (fun n i -> n + Target.insn_length (Target.of_arch arch) i) 0 insns
+
+let prop_cached_matches_reference =
+  Testkit.qtest "random programs: cached steps = reference steps" ~count:20 Randprog.arb_program
+    (fun src ->
+      List.iter
+        (fun arch ->
+          let img, _ = Ldb_link.Driver.build ~arch [ ("rand.c", src) ] in
+          let cached, reference = twins_of_image img in
+          lockstep ~fuel:5_000_000 (Arch.name arch) cached reference)
+        Arch.all;
+      true)
+
+let loop_c = {|
+int main(void)
+{
+    int i;
+    int s;
+    s = 0;
+    for (i = 0; i < 40; i++)
+        s = s + i * 3;
+    printf("%d\n", s);
+    return 0;
+}
+|}
+
+(* The addresses of the stopping-point no-ops in [p]'s code. *)
+let nop_addresses (p : Proc.t) (img : Ldb_link.Link.image) =
+  let t = p.Proc.target in
+  let code_end = Ram.Layout.code_base + String.length img.Ldb_link.Link.i_code in
+  let rec walk a acc =
+    if a >= code_end then List.rev acc
+    else
+      match Target.decode t ~fetch:(Ram.get_u8 p.Proc.ram) a with
+      | Insn.Nop, n -> walk (a + n) (a :: acc)
+      | _, n -> walk (a + n) acc
+      | exception Optab.Bad_encoding _ -> walk (a + t.Target.insn_unit) acc
+  in
+  Array.of_list (walk Ram.Layout.code_base [])
+
+(* Breakpoints planted and cleared while the loop runs, in both
+   processes alike; a trap clears its breakpoint and resumes. *)
+let test_breakpoints_mid_loop () =
+  List.iter
+    (fun arch ->
+      let t = Target.of_arch arch in
+      let img, _ = Ldb_link.Driver.build ~arch [ ("loop.c", loop_c) ] in
+      let cached, reference = twins_of_image img in
+      let nops = nop_addresses cached img in
+      let planted = Hashtbl.create 8 and traps = ref 0 in
+      let write a bytes = List.iter (fun p -> Ram.blit_in p.Proc.ram ~addr:a bytes) [ cached; reference ] in
+      let after i =
+        (match cached.Proc.status with
+        | Proc.Stopped (SIGTRAP, pc) ->
+            incr traps;
+            write pc t.Target.nop;
+            Hashtbl.remove planted pc;
+            List.iter Proc.set_running [ cached; reference ]
+        | _ -> ());
+        if i mod 5 = 0 then begin
+          let a = nops.(i / 5 mod Array.length nops) in
+          if Hashtbl.mem planted a then (write a t.Target.nop; Hashtbl.remove planted a)
+          else (write a t.Target.brk; Hashtbl.replace planted a ())
+        end
+      in
+      lockstep ~after (Arch.name arch) cached reference;
+      check Alcotest.bool (Arch.name arch ^ " breakpoints were hit") true (!traps > 0);
+      check Alcotest.string (Arch.name arch ^ " output") "2340\n" (Proc.output cached))
+    Arch.all
+
+(* Counts r3 from 1 to 3.  Each pass stores r3 into the immediate of X,
+   the instruction right after the store, and X adds its immediate to
+   r4: r4 ends at 1 + 2 + 3 = 6 only if every pass runs the X it just
+   wrote.  X starts at [x_at]; the code starts where it returns. *)
+let self_modifying arch ~x_at =
+  let x = Insn.Alui (Add, 4, 4, 0l) in
+  let imm_at = x_at + span arch [ x ] - 4 in
+  let body = [ Insn.Alui (Add, 3, 3, 1l); Insn.Store (S32, 3, 1, 0l) ] in
+  let loop = x_at - span arch body in
+  let pre = [ Insn.Li (3, 0l); Insn.Li (4, 0l); Insn.Li (5, 3l); Insn.Li (1, Int32.of_int imm_at) ] in
+  let post = [ Insn.Br (Lt, 3, 5, Int32.of_int loop); Insn.Break ] in
+  (loop - span arch pre, assemble arch (pre @ body @ (x :: post)))
+
+let test_self_modifying ~x_at () =
+  List.iter
+    (fun arch ->
+      let at, code = self_modifying arch ~x_at in
+      let cached, reference = twins_of_code arch ~at code in
+      lockstep (Arch.name arch) cached reference;
+      check Alcotest.int32 (Arch.name arch ^ " r4") 6l (Cpu.reg cached.Proc.cpu 4);
+      match cached.Proc.status with
+      | Proc.Stopped (SIGTRAP, _) -> ()
+      | _ -> Alcotest.failf "%s: did not reach the break" (Arch.name arch))
+    Arch.all
+
+(* No-ops up to the last four bytes of memory, then the first four bytes
+   of an instruction that needs more: both steppers fault there, and the
+   no-ops within eight bytes of the top run without being cached. *)
+let test_top_of_memory () =
+  List.iter
+    (fun arch ->
+      let t = Target.of_arch arch in
+      let top = Ram.Layout.size in
+      let nops = String.concat "" (List.init (12 / String.length t.Target.nop) (fun _ -> t.Target.nop)) in
+      let code = nops ^ String.sub (Target.encode t (Insn.Li (1, 0x12345678l))) 0 4 in
+      for _ = 1 to 2 do
+        let cached, reference = twins_of_code arch ~at:(top - 16) code in
+        lockstep (Arch.name arch) cached reference;
+        match cached.Proc.status with
+        | Proc.Stopped (SIGSEGV, _) -> check Alcotest.int (Arch.name arch ^ " faulting pc") (top - 4) (Proc.pc cached)
+        | _ -> Alcotest.failf "%s: expected SIGSEGV" (Arch.name arch)
+      done)
+    Arch.all
+
+(* Two processes of one target, different code at the same pc, stepped
+   alternately: they share the target's table. *)
+let test_shared_table () =
+  List.iter
+    (fun arch ->
+      let at = Ram.Layout.code_base in
+      let a_code = assemble arch [ Insn.Li (1, 1l); Insn.Alui (Add, 1, 1, 10l); Insn.Alui (Add, 1, 1, 10l); Insn.Break ]
+      and b_code = assemble arch [ Insn.Li (1, 100l); Insn.Alui (Mul, 1, 1, 3l); Insn.Alui (Sub, 1, 1, 7l); Insn.Break ] in
+      let a, a_ref = twins_of_code arch ~at a_code and b, b_ref = twins_of_code arch ~at b_code in
+      for _ = 1 to 4 do
+        lockstep ~fuel:1 (Arch.name arch ^ " a") a a_ref;
+        lockstep ~fuel:1 (Arch.name arch ^ " b") b b_ref
+      done;
+      check Alcotest.int32 (Arch.name arch ^ " a's r1") 21l (Cpu.reg a.Proc.cpu 1);
+      check Alcotest.int32 (Arch.name arch ^ " b's r1") 293l (Cpu.reg b.Proc.cpu 1))
+    Arch.all
+
+(* Two blocks [Cpu.slots] instruction units apart, so both map to one
+   slot, run in turn ten times. *)
+let test_slot_collision () =
+  List.iter
+    (fun arch ->
+      let p = Ram.Layout.code_base in
+      let q = p + (Cpu.slots * (Target.of_arch arch).Target.insn_unit) in
+      let block_p = assemble arch [ Insn.Alui (Add, 1, 1, 1l); Insn.Jmp (Int32.of_int q) ]
+      and block_q =
+        assemble arch [ Insn.Alui (Add, 2, 2, 2l); Insn.Br (Lt, 1, 5, Int32.of_int p); Insn.Break ]
+      in
+      let cached, reference = twins_of_code arch ~at:p block_p in
+      List.iter
+        (fun pr ->
+          Ram.blit_in pr.Proc.ram ~addr:q block_q;
+          Cpu.set_reg pr.Proc.cpu 5 10l)
+        [ cached; reference ];
+      lockstep (Arch.name arch) cached reference;
+      check Alcotest.int32 (Arch.name arch ^ " r2") 20l (Cpu.reg cached.Proc.cpu 2))
+    Arch.all
+
+(* Random bytes as code: the cached stepper agrees with the reference
+   and never raises, whatever the decoders make of them. *)
+let prop_random_code =
+  let open QCheck.Gen in
+  Testkit.qtest "random code bytes: cached steps = reference steps" ~count:500
+    (QCheck.make (pair (oneofl Arch.all) (string_size ~gen:char (return 24)))
+       ~print:(fun (a, s) -> Arch.name a ^ " " ^ String.escaped s))
+    (fun (arch, code) ->
+      let cached, reference = twins_of_code arch ~at:Ram.Layout.code_base code in
+      lockstep ~fuel:12 (Arch.name arch) cached reference;
+      true)
+
 let () =
   Alcotest.run "machine"
     [
@@ -477,6 +731,23 @@ let () =
           Alcotest.test_case "mips load delay slot" `Quick test_mips_load_delay;
           Alcotest.test_case "no delay elsewhere" `Quick test_no_delay_on_others;
           Alcotest.test_case "call/ret conventions" `Quick test_call_ret_conventions;
+          Alcotest.test_case "register fields beyond the file: SIGILL" `Quick
+            test_bad_register_refused;
+        ] );
+      ( "predecode",
+        [
+          Alcotest.test_case "every shape fits the byte check" `Quick test_every_shape_fits;
+          prop_cached_matches_reference;
+          Alcotest.test_case "breakpoints planted and cleared mid-loop" `Quick
+            test_breakpoints_mid_loop;
+          Alcotest.test_case "store into the next instruction" `Quick
+            (test_self_modifying ~x_at:0x1800);
+          Alcotest.test_case "instruction across a page boundary" `Quick
+            (test_self_modifying ~x_at:(0x2000 - 4));
+          Alcotest.test_case "pc at the top of memory" `Quick test_top_of_memory;
+          Alcotest.test_case "two processes, one table" `Quick test_shared_table;
+          Alcotest.test_case "two pcs, one slot" `Quick test_slot_collision;
+          prop_random_code;
         ] );
       ( "proc",
         [

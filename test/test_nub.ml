@@ -588,6 +588,27 @@ let test_reconnect_preserves_state () =
   | Proto.Fetched b -> Alcotest.failf "wrong bytes %S" b
   | _ -> Alcotest.fail "fetch after reconnect failed"
 
+(** An instruction naming a register the target does not have, stored
+    over the code at the stop, is a SIGILL event when the target runs,
+    not an exception out of the nub. *)
+let test_bad_register_sigill () =
+  List.iter
+    (fun arch ->
+      let _, _, dbg = stopped_nub arch in
+      let at = Ram.Layout.code_base in
+      String.iteri
+        (fun i c ->
+          match rpc dbg (Proto.Store { space = 'c'; addr = at + i; bytes = String.make 1 c }) with
+          | Proto.Stored -> ()
+          | _ -> Alcotest.fail "store failed")
+        (Target.encode (Target.of_arch arch) (Testkit.bad_register_insn arch));
+      match rpc dbg Proto.Continue with
+      | Proto.Event { signal; code; _ } ->
+          check Alcotest.int (Arch.name arch ^ " signal") (Signal.number SIGILL) signal;
+          check Alcotest.int (Arch.name arch ^ " code") at code
+      | r -> Alcotest.failf "%s: %s" (Arch.name arch) (Fmt.str "%a" Proto.pp_reply r))
+    Arch.all
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -624,5 +645,6 @@ let () =
           case "set_cond re-verifies on receipt" test_set_cond_reverifies;
           case "set_cond refuses undecodable bytes" test_set_cond_undecodable;
           case "conditions reset on reattach" test_conds_reset_on_attach;
-          case "reconnect preserves state" test_reconnect_preserves_state ] );
+          case "reconnect preserves state" test_reconnect_preserves_state;
+          case "bad register field is a SIGILL stop" test_bad_register_sigill ] );
     ]
