@@ -23,49 +23,6 @@
 module F = Ldb_dbgcheck.Finding
 module D = Ldb_dbgcheck.Dbgcheck
 
-let example_sources : (string * string) list list =
-  [
-    [
-      ( "fib.c",
-        {|
-void fib(int n)
-{
-    static int a[20];
-    if (n > 20) n = 20;
-    a[0] = a[1] = 1;
-    { int i; for (i=2; i<n; i++) a[i] = a[i-1] + a[i-2]; }
-    { int j; for (j=0; j<n; j++) printf("%d ", a[j]); }
-    printf("\n");
-}
-int main(void) { fib(10); return 0; }
-|}
-      );
-    ];
-    [
-      ( "structs.c",
-        {|
-struct point { int x; int y; };
-struct rect { struct point lo; struct point hi; char tag; };
-static struct rect r;
-double scale(double f, int k) { return f * k + 0.5; }
-char *name(void) { return "rect"; }
-int main(void)
-{
-    struct point p;
-    double d;
-    p.x = 3; p.y = 4;
-    r.lo = p;
-    r.hi.x = 7; r.hi.y = 8;
-    r.tag = 'r';
-    d = scale(1.5, 2);
-    printf("%d %d\n", r.hi.x - r.lo.x, r.hi.y - r.lo.y);
-    return (int) d;
-}
-|}
-      );
-    ];
-  ]
-
 let read_file f =
   let ic = open_in_bin f in
   let n = in_channel_length ic in
@@ -138,15 +95,20 @@ let () =
   let check_sources sources =
     List.iter
       (fun arch ->
-        Ldb_cc.Irlint.mode := if !do_ir then `Warn else `Off;
-        ignore (Ldb_cc.Irlint.take ());
         let img, loader_ps =
           try Ldb_link.Driver.build ~arch sources
           with Ldb_cc.Compile.Error m | Ldb_link.Link.Error m ->
             prerr_endline ("dbgcheck: " ^ m);
             exit 2
         in
-        ir_findings := !ir_findings @ Ldb_cc.Irlint.take ();
+        if !do_ir then
+          ir_findings :=
+            !ir_findings
+            @ List.concat_map
+                (fun (file, src) ->
+                  Ldb_cc.Irlint.check_unit ~file
+                    (Ldb_cc.Compile.translate ~arch ~debug:true ~file src))
+                sources;
         findings := !findings @ D.check ~opts:!opts ~sources img loader_ps;
         if !do_core then begin
           (* dump the freshly loaded image and verify the dump a reader
@@ -163,7 +125,7 @@ let () =
         end)
       !archs
   in
-  if !do_examples then List.iter check_sources example_sources;
+  if !do_examples then List.iter (fun s -> check_sources [ s ]) Example_programs.sources;
   if !files <> [] then check_sources (List.map (fun f -> (f, read_file f)) !files);
   let kept = List.filter (fun (f : F.t) -> not (List.mem f.F.kind !ignored)) !findings in
   let ir_kept =

@@ -9,22 +9,18 @@ open Ldb_machine
 
 exception Error of string
 
+(** The front half of [compile]: parse and translate to IR, with parse and
+    semantic errors mapped to [file:line:col].  The static checkers
+    ([Irlint], dbgcheck's validity recompute) read this IR. *)
+let translate ?(debug = true) ~(arch : Arch.t) ~(file : string) (src : string) : Sema.unit_ir =
+  try Sema.translate ~arch ~debug (Parse.parse_unit ~file ~arch src)
+  with Parse.Error (m, p) | Lex.Error (m, p) | Sema.Error (m, p) ->
+    raise (Error (Printf.sprintf "%s:%d:%d: %s" file p.Lex.line p.Lex.col m))
+
 let compile ?(debug = true) ?(defer = true) ?(compress = false) ?(optimize = true) ~(arch : Arch.t)
     ~(file : string) (src : string) : Asm.t =
   let target = Target.of_arch arch in
-  let ast =
-    try Parse.parse_unit ~file ~arch src with
-    | Parse.Error (m, p) -> raise (Error (Printf.sprintf "%s:%d:%d: %s" file p.Lex.line p.Lex.col m))
-    | Lex.Error (m, p) -> raise (Error (Printf.sprintf "%s:%d:%d: %s" file p.Lex.line p.Lex.col m))
-  in
-  let ui =
-    try Sema.translate ~arch ~debug ast
-    with Sema.Error (m, p) ->
-      raise (Error (Printf.sprintf "%s:%d:%d: %s" file p.Lex.line p.Lex.col m))
-  in
-  (try Irlint.run ~file ui
-   with Irlint.Failed fs ->
-     raise (Error (String.concat "\n" (List.map Irlint.finding_to_string fs))));
+  let ui = translate ~debug ~arch ~file src in
   Validity.annotate_unit ui;
   let unit_tag =
     String.map (fun c -> if c = '.' || c = '/' || c = '-' then '_' else c) file

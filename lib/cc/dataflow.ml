@@ -42,9 +42,6 @@ let named_local_syms (fd : Sym.func_debug) : (var * Sym.t) list =
   List.iter (fun (sp : Sym.stop_point) -> chain sp.Sym.sp_scope) fd.Sym.fd_stops;
   List.rev !acc
 
-let named_locals (fd : Sym.func_debug) : (var * string) list =
-  List.map (fun (v, s) -> (v, s.Sym.sym_name)) (named_local_syms fd)
-
 (** Frame offsets that escape: any occurrence of [Addrl off] other than the
     address of a direct scalar load or store means the address is taken (or
     the slot holds an aggregate), so the slot cannot be tracked. *)
@@ -161,7 +158,6 @@ type 'a lattice = { join : 'a -> 'a -> 'a; equal : 'a -> 'a -> bool }
 
 (** Bit-mask lattices over the tracked-variable universe. *)
 let may_mask : int lattice = { join = ( lor ); equal = Int.equal }
-let must_mask : int lattice = { join = ( land ); equal = Int.equal }
 
 (** Forward solve to fixpoint.  Returns the state {e entering} each
     statement; [None] means the statement is not reachable from entry, so

@@ -19,8 +19,6 @@ open Ldb_machine
 
 type stats = { mutable removed : int; mutable folded : int }
 
-let is_stop_label l = String.length l >= 7 && String.sub l 0 7 = "__stop$"
-
 (* registers that must not be rewritten: the stack pointer and friends
    keep their instructions intact *)
 let fixed_regs (target : Target.t) =

@@ -16,23 +16,11 @@
 open Ldb_machine
 
 (** Static verification of the emitted table (pslint, Sec. 2): a finding
-    in generated PostScript is a compiler bug, so it fails the build.
-    [lint_enabled] exists so the seeded-defect tests can emit bad tables
-    on purpose. *)
-let lint_enabled = ref true
-
+    in generated PostScript is a compiler bug, so it fails the build. *)
 let lint_body ~(unit_name : string) (body : string) =
-  if !lint_enabled then begin
-    let env = Ldb_pscheck.Pscheck.debugger_env () in
-    match
-      Ldb_pscheck.Pscheck.check_program ~env ~deep:true ~name:(unit_name ^ ":pstab") body
-    with
-    | [] -> ()
-    | fs ->
-        let msgs = List.map Ldb_pscheck.Lattice.finding_to_string fs in
-        failwith
-          ("psemit: generated symbol table fails pslint:\n" ^ String.concat "\n" msgs)
-  end
+  match Ldb_pscheck.Pscheck.check_table ~unit_name body with
+  | [] -> ()
+  | msgs -> failwith ("psemit: generated symbol table fails pslint:\n" ^ String.concat "\n" msgs)
 
 let ps_escape s =
   let buf = Buffer.create (String.length s + 8) in

@@ -33,14 +33,6 @@ type fact = Uninit | Valid | Dead
 
 let fact_code = function Uninit -> 0 | Valid -> 1 | Dead -> 2
 
-let fact_of_code = function
-  | 0 -> Some Uninit
-  | 1 -> Some Valid
-  | 2 -> Some Dead
-  | _ -> None
-
-let fact_name = function Uninit -> "uninit" | Valid -> "valid" | Dead -> "dead"
-
 (** Compute validity ranges for one function: each tracked local paired
     with its compressed [(lo, hi, fact-code)] ranges covering stop
     indexes [0, nstops).  Pure — [annotate] is the writer. *)

@@ -23,12 +23,6 @@ module I = Ldb_pscript.Interp
 
 exception Error of string
 
-(** Static pre-execution check (pslint) of deferred unit bodies: the body
-    string is verified before it is tokenized and run for the first time.
-    [`Fail] refuses to force a unit with findings, [`Warn] records them in
-    [lint_warnings] and forces anyway, [`Off] skips the check. *)
-let lint_mode : [ `Fail | `Warn | `Off ] ref = ref `Fail
-
 (** Test/bench observation point: called with the unit's source file name
     immediately before its body is executed. *)
 let force_hook : (string -> unit) ref = ref (fun _ -> ())
@@ -69,7 +63,6 @@ type t = {
                                      accumulated in reverse (no quadratic
                                      list append) *)
   mutable externs : (unit_info * V.dict) list;  (** per-unit externs, forced *)
-  mutable lint_warnings_rev : string list;  (** findings kept under [`Warn] *)
   (* lookup indexes, filled as units are forced *)
   by_name : (string, V.t) Hashtbl.t;
   by_label : (string, V.t) Hashtbl.t;
@@ -152,7 +145,6 @@ let make ~(interp : I.t) ~(symtab_dict : V.dict) : t =
     units;
     procs_rev = [];
     externs = [];
-    lint_warnings_rev = [];
     by_name = Hashtbl.create 64;
     by_label = Hashtbl.create 64;
     by_line = Hashtbl.create 64;
@@ -245,26 +237,19 @@ let validity_at (entry : V.t) ~(stop_index : int) : validity option =
 
 (* --- forcing ----------------------------------------------------------------- *)
 
-(** Verify a deferred body before its first execution.  Bodies that are
-    already procedures were tokenized (and emit-time checked) by the
-    compiler, so only strings are re-verified here. *)
-let lint_body (st : t) ~file (body : V.t) =
-  match (!lint_mode, body.V.v) with
-  | `Off, _ | _, V.Arr _ -> ()
-  | mode, V.Str src -> (
-      let env = Ldb_pscheck.Pscheck.debugger_env () in
-      match
-        Ldb_pscheck.Pscheck.check_program ~env ~deep:true ~name:(file ^ ":pstab") src
-      with
+(** Static pre-execution check (pslint) of a deferred body: the string is
+    verified before it is tokenized and run for the first time, and a unit
+    with findings is refused.  Bodies that are already procedures were
+    tokenized (and emit-time checked) by the compiler, so only strings are
+    checked here. *)
+let lint_body ~file (body : V.t) =
+  match body.V.v with
+  | V.Str src -> (
+      match Ldb_pscheck.Pscheck.check_table ~unit_name:file src with
       | [] -> ()
-      | fs ->
-          let msgs = List.map Ldb_pscheck.Lattice.finding_to_string fs in
-          if mode = `Fail then
-            raise
-              (Error
-                 (Printf.sprintf "unit %s fails pslint:\n%s" file (String.concat "\n" msgs)))
-          else st.lint_warnings_rev <- List.rev_append msgs st.lint_warnings_rev)
-  | _, _ -> ()
+      | msgs ->
+          raise (Error (Printf.sprintf "unit %s fails pslint:\n%s" file (String.concat "\n" msgs))))
+  | _ -> ()
 
 (** Decode a transfer-encoded body (LZW-compressed deferred string),
     memoizing the decoded text so retries and the tokenization cache see
@@ -318,7 +303,7 @@ let force_unit_info (st : t) (u : unit_info) =
     let saved_ostack = st.interp.I.ostack in
     match
       let body = decoded_body u in
-      lint_body st ~file:u.u_file body;
+      lint_body ~file:u.u_file body;
       !force_hook u.u_file;
       I.exec_value st.interp (V.cvx body);
       match I.lookup st.interp ("UNITRESULT$" ^ u.u_tag) with
@@ -382,9 +367,6 @@ let forced_bytes (st : t) =
 (** All source files known to this symbol table (available without
     forcing: the units dictionary names them). *)
 let source_files (st : t) = List.map (fun u -> u.u_file) st.units
-
-(** Lint findings recorded under [`Warn], in discovery order. *)
-let lint_warnings (st : t) = List.rev st.lint_warnings_rev
 
 (** All procedure entries, forcing the whole table. *)
 let procs (st : t) =

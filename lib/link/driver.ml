@@ -92,38 +92,6 @@ let loader_table_ps (img : Link.image) : string =
   Buffer.add_string buf ">> def\n";
   Buffer.contents buf
 
-(* --- post-link artifact verification (dbgcheck) ----------------------------- *)
-
-(** How [build] treats dbgcheck findings: [`Fail] raises [Link.Error],
-    [`Warn] records them in [dbgcheck_warnings], [`Off] (the default; the
-    CLI and the [@lint] alias run the checker explicitly) skips the pass. *)
-let dbgcheck_mode : [ `Fail | `Warn | `Off ] ref = ref `Off
-
-(** The checker itself, installed by [Dbgcheck.install] — a hook, so this
-    library does not depend on the checker (which reads images through the
-    debugger's PostScript machinery, layered above us). *)
-let dbgcheck_hook : (Link.image -> string -> string list) option ref = ref None
-
-let dbgcheck_warnings : string list ref = ref []
-let dbgcheck_warning_cap = 1000
-
-let run_dbgcheck (img : Link.image) (loader_ps : string) =
-  match (!dbgcheck_mode, !dbgcheck_hook) with
-  | `Off, _ | _, None -> ()
-  | mode, Some hook -> (
-      let findings =
-        (* in [`Warn] the checker must never break the build *)
-        try hook img loader_ps
-        with e when mode = `Warn -> [ "dbgcheck itself failed: " ^ Printexc.to_string e ]
-      in
-      match findings with
-      | [] -> ()
-      | fs when mode = `Fail ->
-          raise (Link.Error (Printf.sprintf "dbgcheck:\n%s" (String.concat "\n" fs)))
-      | fs ->
-          if List.length !dbgcheck_warnings < dbgcheck_warning_cap then
-            dbgcheck_warnings := !dbgcheck_warnings @ fs)
-
 (** Compile several C sources and link them, returning the image and the
     loader-table PostScript. *)
 let build ?(debug = true) ?(defer = true) ?(compress = false)
@@ -135,6 +103,4 @@ let build ?(debug = true) ?(defer = true) ?(compress = false)
       sources
   in
   let img = Link.link objs in
-  let loader_ps = loader_table_ps img in
-  run_dbgcheck img loader_ps;
-  (img, loader_ps)
+  (img, loader_table_ps img)

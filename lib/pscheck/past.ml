@@ -52,9 +52,6 @@ let parse_file (f : Value.file) : node list =
   in
   seq ~in_proc:false []
 
-let parse_string ?(name = "%pslint") (s : string) : node list =
-  parse_file (Value.file_of_string name s)
-
 (** Every procedure literal in a program, outermost first. *)
 let all_procs (prog : node list) : proc list =
   let acc = ref [] in

@@ -868,3 +868,10 @@ let debugger_template =
 
 let debugger_env () =
   { env_scopes = List.map Hashtbl.copy (Lazy.force debugger_template).env_scopes }
+
+(** Check one symbol-table body the way the compiler and the debugger
+    both do before trusting it: deep, against the debugger's names, with
+    each finding rendered as [file:line:col: kind: msg]. *)
+let check_table ~(unit_name : string) (body : string) : string list =
+  List.map finding_to_string
+    (check_program ~env:(debugger_env ()) ~deep:true ~name:(unit_name ^ ":pstab") body)

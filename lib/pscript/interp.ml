@@ -92,7 +92,6 @@ let pop_float t = to_float (pop t)
 let pop_bool t = to_bool (pop t)
 let pop_str t = to_str (pop t)
 let pop_dict t = to_dict (pop t)
-let pop_arr t = to_arr (pop t)
 let pop_mem t = to_mem (pop t)
 let pop_loc t = to_loc (pop t)
 
@@ -265,12 +264,6 @@ let run_string t (s : string) = exec_string t "%string" s
 
 (** Tokenization-cache statistics: (hits, misses). *)
 let scan_stats t = (t.scan_hits, t.scan_misses)
-
-(** Execute [s] and return everything printed during its execution. *)
-let run_capture t (s : string) =
-  let before = Buffer.length t.out in
-  run_string t s;
-  Buffer.sub t.out before (Buffer.length t.out - before)
 
 (** Drain accumulated print output. *)
 let take_output t =

@@ -139,11 +139,6 @@ let to_mem (o : t) =
 let to_loc (o : t) =
   match o.v with Loc l -> l | _ -> err "typecheck" ("expected location, got " ^ type_name o)
 
-let to_file (o : t) =
-  match o.v with File f -> f | _ -> err "typecheck" ("expected file, got " ^ type_name o)
-
-let is_number (o : t) = match o.v with Int _ | Real _ -> true | _ -> false
-
 (* --- equality ----------------------------------------------------------- *)
 
 let rec equal (a : t) (b : t) =

@@ -437,6 +437,20 @@ let test_compile_error_reporting () =
          has "undeclared")
   | _ -> Alcotest.fail "expected compile error"
 
+(* [translate] is the front half of [compile]: its errors carry the
+   file:line:col prefix, and [compile] reports exactly the same message. *)
+let test_translate_error_position () =
+  let src = "int main(void)\n{\n    return x;\n}\n" in
+  let message f =
+    match f () with _ -> Alcotest.fail "expected compile error" | exception Compile.Error m -> m
+  in
+  let m = message (fun () -> ignore (Compile.translate ~arch:Mips ~file:"bad.c" src)) in
+  let prefix = "bad.c:3:" in
+  Alcotest.(check string) "file:line prefix" prefix
+    (String.sub m 0 (min (String.length m) (String.length prefix)));
+  Alcotest.(check string) "compile reports the same error" m
+    (message (fun () -> ignore (Compile.compile ~arch:Mips ~file:"bad.c" src)))
+
 (* --- peephole optimizer -------------------------------------------------- *)
 
 let test_peephole_shrinks_code () =
@@ -536,5 +550,6 @@ let () =
         [ case "PostScript parses" test_ps_symtab_is_valid_postscript;
           case "deferral flag" test_ps_symtab_defer_flag;
           case "stabs smaller" test_stabs_emitted_and_smaller;
-          case "errors" test_compile_error_reporting ] );
+          case "errors" test_compile_error_reporting;
+          case "translate error positions" test_translate_error_position ] );
     ]

@@ -7,7 +7,6 @@
       mutation of a clean artifact — planted nops overwritten, anchors
       re-pointed, frame sizes corrupted, stabs skewed — must be flagged;
     - the JSON finding format is pinned (a contract for tooling);
-    - the linker driver's [`Fail]/[`Warn]/[`Off] dbgcheck modes;
     - Stabsemit's u16 line clamp, at the boundary and end-to-end;
     - the IR lint: uninitialized reads, dead stores, unreachable
       stopping points, with correct source positions. *)
@@ -428,31 +427,26 @@ let test_mut_validity_unsound () =
 
 let test_clamp_boundary () =
   let module E = Ldb_cc.Stabsemit in
-  E.clamp_diagnostics := [];
-  check Alcotest.int "65535 passes" 65535 (E.clamp_desc ~what:"x" 65535);
-  check Alcotest.int "no diagnostic at the boundary" 0 (List.length !E.clamp_diagnostics);
-  check Alcotest.int "65536 clamps" 65535 (E.clamp_desc ~what:"x" 65536);
-  check Alcotest.int "negative clamps to 0" 0 (E.clamp_desc ~what:"x" (-3));
-  check Alcotest.int "two diagnostics" 2 (List.length !E.clamp_diagnostics);
-  E.clamp_diagnostics := []
+  check Alcotest.int "65535 passes" 65535 (E.clamp_desc 65535);
+  check Alcotest.int "65536 clamps" 65535 (E.clamp_desc 65536);
+  check Alcotest.int "negative clamps to 0" 0 (E.clamp_desc (-3))
 
 let test_clamp_end_to_end () =
   (* a function living past line 65535: the PostScript table keeps the
      real line, the stabs clamp — the differential pass must report the
      clamp (and nothing else) *)
-  let module E = Ldb_cc.Stabsemit in
-  E.clamp_diagnostics := [];
   let src = String.make 65600 '\n' ^ "int main(void) { return 0; }\n" in
   let img, ps = build ~arch:Arch.Vax [ ("deep.c", src) ] in
-  check Alcotest.bool "emitter recorded the clamp" true (!E.clamp_diagnostics <> []);
+  (match Sd.find (Sd.start img) "main" with
+  | Some s -> check Alcotest.int "emitted stabs desc clamped" 65535 s.Sd.st_desc
+  | None -> Alcotest.fail "no stab for main");
   let fs = D.check img ps in
   expect_flagged "clamped line" F.Line_clamped fs;
   List.iter
     (fun (f : F.t) ->
       if f.F.kind <> F.Line_clamped then
         Alcotest.failf "unexpected finding: %s" (F.to_string f))
-    fs;
-  E.clamp_diagnostics := []
+    fs
 
 (* --- JSON format pin ------------------------------------------------------------ *)
 
@@ -481,59 +475,10 @@ let test_kind_names () =
     Ldb_pscheck.Lattice.kind_of_name;
   check Alcotest.bool "an unknown name is no kind" true (F.kind_of_name "no-such-kind" = None)
 
-(* --- driver modes ---------------------------------------------------------------- *)
-
-let with_driver_state f =
-  let mode = !Driver.dbgcheck_mode and hook = !Driver.dbgcheck_hook in
-  let warnings = !Driver.dbgcheck_warnings in
-  Fun.protect
-    ~finally:(fun () ->
-      Driver.dbgcheck_mode := mode;
-      Driver.dbgcheck_hook := hook;
-      Driver.dbgcheck_warnings := warnings)
-    f
-
-let test_driver_modes () =
-  with_driver_state (fun () ->
-      (* Off: hook never consulted *)
-      Driver.dbgcheck_mode := `Off;
-      Driver.dbgcheck_hook := Some (fun _ _ -> [ "boom" ]);
-      Driver.dbgcheck_warnings := [];
-      ignore (build ~arch:Arch.Vax [ ("fib.c", Testkit.fib_c) ]);
-      check Alcotest.int "off: no warnings" 0 (List.length !Driver.dbgcheck_warnings);
-      (* Warn: findings recorded, build succeeds *)
-      Driver.dbgcheck_mode := `Warn;
-      ignore (build ~arch:Arch.Vax [ ("fib.c", Testkit.fib_c) ]);
-      check Alcotest.bool "warn: findings recorded" true
-        (List.mem "boom" !Driver.dbgcheck_warnings);
-      (* Warn: a crashing checker must not break the build *)
-      Driver.dbgcheck_hook := Some (fun _ _ -> failwith "checker exploded");
-      ignore (build ~arch:Arch.Vax [ ("fib.c", Testkit.fib_c) ]);
-      (* Fail: findings raise *)
-      Driver.dbgcheck_mode := `Fail;
-      Driver.dbgcheck_hook := Some (fun _ _ -> [ "boom" ]);
-      (match build ~arch:Arch.Vax [ ("fib.c", Testkit.fib_c) ] with
-      | _ -> Alcotest.fail "Fail mode did not raise"
-      | exception Link.Error m ->
-          check Alcotest.bool "message carries the finding" true
-            (String.length m >= 4));
-      (* the real checker, Warn mode, clean program: no warnings *)
-      D.install ~mode:`Warn ();
-      Driver.dbgcheck_warnings := [];
-      ignore (build ~arch:Arch.Vax [ ("fib.c", Testkit.fib_c) ]);
-      check Alcotest.int "real checker: clean" 0 (List.length !Driver.dbgcheck_warnings))
-
 (* --- IR dataflow lint ------------------------------------------------------------ *)
 
 let irlint_of ?(arch = Arch.Vax) src =
-  let saved = !Irlint.mode in
-  Irlint.mode := `Warn;
-  ignore (Irlint.take ());
-  Fun.protect
-    ~finally:(fun () -> Irlint.mode := saved)
-    (fun () ->
-      ignore (Ldb_cc.Compile.compile ~arch ~file:"t.c" src);
-      Irlint.take ())
+  Irlint.check_unit ~file:"t.c" (Ldb_cc.Compile.translate ~arch ~file:"t.c" src)
 
 let find_kind kind fs = List.filter (fun (f : Irlint.finding) -> f.Irlint.kind = kind) fs
 
@@ -614,21 +559,14 @@ let test_ir_examples_clean () =
         [ ("fib.c", Testkit.fib_c); ("structs.c", structs_c); ("register.c", register_c) ])
     Arch.all
 
-let test_ir_fail_mode () =
-  let saved = !Irlint.mode in
-  Irlint.mode := `Fail;
-  Fun.protect
-    ~finally:(fun () -> Irlint.mode := saved)
-    (fun () ->
-      match
-        Ldb_cc.Compile.compile ~arch:Arch.Vax ~file:"t.c"
-          "int f(void) { int x; return x; }"
-      with
-      | _ -> Alcotest.fail "Fail mode did not raise"
-      | exception Ldb_cc.Compile.Error m ->
-          check Alcotest.bool "mentions uninit" true
-            (String.length m > 0
-            && index_of m "uninit-read" >= 0))
+(* every finding of a unit is reported: no global cap trims the list *)
+let test_ir_findings_uncapped () =
+  let n = 1200 in
+  let body = String.concat "" (List.init n (fun i -> Printf.sprintf "    y = x + %d;\n" i)) in
+  let fs = irlint_of (Printf.sprintf "int f(void)\n{\n    int x;\n    int y;\n%s    return y;\n}\n" body) in
+  check Alcotest.int "one uninit-read per read of x" n (List.length (find_kind Irlint.Uninit_read fs));
+  check Alcotest.int "every overwritten store is dead" (n - 1)
+    (List.length (find_kind Irlint.Dead_store fs))
 
 (* --- core dumps ----------------------------------------------------------------- *)
 
@@ -731,7 +669,6 @@ let () =
       ( "format",
         [ Alcotest.test_case "JSON pin" `Quick test_json_pin;
           Alcotest.test_case "kind names round-trip" `Quick test_kind_names ] );
-      ( "driver", [ Alcotest.test_case "Fail/Warn/Off modes" `Quick test_driver_modes ] );
       ( "irlint",
         [
           Alcotest.test_case "uninitialized read" `Quick test_ir_uninit_read;
@@ -739,6 +676,6 @@ let () =
           Alcotest.test_case "unreachable statement" `Quick test_ir_unreachable;
           Alcotest.test_case "dead store" `Quick test_ir_dead_store;
           Alcotest.test_case "examples lint clean" `Quick test_ir_examples_clean;
-          Alcotest.test_case "Fail mode" `Quick test_ir_fail_mode;
+          Alcotest.test_case "findings uncapped" `Quick test_ir_findings_uncapped;
         ] );
     ]

@@ -195,115 +195,132 @@ let crafted_symtab ~units_ps =
   in
   (interp, Symtab.make ~interp ~symtab_dict)
 
-let with_lint_off f =
-  let saved = !Symtab.lint_mode in
-  Symtab.lint_mode := `Off;
-  Fun.protect ~finally:(fun () -> Symtab.lint_mode := saved) f
+let contains s sub =
+  let n = String.length sub and h = String.length s in
+  let rec go i = i + n <= h && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+(** A deferred body is pslint-checked before it first runs: a body that
+    names an unknown operator is refused before any of it executes, the
+    unit is quarantined, and defining the operator later does not get the
+    body past the static check. *)
+let test_lint_gate_refuses () =
+  let body = "NoSuchOperatorXYZ /UNITRESULT$u1 << /procs [ << /name (p1) >> ] >> def" in
+  let interp, st =
+    crafted_symtab
+      ~units_ps:(Printf.sprintf "(u1.c) << /body (%s) /tag (u1) >>" (Ldb_cc.Psemit.ps_escape body))
+  in
+  with_force_log (fun log ->
+      (match Symtab.force_unit st ~file:"u1.c" with
+      | () -> Alcotest.fail "a body with a pslint finding was forced"
+      | exception Symtab.Error m ->
+          Alcotest.(check bool) "error names pslint" true (contains m "pslint"));
+      check Alcotest.(list string) "quarantined" [ "u1.c" ]
+        (List.map fst (Symtab.quarantined_units st));
+      check Alcotest.(list string) "still unforced" [] (Symtab.forced_units st);
+      I.run_string interp "/NoSuchOperatorXYZ { } def";
+      (match Symtab.force_unit st ~file:"u1.c" with
+      | () -> Alcotest.fail "the static check let the body through after a repair"
+      | exception Symtab.Error m ->
+          Alcotest.(check bool) "retry names pslint" true (contains m "pslint"));
+      check Alcotest.(list string) "no body ran" [] !log)
 
 let test_failing_unit_is_retryable () =
-  with_lint_off (fun () ->
-      let body = "NoSuchOperatorXYZ /UNITRESULT$u1 << /procs [ << /name (p1) >> ] >> def" in
-      let interp, st =
-        crafted_symtab
-          ~units_ps:
-            (Printf.sprintf "(u1.c) << /body (%s) /tag (u1) >>" (Ldb_cc.Psemit.ps_escape body))
-      in
-      (* the body raises: the unit must not latch as forced *)
-      (match Symtab.force_unit st ~file:"u1.c" with
-      | () -> Alcotest.fail "force of a broken unit succeeded"
-      | exception _ -> ());
-      check Alcotest.(list string) "still unforced" [] (Symtab.forced_units st);
-      (* the table stays usable: a second failure is identical *)
-      (match Symtab.force_all st with
-      | () -> Alcotest.fail "force_all of a broken unit succeeded"
-      | exception _ -> ());
-      (* repair the environment and retry the same unit *)
-      I.run_string interp "/NoSuchOperatorXYZ { } def";
-      Symtab.force_unit st ~file:"u1.c";
-      check Alcotest.(list string) "forced after repair" [ "u1.c" ] (Symtab.forced_units st);
-      Alcotest.(check bool) "lookup works after repair" true
-        (Symtab.proc_by_name st "p1" <> None))
+  let body = "/NoSuchOperatorXYZ load exec /UNITRESULT$u1 << /procs [ << /name (p1) >> ] >> def" in
+  let interp, st =
+    crafted_symtab
+      ~units_ps:
+        (Printf.sprintf "(u1.c) << /body (%s) /tag (u1) >>" (Ldb_cc.Psemit.ps_escape body))
+  in
+  (* the body raises: the unit must not latch as forced *)
+  (match Symtab.force_unit st ~file:"u1.c" with
+  | () -> Alcotest.fail "force of a broken unit succeeded"
+  | exception _ -> ());
+  check Alcotest.(list string) "still unforced" [] (Symtab.forced_units st);
+  (* the table stays usable: a second failure is identical *)
+  (match Symtab.force_all st with
+  | () -> Alcotest.fail "force_all of a broken unit succeeded"
+  | exception _ -> ());
+  (* repair the environment and retry the same unit *)
+  I.run_string interp "/NoSuchOperatorXYZ { } def";
+  Symtab.force_unit st ~file:"u1.c";
+  check Alcotest.(list string) "forced after repair" [ "u1.c" ] (Symtab.forced_units st);
+  Alcotest.(check bool) "lookup works after repair" true
+    (Symtab.proc_by_name st "p1" <> None)
 
 (** A unit whose body fails is {e quarantined}: demand-driven searches
     route around it and never re-execute the broken body, listing names
     the unit and why, and only an explicit per-unit force (the repair
     path) lifts the quarantine. *)
 let test_quarantine_routes_around () =
-  with_lint_off (fun () ->
-      let bad = "NoSuchOperatorABC /UNITRESULT$u1 << /procs [ << /name (p1) >> ] >> def" in
-      let good = "/UNITRESULT$u2 << /procs [ << /name (p2) >> ] >> def" in
-      let interp, st =
-        crafted_symtab
-          ~units_ps:
-            (Printf.sprintf "(u1.c) << /body (%s) /tag (u1) >> (u2.c) << /body (%s) /tag (u2) >>"
-               (Ldb_cc.Psemit.ps_escape bad) (Ldb_cc.Psemit.ps_escape good))
-      in
-      with_force_log (fun log ->
-          (* an unhinted search sweeps the units: u1 breaks (and is
-             quarantined), but the search routes around it and finds p2 *)
-          Alcotest.(check bool) "p2 found despite broken u1" true
-            (Symtab.proc_by_name st "p2" <> None);
-          check Alcotest.(list string) "only u2 latched" [ "u2.c" ]
-            (Symtab.forced_units st);
-          (match Symtab.quarantined_units st with
-          | [ ("u1.c", reason) ] ->
-              Alcotest.(check bool) "failure reason recorded" true (reason <> "")
-          | q ->
-              Alcotest.failf "expected u1.c quarantined, got [%s]"
-                (String.concat "; " (List.map fst q)));
-          let forces_after_first = List.length !log in
-          (* a second sweep must not re-execute the broken body *)
-          Alcotest.(check bool) "p1 not found" true (Symtab.proc_by_name st "p1" = None);
-          check Alcotest.int "quarantined unit not re-forced" forces_after_first
-            (List.length !log);
-          (* line queries degrade to the units that work, typed-ly *)
-          (match Symtab.stops_at_line st ~file:"u1.c" ~line:1 with
-          | _ -> Alcotest.fail "line query into a quarantined unit succeeded"
-          | exception Symtab.Error m ->
-              Alcotest.(check bool) "error names the quarantine" true
-                (let has_sub s sub =
-                   let n = String.length sub and h = String.length s in
-                   let rec go i = i + n <= h && (String.sub s i n = sub || go (i + 1)) in
-                   n = 0 || go 0
-                 in
-                 has_sub m "quarantined"));
-          (* repair the environment; the explicit per-unit force lifts the
-             quarantine and the unit joins the table *)
-          I.run_string interp "/NoSuchOperatorABC { } def";
-          Symtab.force_unit st ~file:"u1.c";
-          check Alcotest.(list (pair string string)) "quarantine lifted" []
-            (Symtab.quarantined_units st);
-          Alcotest.(check bool) "p1 found after repair" true
-            (Symtab.proc_by_name st "p1" <> None)))
+  let bad = "/NoSuchOperatorABC load exec /UNITRESULT$u1 << /procs [ << /name (p1) >> ] >> def" in
+  let good = "/UNITRESULT$u2 << /procs [ << /name (p2) >> ] >> def" in
+  let interp, st =
+    crafted_symtab
+      ~units_ps:
+        (Printf.sprintf "(u1.c) << /body (%s) /tag (u1) >> (u2.c) << /body (%s) /tag (u2) >>"
+           (Ldb_cc.Psemit.ps_escape bad) (Ldb_cc.Psemit.ps_escape good))
+  in
+  with_force_log (fun log ->
+      (* an unhinted search sweeps the units: u1 breaks (and is
+         quarantined), but the search routes around it and finds p2 *)
+      Alcotest.(check bool) "p2 found despite broken u1" true
+        (Symtab.proc_by_name st "p2" <> None);
+      check Alcotest.(list string) "only u2 latched" [ "u2.c" ]
+        (Symtab.forced_units st);
+      (match Symtab.quarantined_units st with
+      | [ ("u1.c", reason) ] ->
+          Alcotest.(check bool) "failure reason recorded" true (reason <> "")
+      | q ->
+          Alcotest.failf "expected u1.c quarantined, got [%s]"
+            (String.concat "; " (List.map fst q)));
+      let forces_after_first = List.length !log in
+      (* a second sweep must not re-execute the broken body *)
+      Alcotest.(check bool) "p1 not found" true (Symtab.proc_by_name st "p1" = None);
+      check Alcotest.int "quarantined unit not re-forced" forces_after_first
+        (List.length !log);
+      (* line queries degrade to the units that work, typed-ly *)
+      (match Symtab.stops_at_line st ~file:"u1.c" ~line:1 with
+      | _ -> Alcotest.fail "line query into a quarantined unit succeeded"
+      | exception Symtab.Error m ->
+          Alcotest.(check bool) "error names the quarantine" true
+            (contains m "quarantined"));
+      (* repair the environment; the explicit per-unit force lifts the
+         quarantine and the unit joins the table *)
+      I.run_string interp "/NoSuchOperatorABC { } def";
+      Symtab.force_unit st ~file:"u1.c";
+      check Alcotest.(list (pair string string)) "quarantine lifted" []
+        (Symtab.quarantined_units st);
+      Alcotest.(check bool) "p1 found after repair" true
+        (Symtab.proc_by_name st "p1" <> None))
 
 (* --- many units ----------------------------------------------------------------- *)
 
 let test_many_units () =
-  with_lint_off (fun () ->
-      let n = 40 in
-      let buf = Buffer.create 4096 in
-      for i = 0 to n - 1 do
-        let body =
-          Printf.sprintf "/UNITRESULT$u%02d << /procs [ << /name (p%02d) >> ] >> def" i i
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "(u%02d.c) << /body (%s) /tag (u%02d) >> " i
-             (Ldb_cc.Psemit.ps_escape body) i)
-      done;
-      let _, st = crafted_symtab ~units_ps:(Buffer.contents buf) in
-      check Alcotest.int "unit count" n (Symtab.unit_count st);
-      let procs = Symtab.procs st in
-      check Alcotest.int "all procs collected" n (List.length procs);
-      (* unit order (sorted by file) is preserved in the accumulated list *)
-      check
-        Alcotest.(list string)
-        "proc order"
-        (List.init n (Printf.sprintf "p%02d"))
-        (List.map Symtab.entry_name procs);
-      (* forcing again must not duplicate *)
-      Symtab.force_all st;
-      check Alcotest.int "idempotent" n (List.length (Symtab.procs st));
-      Alcotest.(check bool) "indexed lookup" true (Symtab.proc_by_name st "p27" <> None))
+  let n = 40 in
+  let buf = Buffer.create 4096 in
+  for i = 0 to n - 1 do
+    let body =
+      Printf.sprintf "/UNITRESULT$u%02d << /procs [ << /name (p%02d) >> ] >> def" i i
+    in
+    Buffer.add_string buf
+      (Printf.sprintf "(u%02d.c) << /body (%s) /tag (u%02d) >> " i
+         (Ldb_cc.Psemit.ps_escape body) i)
+  done;
+  let _, st = crafted_symtab ~units_ps:(Buffer.contents buf) in
+  check Alcotest.int "unit count" n (Symtab.unit_count st);
+  let procs = Symtab.procs st in
+  check Alcotest.int "all procs collected" n (List.length procs);
+  (* unit order (sorted by file) is preserved in the accumulated list *)
+  check
+    Alcotest.(list string)
+    "proc order"
+    (List.init n (Printf.sprintf "p%02d"))
+    (List.map Symtab.entry_name procs);
+  (* forcing again must not duplicate *)
+  Symtab.force_all st;
+  check Alcotest.int "idempotent" n (List.length (Symtab.procs st));
+  Alcotest.(check bool) "indexed lookup" true (Symtab.proc_by_name st "p27" <> None)
 
 (* --- compressed tables ----------------------------------------------------------- *)
 
@@ -498,7 +515,8 @@ let () =
           case "stepping stays in one unit" test_stepping_forces_one_unit ] );
       ("agreement", [ case "lazy = eager on all targets" test_lazy_eager_agree ]);
       ( "failure",
-        [ case "failing unit is retryable" test_failing_unit_is_retryable;
+        [ case "pslint gate refuses a body" test_lint_gate_refuses;
+          case "failing unit is retryable" test_failing_unit_is_retryable;
           case "quarantine routes around" test_quarantine_routes_around;
           case "many units" test_many_units ] );
       ("compression", [ case "compressed sessions" test_compressed_sessions ]);
