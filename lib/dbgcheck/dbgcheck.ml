@@ -8,7 +8,18 @@
     layer; this module verifies the {e binary artifacts} — the linked image,
     the anchor words, the stabs — and that the two symbol-table views agree.
 
-    Four check families over a linked [Link.image] + its loader-table
+    The PostScript table is read exactly as a debugging session reads it,
+    so the check covers what the debugger will see: {!Ldb.load_image}
+    interprets the loader PostScript, {!Ldb.force_image} forces every unit
+    through {!Symtab} (LZW decoding, the load-time pslint gate, the
+    unit-result lookup), {!Linkerif} reads the anchor map, global map and
+    procedure table, and {!Symtab}'s decoders read the /where, /validity
+    and /uplink fields.  What this module establishes on its own is
+    everything outside that path: the disassembly walk, [Link.Nm], the
+    stabs view, the runtime procedure table and the validity recompute
+    from source.
+
+    Check families over a linked [Link.image] + its loader-table
     PostScript:
 
     - {b stops}: a full disassembly walk of the code segment establishes
@@ -22,31 +33,28 @@
       SIM-MIPS's no-frame-pointer runtime procedure table;
     - {b differential}: the stabs view and the PostScript view of each
       module agree on names, locations and line maps (and u16 line clamps
-      in the stabs are reported rather than silently diverging). *)
+      in the stabs are reported rather than silently diverging);
+    - {b validity}: the emitted validity ranges are well formed, agree
+      between the two tables, and (given the sources) are exactly what
+      the dataflow analysis proves. *)
 
 open Ldb_machine
 module V = Ldb_pscript.Value
-module I = Ldb_pscript.Interp
 module Link = Ldb_link.Link
 module Nm = Ldb_link.Nm
+module Ldb = Ldb_ldb.Ldb
+module S = Ldb_ldb.Symtab
+module Linkerif = Ldb_ldb.Linkerif
 module F = Finding
 
 exception Extract of string
 
-(* --- the PostScript-table view ---------------------------------------------- *)
-
-type where_view =
-  | Wreg of int
-  | Wframe of int
-  | Wanchor of string * int
-  | Wglobal of string
-  | Wcode of string
-  | Wnone
+(* --- the tables, as the debugger reads them ------------------------------------ *)
 
 type sym_view = {
   sv_name : string;
   sv_kind : string;  (** "variable" | "parameter" | "procedure" *)
-  sv_where : where_view;
+  sv_where : S.where;
   sv_file : string;
   sv_line : int;
   sv_validity : (int * int * int) list;
@@ -60,9 +68,7 @@ type locus_view = { lv_line : int; lv_anchor : string; lv_idx : int }
 type proc_view = {
   pv_sym : sym_view;
   pv_label : string option;  (** linker label, from the where procedure *)
-  pv_framesize : int;
-  pv_raoffset : int;
-  pv_savedregs : (int * int) list;
+  pv_frame : Ldb_ldb.Frame.proc_info;  (** what the stack walker reads *)
   pv_loci : locus_view list;
   pv_locals : sym_view list;  (** uplink chains of every stopping point *)
 }
@@ -86,261 +92,83 @@ type ps_view = {
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Extract s)) fmt
 
-let name_of (v : V.t) =
-  match v.V.v with V.Name s | V.Str s -> s | _ -> fail "expected a name"
-
-let dget d k = V.dict_get d k
-let dget_exn d k = match dget d k with Some v -> v | None -> fail "missing /%s" k
-
-let parse_where (w : V.t option) : where_view =
-  match w with
-  | None -> Wnone
-  | Some v -> (
-      match v.V.v with
-      | V.Loc (Ldb_amemory.Amemory.Absolute { space = 'r'; offset }) -> Wreg offset
-      | V.Arr items ->
-          (* stored procedures: {off FrameLoc} {(anchor) idx LazyData}
-             {(label) GlobalLoc} {(label) GlobalCodeLoc} *)
-          let op =
-            Array.fold_left
-              (fun acc (it : V.t) ->
-                match it.V.v with V.Name n -> Some n | _ -> acc)
-              None items
-          in
-          let first_int =
-            Array.fold_left
-              (fun acc (it : V.t) ->
-                match (acc, it.V.v) with None, V.Int n -> Some n | _ -> acc)
-              None items
-          in
-          let first_str =
-            Array.fold_left
-              (fun acc (it : V.t) ->
-                match (acc, it.V.v) with None, V.Str s -> Some s | _ -> acc)
-              None items
-          in
-          (match (op, first_str, first_int) with
-          | Some "FrameLoc", _, Some off -> Wframe off
-          | Some "LazyData", Some a, Some idx -> Wanchor (a, idx)
-          | Some "GlobalLoc", Some l, _ -> Wglobal l
-          | Some "GlobalCodeLoc", Some l, _ -> Wcode l
-          | _ -> Wnone)
-      | _ -> Wnone)
-
-let parse_validity (v : V.t option) : (int * int * int) list * bool =
-  match v with
-  | None -> ([], false)
-  | Some { V.v = V.Arr a; _ } -> (
-      let n = Array.length a in
-      if n mod 3 <> 0 then ([], true)
-      else
-        try
-          let rec go i acc =
-            if i >= n then List.rev acc
-            else
-              go (i + 3)
-                ((V.to_int a.(i), V.to_int a.(i + 1), V.to_int a.(i + 2)) :: acc)
-          in
-          (go 0 [], false)
-        with _ -> ([], true))
-  | Some _ -> ([], true)
-
-let parse_sym (entry : V.t) : sym_view =
-  let d = V.to_dict entry in
-  let sv_validity, sv_validity_bad = parse_validity (dget d "validity") in
+let sym_of (e : V.t) : sym_view =
+  let d = V.to_dict e in
+  let str k = match V.dict_get d k with Some v -> V.to_str v | None -> "" in
+  let sv_validity, sv_validity_bad =
+    match S.fold_validity (fun acc lo hi f -> (lo, hi, f) :: acc) [] e with
+    | Some r -> (List.rev r, false)
+    | None -> ([], true)
+  in
   {
-    sv_name = V.to_str (dget_exn d "name");
-    sv_kind = (match dget d "kind" with Some k -> V.to_str k | None -> "");
-    sv_where = parse_where (dget d "where");
-    sv_file = (match dget d "sourcefile" with Some f -> V.to_str f | None -> "");
-    sv_line = (match dget d "sourcey" with Some l -> V.to_int l | None -> 0);
+    sv_name = S.entry_name e;
+    sv_kind = str "kind";
+    sv_where = S.where_of e;
+    sv_file = str "sourcefile";
+    sv_line = (match V.dict_get d "sourcey" with Some l -> V.to_int l | None -> 0);
     sv_validity;
     sv_validity_bad;
   }
 
-(** Locals reachable through the uplink chains of every stopping point,
-    in chain order, each entry once (physical identity). *)
-let chain_locals (proc_entry : V.t) : sym_view list =
-  let seen : V.dict list ref = ref [] in
-  let acc = ref [] in
-  let rec walk (v : V.t) =
-    match v.V.v with
-    | V.Dict d when not (List.memq d !seen) ->
-        seen := d :: !seen;
-        acc := parse_sym v :: !acc;
-        (match dget d "uplink" with Some up -> walk up | None -> ())
-    | _ -> ()
+(** Entries reachable through the scopes of every stopping point, in
+    chain order, each once (physical identity). *)
+let locals_of (stops : S.stop list) : sym_view list =
+  let step (seen, _) e =
+    let d = V.to_dict e in
+    if List.exists (fun (d', _) -> d' == d) seen then (seen, true) else ((d, e) :: seen, false)
   in
-  (match dget (V.to_dict proc_entry) "loci" with
-  | Some l -> Array.iter (fun locus -> walk (V.to_arr locus).(3)) (V.to_arr l)
-  | None -> ());
-  List.rev !acc
+  List.fold_left
+    (fun seen (s : S.stop) -> fst (S.fold_scope ~until:snd step (seen, false) s.S.stop_scope))
+    [] stops
+  |> List.rev_map (fun (_, e) -> sym_of e)
 
-let parse_locus (locus : V.t) : locus_view =
-  let a = V.to_arr locus in
-  if Array.length a < 4 then fail "malformed locus";
-  match parse_where (Some a.(2)) with
-  | Wanchor (anchor, idx) -> { lv_line = V.to_int a.(0); lv_anchor = anchor; lv_idx = idx }
+let locus_of (s : S.stop) : locus_view =
+  match S.where_of_value s.S.stop_objloc with
+  | S.Anchor (anchor, idx) -> { lv_line = s.S.stop_line; lv_anchor = anchor; lv_idx = idx }
   | _ -> fail "locus without a LazyData object location"
 
-let parse_proc (entry : V.t) : proc_view =
-  let d = V.to_dict entry in
-  let sv = parse_sym entry in
-  let label = match sv.sv_where with Wcode l -> Some l | _ -> None in
-  let loci =
-    match dget d "loci" with
-    | Some l -> Array.to_list (Array.map parse_locus (V.to_arr l))
-    | None -> []
-  in
-  let saved =
-    match dget d "savedregs" with
-    | Some s ->
-        Array.to_list
-          (Array.map
-             (fun pair ->
-               let p = V.to_arr pair in
-               (V.to_int p.(0), V.to_int p.(1)))
-             (V.to_arr s))
-    | None -> []
-  in
+let proc_of (e : V.t) : proc_view =
+  let stops = S.stops_of_proc e in
   {
-    pv_sym = sv;
-    pv_label = label;
-    pv_framesize = (match dget d "framesize" with Some n -> V.to_int n | None -> 0);
-    pv_raoffset = (match dget d "raoffset" with Some n -> V.to_int n | None -> 0);
-    pv_savedregs = saved;
-    pv_loci = loci;
-    pv_locals = chain_locals entry;
+    pv_sym = sym_of e;
+    pv_label = S.proc_label e;
+    pv_frame = Ldb.proc_info_of_entry e;
+    pv_loci = List.map locus_of stops;
+    pv_locals = locals_of stops;
   }
 
-(** Interpret the loader PostScript in a private interpreter and read both
-    tables back as structured data.  Forces every deferred unit body, with
-    the machine-dependent dictionary on the dictionary stack, exactly as
-    the debugger would (Sec. 4.3) — but parses the {e stored} where
-    procedures structurally instead of running them against a live
-    process. *)
-let ps_view_of ~(arch : Arch.t) (loader_ps : string) : ps_view =
-  let interp = Ldb_pscript.Ps.create () in
-  let defs = V.dict_create () in
-  let arch_dict = V.dict_create () in
-  I.begin_dict interp defs;
-  Fun.protect
-    ~finally:(fun () -> I.end_dict interp)
-    (fun () ->
-      I.run_string interp loader_ps;
-      I.begin_dict interp arch_dict;
-      Fun.protect
-        ~finally:(fun () -> I.end_dict interp)
-        (fun () ->
-          I.run_string interp (Ldb_ldb.Mdep_ps.source arch);
-          let loader =
-            match dget defs "__loader" with
-            | Some l -> V.to_dict l
-            | None -> fail "loader PostScript did not define /__loader"
-          in
-          let symtab =
-            match dget defs "__symtab" with
-            | Some s -> V.to_dict s
-            | None -> fail "loader PostScript did not define /__symtab"
-          in
-          let anchors =
-            match dget symtab "anchors" with
-            | Some a -> Array.to_list (Array.map name_of (V.to_arr a))
-            | None -> []
-          in
-          let units =
-            match dget symtab "units" with
-            | None -> []
-            | Some units ->
-                let ud = V.to_dict units in
-                Hashtbl.fold
-                  (fun file entry acc ->
-                    let ed = V.to_dict entry in
-                    let body = dget_exn ed "body" in
-                    let tag = V.to_str (dget_exn ed "tag") in
-                    (* compressed bodies ship as LZW streams; decode before
-                       forcing, exactly as the debugger does *)
-                    let body =
-                      match dget ed "encoding" with
-                      | None -> body
-                      | Some enc when V.to_str enc = "lzw" -> (
-                          match body.V.v with
-                          | V.Str s -> (
-                              try V.str (Ldb_util.Lzw.decompress s)
-                              with Invalid_argument _ ->
-                                fail "unit %s: corrupt lzw body" file)
-                          | _ -> fail "unit %s: encoded body is not a string" file)
-                      | Some enc -> fail "unit %s: unknown body encoding %s" file (V.to_str enc)
-                    in
-                    let str_list key =
-                      match dget ed key with
-                      | Some v -> Some (Array.to_list (Array.map V.to_str (V.to_arr v)))
-                      | None -> None
-                    in
-                    let lines =
-                      match (dget ed "minline", dget ed "maxline") with
-                      | Some lo, Some hi -> Some (V.to_int lo, V.to_int hi)
-                      | _ -> None
-                    in
-                    (* force the deferred body; its definitions land in the
-                       arch dictionary, the top of the dictionary stack *)
-                    I.exec_value interp (V.cvx body);
-                    let result =
-                      match I.lookup interp ("UNITRESULT$" ^ tag) with
-                      | Some r -> V.to_dict r
-                      | None -> fail "unit %s did not define its result" file
-                    in
-                    let procs =
-                      match dget result "procs" with
-                      | Some ps -> Array.to_list (Array.map parse_proc (V.to_arr ps))
-                      | None -> []
-                    in
-                    let statics =
-                      match dget result "statics" with
-                      | Some s ->
-                          Hashtbl.fold
-                            (fun _ e acc -> parse_sym e :: acc)
-                            (V.to_dict s).V.tbl []
-                      | None -> []
-                    in
-                    {
-                      uv_file = file;
-                      uv_procs = procs;
-                      uv_statics = statics;
-                      uv_names = str_list "names";
-                      uv_labels = Option.value ~default:[] (str_list "labels");
-                      uv_lines = lines;
-                    }
-                    :: acc)
-                  ud.V.tbl []
-          in
-          let kv_int d =
-            Hashtbl.fold (fun k v acc -> (k, V.to_int v) :: acc) d.V.tbl []
-          in
-          let anchormap =
-            match dget loader "anchormap" with Some d -> kv_int (V.to_dict d) | None -> []
-          in
-          let globalmap =
-            match dget loader "globalmap" with Some d -> kv_int (V.to_dict d) | None -> []
-          in
-          let proctable =
-            match dget loader "proctable" with
-            | Some p ->
-                let a = V.to_arr p in
-                let rec pairs i acc =
-                  if i + 1 >= Array.length a then List.rev acc
-                  else pairs (i + 2) ((V.to_int a.(i), V.to_str a.(i + 1)) :: acc)
-                in
-                pairs 0 []
-            | None -> []
-          in
-          {
-            psv_anchors = anchors;
-            psv_units = units;
-            psv_anchormap = anchormap;
-            psv_proctable = proctable;
-            psv_globalmap = globalmap;
-          }))
+let unit_of (u : S.unit_info) : unit_view =
+  {
+    uv_file = u.S.u_file;
+    uv_procs = List.map proc_of (S.unit_procs u);
+    uv_statics = List.map sym_of (S.unit_statics u);
+    uv_names = (if u.S.u_has_hints then Some u.S.u_names else None);
+    uv_labels = u.S.u_labels;
+    uv_lines = u.S.u_lines;
+  }
+
+(** Read a loader table exactly as a debugging session does —
+    {!Ldb.load_image} interprets it, {!Ldb.force_image} forces every unit
+    through {!Symtab} (LZW decoding, the pslint gate, the unit-result
+    lookup), {!Linkerif} reads the loader maps — and view both tables as
+    structured data.  Stored where procedures are decoded by
+    shape ({!Symtab.where_of}), not run against a live process. *)
+let ps_tables ~(arch : Arch.t) (loader_ps : string) : ps_view =
+  let d = Ldb.create () in
+  let image = Ldb.load_image d ~loader_ps in
+  let st = image.Ldb.im_symtab in
+  if not (Arch.equal st.S.arch arch) then
+    fail "symbol table is for %s but the image is for %s" (Arch.name st.S.arch)
+      (Arch.name arch);
+  Ldb.force_image d image;
+  let loader = image.Ldb.im_loader in
+  {
+    psv_anchors = S.anchors st;
+    psv_units = List.map unit_of st.S.units;
+    psv_anchormap = Linkerif.address_map loader "anchormap";
+    psv_proctable = Array.to_list (Linkerif.proctable_of loader);
+    psv_globalmap = Linkerif.address_map loader "globalmap";
+  }
 
 (* --- shared artifact context -------------------------------------------------- *)
 
@@ -596,7 +424,7 @@ let check_symbols cx =
       List.iter
         (fun sv ->
           match sv.sv_where with
-          | Wanchor (anchor, idx) -> (
+          | S.Anchor (anchor, idx) -> (
               match anchor_address cx anchor with
               | None ->
                   report cx F.Unresolved_sym anchor
@@ -613,7 +441,7 @@ let check_symbols cx =
                         report cx F.Bad_segment (F.at_addr a)
                           "static %s resolves outside the data segment" sv.sv_name
                     | _ -> ()))
-          | Wglobal l | Wcode l ->
+          | S.Global l | S.Code l ->
               if not (Hashtbl.mem nm_by_name l) then
                 report cx F.Unresolved_sym l "static/global %s has no nm symbol" sv.sv_name
           | _ -> ())
@@ -683,19 +511,19 @@ let check_frames cx =
       List.iter
         (fun pv ->
           let where = F.at_pos pv.pv_sym.sv_file pv.pv_sym.sv_line in
-          let fsize = pv.pv_framesize in
+          let fsize = pv.pv_frame.pi_frame_size in
           if fsize < 0 || fsize mod 4 <> 0 then
             report cx F.Frame_bounds where "%s: frame size %d is not a non-negative multiple of 4"
               pv.pv_sym.sv_name fsize;
-          if pv.pv_raoffset <> fsize - 4 then
+          if pv.pv_frame.pi_ra_offset <> fsize - 4 then
             report cx F.Frame_bounds where
               "%s: return-address offset %d does not match frame size %d - 4" pv.pv_sym.sv_name
-              pv.pv_raoffset fsize;
+              pv.pv_frame.pi_ra_offset fsize;
           List.iter
             (fun sv ->
               let swhere = F.at_pos sv.sv_file sv.sv_line in
               match sv.sv_where with
-              | Wframe off ->
+              | S.Frame off ->
                   if sv.sv_kind = "parameter" then begin
                     if off < min_param_offset cx.tdesc then
                       report cx F.Frame_bounds swhere
@@ -706,7 +534,7 @@ let check_frames cx =
                     report cx F.Frame_bounds swhere
                       "local %s of %s at offset %d does not fit the %d-byte frame" sv.sv_name
                       pv.pv_sym.sv_name off fsize
-              | Wreg r ->
+              | S.Reg r ->
                   if not (reg_ok r) then
                     report cx F.Bad_reg_var swhere
                       "register variable %s of %s names r%d, not an allocatable register variable"
@@ -722,7 +550,7 @@ let check_frames cx =
                 report cx F.Frame_bounds where
                   "%s: register save slot at offset %d does not fit the %d-byte frame"
                   pv.pv_sym.sv_name off fsize)
-            pv.pv_savedregs;
+            pv.pv_frame.pi_saved_regs;
           (* SIM-MIPS: the runtime procedure table is the frame contract *)
           if Arch.equal cx.arch Mips then
             match pv.pv_label with
@@ -741,11 +569,11 @@ let check_frames cx =
                         report cx F.Rpt_mismatch where
                           "%s has no runtime procedure table entry" pv.pv_sym.sv_name
                     | Some e ->
-                        if e.Rpt.frame_size <> fsize || e.Rpt.ra_offset <> pv.pv_raoffset then
+                        if e.Rpt.frame_size <> fsize || e.Rpt.ra_offset <> pv.pv_frame.pi_ra_offset then
                           report cx F.Rpt_mismatch where
                             "%s: procedure table says frame %d/ra %d, symbol table says %d/%d"
                             pv.pv_sym.sv_name e.Rpt.frame_size e.Rpt.ra_offset fsize
-                            pv.pv_raoffset)))
+                            pv.pv_frame.pi_ra_offset)))
         uv.uv_procs)
     cx.ps.psv_units;
   (* every procedure-table entry must describe a text symbol *)
@@ -784,16 +612,16 @@ let signed32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 let stab_where_matches (sv : sym_view) (s : Sd.stab) =
   let module E = Ldb_cc.Stabsemit in
   if s.Sd.st_type = E.n_rsym then
-    match sv.sv_where with Wreg r -> r = s.Sd.st_value | _ -> false
+    match sv.sv_where with S.Reg r -> r = s.Sd.st_value | _ -> false
   else if s.Sd.st_type = E.n_psym || s.Sd.st_type = E.n_lsym then
     match sv.sv_where with
-    | Wframe off -> off = signed32 s.Sd.st_value
-    | Wnone -> s.Sd.st_value = 0
+    | S.Frame off -> off = signed32 s.Sd.st_value
+    | S.Nowhere -> s.Sd.st_value = 0
     | _ -> false
   else if s.Sd.st_type = E.n_stsym then
-    match sv.sv_where with Wanchor (_, idx) -> idx = s.Sd.st_value | _ -> false
+    match sv.sv_where with S.Anchor (_, idx) -> idx = s.Sd.st_value | _ -> false
   else if s.Sd.st_type = E.n_gsym then
-    match sv.sv_where with Wglobal _ | Wcode _ -> true | Wnone -> true | _ -> false
+    match sv.sv_where with S.Global _ | S.Code _ -> true | S.Nowhere -> true | _ -> false
   else true
 
 (** Compare one function's two views: name-matched symbols must agree on
@@ -1033,8 +861,8 @@ let check_validity_recompute cx (sources : (string * string) list) =
   let module Cc = Ldb_cc in
   let where_matches (s : Cc.Sym.t) sv =
     match (s.Cc.Sym.where, sv.sv_where) with
-    | Some (Cc.Sym.Frame off), Wframe off' -> off = off'
-    | Some (Cc.Sym.In_reg r), Wreg r' -> r = r'
+    | Some (Cc.Sym.Frame off), S.Frame off' -> off = off'
+    | Some (Cc.Sym.In_reg r), S.Reg r' -> r = r'
     | _ -> false
   in
   List.iter
@@ -1256,7 +1084,7 @@ let check ?(opts = all_checks) ?tdesc ?(sources = []) (img : Link.image)
   let tdesc = match tdesc with Some t -> t | None -> Target.of_arch arch in
   let out = ref [] in
   (try
-     let ps = ps_view_of ~arch loader_ps in
+     let ps = ps_tables ~arch loader_ps in
      let cx =
        {
          arch;
@@ -1284,7 +1112,7 @@ let check ?(opts = all_checks) ?tdesc ?(sources = []) (img : Link.image)
        if sources <> [] then check_validity_recompute cx sources
      end
    with
-  | Extract m | V.Error (m, _) ->
+  | Extract m | S.Error m | Ldb.Error m | Linkerif.Error m | V.Error (m, _) ->
       out :=
         { F.kind = F.Table_error; target = Arch.name arch; where = "loader-ps"; msg = m }
         :: !out);

@@ -205,22 +205,9 @@ let frame_at (tg : Ldb.target) ~(addr : int) : Ldb_ldb.Frame.t =
     register. *)
 let caddr_of_entry (d : Ldb.t) (tg : Ldb.target) (fr : Ldb_ldb.Frame.t) (entry : V.t) :
     Ldb_cc.Sema.caddr option =
-  let frame_off =
-    match V.dict_get (V.to_dict entry) "where" with
-    | Some { V.v = V.Arr items; _ }
-      when Array.exists
-             (fun (it : V.t) ->
-               match it.V.v with V.Name "FrameLoc" -> true | _ -> false)
-             items ->
-        Array.fold_left
-          (fun acc (it : V.t) ->
-            match (acc, it.V.v) with None, V.Int n -> Some n | _ -> acc)
-          None items
-    | _ -> None
-  in
-  match frame_off with
-  | Some off -> Some (Ldb_cc.Sema.Cframe off)
-  | None -> (
+  match Symtab.where_of entry with
+  | Symtab.Frame off -> Some (Ldb_cc.Sema.Cframe off)
+  | _ -> (
       match Ldb.location_of d tg fr entry with
       | A.Absolute { space = 'r'; offset } -> Some (Ldb_cc.Sema.Creg offset)
       | A.Absolute { space = 'd' | 'c'; offset } ->

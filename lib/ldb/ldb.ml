@@ -208,16 +208,12 @@ let make_target_ops (d : t) (li : Linkerif.t) : V.dict =
     loader table, ensuring the top-level dictionary matches the object
     code (Sec. 2). *)
 let check_anchors (tg : target) =
-  match V.dict_get tg.tg_symtab.Symtab.symtab "anchors" with
-  | None -> ()
-  | Some anchors ->
-      Array.iter
-        (fun a ->
-          let name = V.to_str a in
-          try ignore (Linkerif.anchor_address tg.tg_linkerif name)
-          with Linkerif.Error _ ->
-            fail "symbol table does not match object code: anchor %s missing" name)
-        (V.to_arr anchors)
+  List.iter
+    (fun name ->
+      try ignore (Linkerif.anchor_address tg.tg_linkerif name)
+      with Linkerif.Error _ ->
+        fail "symbol table does not match object code: anchor %s missing" name)
+    (Symtab.anchors tg.tg_symtab)
 
 (** Pull the whole serialized core dump across the wire in
     {!Proto.max_core_chunk}-sized windows. *)
@@ -316,6 +312,21 @@ let connect ?deadline ?max_retries (d : t) ~(name : string) ~(loader_ps : string
     force only the units they need). *)
 let force_symbols (d : t) (tg : target) =
   with_target d tg (fun () -> Symtab.force_all tg.tg_symtab)
+
+(** Force every unit of an image with no process behind it, exactly as a
+    session on the table's architecture would (whole-table checkers).
+    Definitions the bodies make land in a fresh dictionary, where a
+    session's would land in its operator dictionary. *)
+let force_image (d : t) (image : image) =
+  I.begin_dict d.interp image.im_defs;
+  I.begin_dict d.interp (arch_dict_for d image.im_symtab.Symtab.arch);
+  I.begin_dict d.interp (V.dict_create ());
+  Fun.protect
+    ~finally:(fun () ->
+      I.end_dict d.interp;
+      I.end_dict d.interp;
+      I.end_dict d.interp)
+    (fun () -> Symtab.force_all image.im_symtab)
 
 (** Force the symbol table of one compilation unit. *)
 let force_unit (d : t) (tg : target) ~(file : string) =
@@ -684,8 +695,9 @@ let proc_info_of_entry (e : V.t) : Frame.proc_info =
     | Some arr ->
         Array.to_list (V.to_arr arr)
         |> List.map (fun pair ->
-               let a = V.to_arr pair in
-               (V.to_int a.(0), V.to_int a.(1)))
+               match V.to_arr pair with
+               | [| r; off |] -> (V.to_int r, V.to_int off)
+               | _ -> fail "a /savedregs entry is not a [reg offset] pair")
     | None -> []
   in
   { Frame.pi_frame_size = geti "framesize" 0; pi_ra_offset = geti "raoffset" (-4);
@@ -870,22 +882,6 @@ let assign_int (d : t) (tg : target) (fr : Frame.t) (name : string) (v : int) :
         Ok (A.store_i32 fr.Frame.fr_mem loc (Int32.of_int v))
   with Coredump.Dead_process m -> Error (`Dead_process m)
 
-let assign_float (d : t) (tg : target) (fr : Frame.t) (name : string) (v : float) :
-    (unit, dead) result =
-  try
-    match resolve d tg fr name with
-    | None -> fail "%s is not visible here" name
-    | Some entry ->
-        let loc = location_of d tg fr entry in
-        let size =
-          match V.dict_get (V.to_dict entry) "type" with
-          | Some ty -> (
-              match V.dict_get (V.to_dict ty) "size" with Some s -> V.to_int s | None -> 8)
-          | None -> 8
-        in
-        Ok (A.store_float fr.Frame.fr_mem loc ~size v)
-  with Coredump.Dead_process m -> Error (`Dead_process m)
-
 (** Name of the procedure a frame is stopped in. *)
 let frame_function (d : t) (tg : target) (fr : Frame.t) : string =
   match proc_entry_at d tg ~pc:fr.Frame.fr_pc with
@@ -934,29 +930,29 @@ let stop_addresses (d : t) (tg : target) ~pc : int list =
   | None -> []
   | Some proc -> Symtab.stop_addresses tg.tg_symtab ~addr_of:(stop_address d tg) proc
 
-(** Step to the next stopping point: single-step instructions until the pc
-    lands on a stopping point different from the current one (entering
-    callees counts — their entry point is a stopping point).  Returns the
-    resulting state; gives up after [limit] instructions. *)
+(** Step to the next stopping point: repeat {!step_instruction_exn} until
+    the pc lands on a stopping point different from the one the step
+    started at (entering callees counts — their entry point is a stopping
+    point), in any frame, or the program stops for another reason.  The
+    start is the stop's own pc, read before a breakpoint there is left,
+    so the pc after leaving is the first candidate.  Gives up after
+    [limit] instructions. *)
 let step_source_exn ?(limit = 200_000) (d : t) (tg : target) : state =
-  (match tg.tg_state with
-  | Stopped _ -> ignore (leave_breakpoint tg : bool)
-  | _ -> fail "target %s is not stopped" tg.tg_name);
-  match tg.tg_state with
-  | Stopped { ctx_addr; _ } ->
-      let start_pc = read_ctx_pc tg ctx_addr in
-      let rec go n =
-        if n >= limit then fail "step: no stopping point within %d instructions" limit
-        else
-          match single_step_exn tg with
-          | Stopped { signal = SIGTRAP; code = 1; ctx_addr } -> (
-              let pc = read_ctx_pc tg ctx_addr in
-              if pc <> start_pc && List.mem pc (stop_addresses d tg ~pc) then tg.tg_state
-              else go (n + 1))
-          | st -> st (* exit, fault, or a planted breakpoint: report it *)
-      in
-      go 0
-  | st -> st (* the instruction under a general breakpoint ended the program *)
+  let start_pc =
+    match tg.tg_state with
+    | Stopped { ctx_addr; _ } -> read_ctx_pc tg ctx_addr
+    | _ -> fail "target %s is not stopped" tg.tg_name
+  in
+  let rec go n st =
+    match st with
+    | Stopped { signal = SIGTRAP; code = 1; ctx_addr } ->
+        let pc = read_ctx_pc tg ctx_addr in
+        if pc <> start_pc && List.mem pc (stop_addresses d tg ~pc) then st
+        else if n >= limit then fail "step: no stopping point within %d instructions" limit
+        else go (n + 1) (single_step_exn tg)
+    | st -> st (* exit, fault, or a planted breakpoint: report it *)
+  in
+  go 1 (step_instruction_exn d tg)
 
 let step_source ?limit (d : t) (tg : target) : (state, dead) result =
   guard_dead tg (fun () -> step_source_exn ?limit d tg)
@@ -1219,23 +1215,19 @@ let crash_report (d : t) (tg : target) :
                { what = "locals"; reason = "no stopping point covers the fault pc" });
           []
       | Some stop ->
-          let rec scope_names (entry : V.t) acc =
-            match entry.V.v with
-            | V.Dict dd ->
-                let acc =
-                  match V.dict_get dd "name" with
-                  | Some n -> (
-                      match V.to_str n with
-                      | nm when not (List.mem nm acc) -> nm :: acc
-                      | _ | (exception _) -> acc)
-                  | None -> acc
-                in
-                (match V.dict_get dd "uplink" with
-                | Some up -> scope_names up acc
+          let names =
+            Symtab.fold_scope
+              ~until:(fun _ -> false)
+              (fun acc e ->
+                match V.dict_get (V.to_dict e) "name" with
+                | Some n -> (
+                    match V.to_str n with
+                    | nm when not (List.mem nm acc) -> nm :: acc
+                    | _ | (exception _) -> acc)
                 | None -> acc)
-            | _ -> acc
+              [] stop.Symtab.stop_scope
+            |> List.rev
           in
-          let names = List.rev (scope_names stop.Symtab.stop_scope []) in
           List.filter_map
             (fun nm ->
               match print_value d tg fr nm with

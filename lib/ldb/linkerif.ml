@@ -62,22 +62,34 @@ let global_address li name =
   | Some v -> V.to_int v
   | None -> raise (Error ("unknown global symbol " ^ name))
 
-(** The procedure table: (address, name) pairs sorted by address. *)
+(** A loader map ([/anchormap] or [/globalmap]) whole, as (name,
+    address) pairs in name order: the view a checker walks. *)
+let address_map (loader : V.dict) (key : string) : (string * int) list =
+  Hashtbl.fold (fun k v acc -> (k, V.to_int v) :: acc) (get_dict loader key).V.tbl []
+  |> List.sort compare
+
+(** A loader table's procedure table: (address, name) pairs sorted by
+    address. *)
+let proctable_of (loader : V.dict) : (int * string) array =
+  let arr =
+    match V.dict_get loader "proctable" with
+    | Some v -> V.to_arr v
+    | None -> raise (Error "loader table lacks /proctable")
+  in
+  let entries = ref [] in
+  let i = ref 0 in
+  while !i + 1 < Array.length arr do
+    entries := (V.to_int arr.(!i), V.to_str arr.(!i + 1)) :: !entries;
+    i := !i + 2
+  done;
+  Array.of_list (List.sort compare !entries)
+
+(** The procedure table, decoded on first use. *)
 let proctable li =
   match li.proctable with
   | Some t -> t
   | None ->
-      let arr = V.to_arr (match V.dict_get li.loader "proctable" with
-        | Some v -> v
-        | None -> raise (Error "loader table lacks /proctable"))
-      in
-      let entries = ref [] in
-      let i = ref 0 in
-      while !i + 1 < Array.length arr do
-        entries := (V.to_int arr.(!i), V.to_str arr.(!i + 1)) :: !entries;
-        i := !i + 2
-      done;
-      let t = Array.of_list (List.sort compare !entries) in
+      let t = proctable_of li.loader in
       li.proctable <- Some t;
       t
 

@@ -52,6 +52,8 @@ type unit_info = {
   u_lines : (int * int) option;       (** line range carrying stops *)
   u_has_hints : bool;                 (** entry carries /names metadata *)
   mutable u_forced : bool;
+  mutable u_result : V.dict option;   (** the body's UNITRESULT dictionary,
+                                          once forced *)
 }
 
 type t = {
@@ -119,6 +121,7 @@ let unit_of_entry (file : string) (entry : V.t) : unit_info =
     u_lines = lines;
     u_has_hints = names <> None;
     u_forced = false;
+    u_result = None;
   }
 
 let make ~(interp : I.t) ~(symtab_dict : V.dict) : t =
@@ -158,20 +161,96 @@ let make ~(interp : I.t) ~(symtab_dict : V.dict) : t =
 let entry_name (e : V.t) =
   match V.dict_get (V.to_dict e) "name" with Some n -> V.to_str n | None -> "?"
 
-(** The linker label of a procedure entry (from its where procedure's
+(* --- decoding symbol-entry fields ---------------------------------------------- *)
+
+(** A stored [/where], decoded by its shape rather than run: the forms
+    the compiler emits (lib/cc/psemit.ml).  Running it — what printing
+    does — needs a frame and a process; the shape is what checkers,
+    indexes and the condition compiler need. *)
+type where =
+  | Frame of int             (** [{off FrameLoc}]: offset from the frame base *)
+  | Anchor of string * int   (** [{(anchor) idx LazyData}]: a unit anchor's slot *)
+  | Global of string         (** [{(label) GlobalLoc}]: a data label *)
+  | Code of string           (** [{(label) GlobalCodeLoc}]: a code label *)
+  | Reg of int               (** a register, located when the table was read *)
+  | Nowhere                  (** absent, or no shape the compiler emits *)
+
+(* The field decoders run on every [print]: a missing key answers the
+   private [absent] sentinel rather than an option, so they allocate only
+   what they return. *)
+let absent : V.t = { V.v = V.Null; exec = false }
+
+let field (d : V.dict) (key : string) : V.t =
+  match Hashtbl.find d.V.tbl key with v -> v | exception Not_found -> absent
+
+(** Decode a location value: a symbol's [/where] or a locus's object
+    location. *)
+let where_of_value (w : V.t) : where =
+  match w.V.v with
+  | V.Loc (Ldb_amemory.Amemory.Absolute { space = 'r'; offset }) -> Reg offset
+  | V.Arr [| { V.v = V.Int off; _ }; { V.v = V.Name "FrameLoc"; _ } |] -> Frame off
+  | V.Arr [| { V.v = V.Str a; _ }; { V.v = V.Int idx; _ }; { V.v = V.Name "LazyData"; _ } |] ->
+      Anchor (a, idx)
+  | V.Arr [| { V.v = V.Str l; _ }; { V.v = V.Name "GlobalLoc"; _ } |] -> Global l
+  | V.Arr [| { V.v = V.Str l; _ }; { V.v = V.Name "GlobalCodeLoc"; _ } |] -> Code l
+  | _ -> Nowhere
+
+(** The decoded [/where] of a symbol entry. *)
+let where_of (e : V.t) : where =
+  match e.V.v with
+  | V.Dict d -> where_of_value (field d "where")
+  | _ -> Nowhere
+
+(** The linker label of a procedure entry (its where procedure's
     global-code reference). *)
-let proc_label (e : V.t) =
-  match V.dict_get (V.to_dict e) "where" with
-  | Some w -> (
-      match w.V.v with
-      | V.Arr items ->
-          (* {(label) GlobalCodeLoc} *)
-          Array.fold_left
-            (fun acc (it : V.t) ->
-              match (acc, it.V.v) with None, V.Str s -> Some s | acc, _ -> acc)
-            None items
+let proc_label (e : V.t) = match where_of e with Code l -> Some l | _ -> None
+
+let is_int (x : V.t) = match x.V.v with V.Int _ -> true | _ -> false
+let int_of (x : V.t) = match x.V.v with V.Int n -> n | _ -> 0
+
+let rec fold_triples f (a : V.t array) acc i =
+  if i >= Array.length a then acc
+  else fold_triples f a (f acc (int_of a.(i)) (int_of a.(i + 1)) (int_of a.(i + 2))) (i + 3)
+
+(** The one decoder of a symbol entry's [/validity]: a flat
+    [lo hi fact ...] array over the procedure's stop indexes (see
+    lib/cc/validity.ml).  [fold_validity f init e] folds [f acc lo hi fact]
+    over the triples in order: [Some init] when the entry carries no
+    ranges, [None] when the key is present but is not a flat array of
+    integer triples. *)
+let fold_validity (f : 'a -> int -> int -> int -> 'a) (init : 'a) (e : V.t) : 'a option =
+  match e.V.v with
+  | V.Dict d -> (
+      match field d "validity" with
+      | v when v == absent -> Some init
+      | { V.v = V.Arr a; _ } when Array.length a mod 3 = 0 && Array.for_all is_int a ->
+          Some (fold_triples f a init 0)
       | _ -> None)
-  | None -> None
+  | _ -> Some init
+
+(* Brent's cycle check, allocation-free: [mark] is the last dictionary
+   marked, re-marked each time [steps] reaches [limit], which then
+   doubles; a chain that loops meets its mark again within twice its
+   length. *)
+let no_mark = V.dict_create ()
+
+let rec walk_scope until f acc (scope : V.t) mark steps limit =
+  if until acc then acc
+  else
+    match scope.V.v with
+    | V.Dict d when d != mark ->
+        let acc = f acc scope in
+        if steps = limit then walk_scope until f acc (field d "uplink") d 1 (2 * limit)
+        else walk_scope until f acc (field d "uplink") mark (steps + 1) limit
+    | _ -> acc
+
+(** The one walk of a scope chain: [fold_scope ~until f init scope] folds
+    [f] over the symbol entries reachable from [scope] through [/uplink],
+    innermost first, and stops at [null], at a non-dictionary, as soon
+    as [until] holds of the accumulator, or when a hostile chain loops
+    back on itself (after visiting some of the loop twice). *)
+let fold_scope ~(until : 'a -> bool) (f : 'a -> V.t -> 'a) (init : 'a) (scope : V.t) : 'a =
+  walk_scope until f init scope no_mark 1 1
 
 let loci_of (proc_entry : V.t) : V.t array =
   match V.dict_get (V.to_dict proc_entry) "loci" with
@@ -207,32 +286,25 @@ let validity_name = function
   | Vdead -> "dead"
 
 (** [validity_at entry ~stop_index] decodes the variable's fact at one
-    stop.  [None] when the table carries no ranges for this variable (the
-    analysis did not track it) or the ranges do not cover the index — the
+    stop: the first range covering the index decides.  [None] when the
+    table carries no ranges for this variable (the analysis did not track
+    it), the ranges do not cover the index, or they are malformed — the
     debugger must then assume the value is printable. *)
 let validity_at (entry : V.t) ~(stop_index : int) : validity option =
-  match entry.V.v with
-  | V.Dict d -> (
-      match V.dict_get d "validity" with
-      | None -> None
-      | Some rv -> (
-          match rv.V.v with
-          | V.Arr a when Array.length a mod 3 = 0 ->
-              let n = Array.length a / 3 in
-              let rec go i =
-                if i >= n then None
-                else
-                  let lo = V.to_int a.((3 * i)) and hi = V.to_int a.((3 * i) + 1) in
-                  if stop_index >= lo && stop_index <= hi then
-                    match V.to_int a.((3 * i) + 2) with
-                    | 0 -> Some Vuninit
-                    | 1 -> Some Vvalid
-                    | 2 -> Some Vdead
-                    | _ -> None
-                  else go (i + 1)
-              in
-              go 0
-          | _ -> None))
+  (* the accumulator is the stop index still sought (>= 0) until a range
+     covers it, then [-1 - fact] (a negative fact code decodes to none):
+     carrying the index in the accumulator keeps the folded function
+     closed, so a [print] allocates no closure here *)
+  match
+    fold_validity
+      (fun acc lo hi fact ->
+        if acc >= 0 && acc >= lo && acc <= hi then if fact >= 0 then -1 - fact else min_int
+        else acc)
+      stop_index entry
+  with
+  | Some -1 -> Some Vuninit
+  | Some -2 -> Some Vvalid
+  | Some -3 -> Some Vdead
   | _ -> None
 
 (* --- forcing ----------------------------------------------------------------- *)
@@ -269,6 +341,12 @@ let decoded_body (u : unit_info) : V.t =
       u.u_body
   | Some other -> raise (Error ("unit " ^ u.u_file ^ ": unknown body encoding " ^ other))
   | None -> u.u_body
+
+(** A forced unit's procedure entries, in table order ([[]] unforced). *)
+let unit_procs (u : unit_info) : V.t list =
+  match u.u_result with
+  | Some r -> ( match V.dict_get r "procs" with Some ps -> Array.to_list (V.to_arr ps) | None -> [])
+  | None -> []
 
 (** Index one newly forced unit's procedures and stopping points. *)
 let index_unit (st : t) (procs : V.t list) =
@@ -313,11 +391,8 @@ let force_unit_info (st : t) (u : unit_info) =
     | result ->
         (* only now, with the body fully executed, commit the unit *)
         u.u_forced <- true;
-        let procs =
-          match V.dict_get result "procs" with
-          | Some ps -> Array.to_list (V.to_arr ps)
-          | None -> []
-        in
+        u.u_result <- Some result;
+        let procs = unit_procs u in
         st.procs_rev <- List.rev_append procs st.procs_rev;
         (match V.dict_get result "externs" with
         | Some e -> st.externs <- (u, V.to_dict e) :: st.externs
@@ -350,8 +425,21 @@ let force_unit (st : t) ~file =
 (** Force every unit (differential tests, whole-table consumers). *)
 let force_all (st : t) = List.iter (force_unit_info st) st.units
 
-(** Kept as the historical name of whole-table forcing. *)
-let force = force_all
+(** A forced unit's file-scope statics ([[]] unforced). *)
+let unit_statics (u : unit_info) : V.t list =
+  match u.u_result with
+  | Some r -> (
+      match V.dict_get r "statics" with
+      | Some s -> Hashtbl.fold (fun _ e acc -> e :: acc) (V.to_dict s).V.tbl []
+      | None -> [])
+  | None -> []
+
+(** The anchor symbols the table names (its [/anchors]), which the loader
+    table must place for the table to match the object code. *)
+let anchors (st : t) : string list =
+  match V.dict_get st.symtab "anchors" with
+  | Some a -> Array.to_list (Array.map V.to_str (V.to_arr a))
+  | None -> []
 
 (* --- forcing statistics ------------------------------------------------------ *)
 
@@ -452,8 +540,10 @@ let entry_stop (st : t) ~name : stop option =
 
 (* --- the pc-interval index ---------------------------------------------------- *)
 
+(* [where_of] directly, not [proc_label]: this runs for every frame, and
+   the option would be its one allocation *)
 let pc_key (proc_entry : V.t) =
-  match proc_label proc_entry with Some l -> l | None -> entry_name proc_entry
+  match where_of proc_entry with Code l -> l | _ -> entry_name proc_entry
 
 (** The stopping points of a procedure sorted by object-code address.
     Addresses come from interpreting each locus's location procedure, so
@@ -515,18 +605,15 @@ let resolve_extern (st : t) (name : string) : V.t option =
     locals and statics steps need no forcing beyond the unit the stop
     itself came from. *)
 let resolve (st : t) (stop : stop option) (name : string) : V.t option =
-  let rec walk (entry : V.t) =
-    match entry.V.v with
-    | V.Null -> None
-    | V.Dict d -> (
-        match V.dict_get d "name" with
-        | Some n when V.to_str n = name -> Some entry
-        | _ -> ( match V.dict_get d "uplink" with Some up -> walk up | None -> None))
-    | _ -> None
-  in
   let local =
     match stop with
-    | Some s -> walk s.stop_scope
+    | Some s ->
+        fold_scope ~until:Option.is_some
+          (fun _ e ->
+            match (field (V.to_dict e) "name").V.v with
+            | (V.Str n | V.Name n) when n = name -> Some e
+            | _ -> None)
+          None s.stop_scope
     | None -> None
   in
   match local with

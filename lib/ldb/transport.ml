@@ -80,7 +80,6 @@ let make ?(deadline = 8) ?(max_retries = 4) (ep : Chan.endpoint) : t =
 
 let stats t = t.stats
 let endpoint t = t.ep
-let is_connected t = Chan.is_connected t.ep
 
 (** Install (or clear) the going-down hook.  The hook is guaranteed to
     fire {e at most once per connection}, no matter how the link dies or

@@ -33,9 +33,6 @@ let nregs = function Mips | Sparc -> 32 | M68k | Vax -> 16
 (** Floating-point register count. *)
 let nfregs = function Mips | Sparc -> 16 | M68k | Vax -> 8
 
-(** Widest floating value the architecture manipulates, in bits. *)
-let max_float_bits = function M68k -> 80 | Mips | Sparc | Vax -> 64
-
 (** Do loads have an architectural delay slot (result not visible to the next
     instruction)?  True only for SIM-MIPS; the assembler's scheduler must
     fill or pad the slot. *)

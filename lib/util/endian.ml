@@ -7,10 +7,6 @@
 
 type order = Little | Big
 
-let pp_order ppf = function
-  | Little -> Fmt.string ppf "little"
-  | Big -> Fmt.string ppf "big"
-
 (* 8-bit *)
 
 let get_u8 b off = Char.code (Bytes.get b off)

@@ -76,6 +76,25 @@ let ok_unit : (unit, Ldb.dead) result -> unit = function
   | Ok () -> ()
   | Error (`Dead_process m) -> Alcotest.failf "dead process: %s" m
 
+(** Store a float into a variable of the frame, at the width its type
+    declares (8 bytes when the type is silent). *)
+let assign_float (d : Ldb.t) (tg : Ldb.target) (fr : Ldb_ldb.Frame.t) (name : string)
+    (v : float) : (unit, Ldb.dead) result =
+  let module V = Ldb_pscript.Value in
+  try
+    match Ldb.resolve d tg fr name with
+    | None -> Alcotest.failf "%s is not visible here" name
+    | Some entry ->
+        let loc = Ldb.location_of d tg fr entry in
+        let size =
+          match V.dict_get (V.to_dict entry) "type" with
+          | Some ty -> (
+              match V.dict_get (V.to_dict ty) "size" with Some s -> V.to_int s | None -> 8)
+          | None -> 8
+        in
+        Ok (Ldb_amemory.Amemory.store_float fr.Ldb_ldb.Frame.fr_mem loc ~size v)
+  with Ldb_ldb.Coredump.Dead_process m -> Error (`Dead_process m)
+
 (** Continue until the nth stop (1 = first). *)
 let continue_n (s : session) n =
   let rec go k last =
@@ -132,7 +151,7 @@ let gen_insn (arch : Arch.t) : Insn.t QCheck.Gen.t =
   let cond = oneofl [ Insn.Eq; Ne; Lt; Le; Gt; Ge ] in
   let size = oneofl [ Insn.S8; S16; S32 ] in
   let fsize =
-    if Arch.max_float_bits arch = 80 then oneofl [ Insn.F32; F64; F80 ]
+    if Arch.equal arch M68k (* the one target with 80-bit floats *) then oneofl [ Insn.F32; F64; F80 ]
     else oneofl [ Insn.F32; F64 ]
   in
   oneof

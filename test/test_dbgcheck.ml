@@ -306,6 +306,75 @@ let test_mut_table_error () =
   expect_flagged "corrupt loader PostScript" F.Table_error
     (D.check img (ps ^ "\nthis_op_is_not_defined\n"))
 
+(* hostile tables: dbgcheck reads a loader table through the debugger's
+   own loader, so every way that read can fail must surface as exactly
+   one table-error finding naming the failure, never as an exception *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(** Replace the deferred body of register.c's unit (the string that
+    [/UNITBODY$register_c] defines) with [body]. *)
+let with_unit_body ps body =
+  let opening = "/UNITBODY$register_c (" in
+  let i = index_of ps opening + String.length opening in
+  let j = index_of ps ") def\n/__symtab <<" in
+  String.sub ps 0 i ^ body ^ String.sub ps j (String.length ps - j)
+
+(** Damaged register.c tables, each with what its table error must say. *)
+let hostile_tables ~arch : (string * string * string) list =
+  let build_reg ?compress () =
+    snd (Driver.build ?compress ~arch [ ("register.c", register_c) ])
+  in
+  let ps = build_reg () in
+  [
+    (* the first 9-bit code names an entry no stream can start with *)
+    ( "corrupt lzw body",
+      with_unit_body (build_reg ~compress:true ()) "\xff\xff\xff\xff",
+      "corrupt lzw body" );
+    ( "unit without its result",
+      replace_first ps "/UNITRESULT$register_c" "/UNITRESULX$register_c",
+      "did not define its result" );
+    ( "body failing pslint",
+      replace_first ps "/UNITRESULT$register_c" "NoSuchOperatorXYZ /UNITRESULT$register_c",
+      "pslint" );
+    ("no /__loader", replace_first ps "/__loader <<" "/__loadxx <<", "/__loader");
+    ( "short /savedregs entry",
+      replace_first ps "/savedregs [ [ " "/savedregs [ [ 99 ] [ ",
+      "not a [reg offset] pair" );
+  ]
+
+let test_hostile_tables () =
+  List.iter
+    (fun arch ->
+      let img, _ = build ~arch [ ("register.c", register_c) ] in
+      List.iter
+        (fun (name, bad, why) ->
+          let what = Arch.name arch ^ " " ^ name in
+          match D.check img bad with
+          | [ { F.kind = F.Table_error; msg; _ } ] ->
+              if not (contains msg why) then
+                Alcotest.failf "%s: table error %S does not say %S" what msg why
+          | fs -> Alcotest.failf "%s: expected one table-error, got:\n%s" what (pp_findings fs)
+          | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+        (hostile_tables ~arch))
+    Arch.all
+
+let test_malformed_validity () =
+  List.iter
+    (fun arch ->
+      let img, ps = build ~arch [ ("fib.c", Testkit.fib_c) ] in
+      (* one integer too many: no longer a whole number of triples *)
+      let ps = replace_first ps "/validity [ " "/validity [ 7 " in
+      let fs = D.check img ps in
+      expect_flagged (Arch.name arch ^ " ragged /validity") F.Validity_range fs;
+      if has F.Table_error fs then
+        Alcotest.failf "%s: a ragged /validity is a finding, not a table error:\n%s"
+          (Arch.name arch) (pp_findings fs))
+    Arch.all
+
 (* validity family: seeded mutations of the emitted ranges in each table;
    every mutant must be flagged *)
 
@@ -638,6 +707,9 @@ let () =
           Alcotest.test_case "skewed stabs line" `Quick test_mut_stabs_line_skew;
           Alcotest.test_case "renamed stabs symbol" `Quick test_mut_stabs_name_skew;
           Alcotest.test_case "corrupt loader table" `Quick test_mut_table_error;
+          Alcotest.test_case "hostile tables x targets: one table error" `Quick
+            test_hostile_tables;
+          Alcotest.test_case "ragged /validity x targets" `Quick test_malformed_validity;
           Alcotest.test_case "validity: PS fact code corrupt" `Quick
             test_mut_validity_ps_bad_fact;
           Alcotest.test_case "validity: PS ranges shifted" `Quick

@@ -213,7 +213,7 @@ let test_assignment_changes_execution () =
 let test_float_assignment () =
   let s = session ~arch:M68k values_c in
   let fr = stop_in_work s in
-  Testkit.ok_unit (Ldb.assign_float s.Testkit.d s.Testkit.tg fr "d" 9.25);
+  Testkit.ok_unit (Testkit.assign_float s.Testkit.d s.Testkit.tg fr "d" 9.25);
   check Alcotest.string "d after assign" "9.25"
     (Ldb.print_value s.Testkit.d s.Testkit.tg fr "d")
 

@@ -247,7 +247,7 @@ let gen_ram_ops : (Endian.order * ram_op list) QCheck.arbitrary =
   in
   QCheck.make
     ~print:(fun (o, ops) ->
-      Printf.sprintf "%s: %s" (Fmt.to_to_string Endian.pp_order o)
+      Printf.sprintf "%s: %s" (match o with Endian.Little -> "little" | Endian.Big -> "big")
         (String.concat "; " (List.map show_ram_op ops)))
     (pair (oneofl [ Endian.Big; Endian.Little ]) (list_size (int_range 1 60) op))
 

@@ -68,10 +68,7 @@ let rec first_real tg a =
 (** Motion from a breakpoint executes the instruction the trap stands in
     for: after it, pc and registers are what the same motion gives once
     the breakpoint is cleared.  Two [stepi]s from a no-op and from a
-    general breakpoint, and a [step] from a general one, on all four
-    targets.  (A [step] from a no-op breakpoint counts its start after
-    the no-op, so it passes over an adjacent stopping point that the
-    cleared step stops at: ROADMAP item 4.) *)
+    general breakpoint, and a [step] from either, on all four targets. *)
 let test_leave_breakpoint () =
   List.iter
     (fun arch ->
@@ -101,7 +98,8 @@ let test_leave_breakpoint () =
         Ldb.clear_breakpoint tg ~addr:entry;
         Ldb.break_address d tg ~addr:(first_real tg entry)
       in
-      same "no-op" (fun d tg -> ignore (Ldb.break_function d tg "triple" : int)) stepi;
+      List.iter (same "no-op" (fun d tg -> ignore (Ldb.break_function d tg "triple" : int)))
+        [ stepi; step ];
       List.iter (same "general" general) [ stepi; step ])
     Arch.all
 
@@ -187,6 +185,83 @@ let test_step_source_enters_callee () =
       | _ -> Alcotest.fail "lost the target"
   in
   go 6
+
+(** Every stopping-point address in the program, from the whole table. *)
+let all_stops d tg =
+  Ldb.force_symbols d tg;
+  List.concat_map
+    (fun p -> List.map (Ldb.stop_address d tg) (Ldb_ldb.Symtab.stops_of_proc p))
+    (Ldb_ldb.Symtab.procs tg.Ldb.tg_symtab)
+
+(** The reference [step]: [stepi] until the pc is at a stopping point
+    other than the one it started from, in any frame, or the program
+    stops for another reason.  A planted breakpoint reached on the way
+    ends the step too, as it ends [continue]. *)
+let reference_step stops d tg =
+  let pc () = (Ldb.top_frame d tg).Frame.fr_pc in
+  let start = pc () in
+  let rec go n =
+    if n > 100_000 then Alcotest.fail "reference step found no stopping point";
+    match Testkit.ok (Ldb.step_instruction d tg) with
+    | Ldb.Stopped { signal = SIGTRAP; code = 1; _ } ->
+        let p = pc () in
+        if p <> start && (List.mem p stops || Hashtbl.mem tg.Ldb.tg_breaks p) then ()
+        else go (n + 1)
+    | _ -> ()
+  in
+  go 0
+
+(** [step] lands where the [stepi] reference does, eight steps running
+    (or to the exit), from a fresh stop, a no-op breakpoint, a general
+    breakpoint and the no-op breakpoint's stop after [clear], on all four
+    targets. *)
+let test_step_matches_stepi () =
+  let stop_at plant d tg =
+    plant d tg;
+    ignore (Testkit.ok (Ldb.continue_ d tg) : Ldb.state)
+  in
+  let noop d tg = ignore (Ldb.break_function d tg "triple" : int) in
+  let general d tg =
+    let entry = Ldb.break_function d tg "triple" in
+    Ldb.clear_breakpoint tg ~addr:entry;
+    Ldb.break_address d tg ~addr:(first_real tg entry)
+  in
+  let starts =
+    [
+      ("a fresh stop", fun _ _ -> ());
+      ("a no-op breakpoint", stop_at noop);
+      ("a general breakpoint", stop_at general);
+      ( "a cleared breakpoint's stop",
+        fun d tg ->
+          stop_at noop d tg;
+          Breakpoint.remove_all tg.Ldb.tg_breaks tg.Ldb.tg_wire );
+    ]
+  in
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun (what, start) ->
+          let trail motion =
+            let d, tg, _ = session arch in
+            start d tg;
+            let stops = all_stops d tg in
+            let rec go n =
+              match tg.Ldb.tg_state with
+              | Ldb.Stopped _ when n > 0 ->
+                  motion stops d tg;
+                  let here = Ldb.where d tg in
+                  here :: go (n - 1)
+              | _ -> []
+            in
+            go 8
+          in
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "%s: step from %s" (Arch.name arch) what)
+            (trail reference_step)
+            (trail (fun _ d tg -> ignore (Testkit.ok (Ldb.step_source d tg) : Ldb.state))))
+        starts)
+    Arch.all
 
 (** A function's exit stopping point carries the line of its closing
     brace (line 5 here): blank lines after the function must not move
@@ -313,6 +388,7 @@ let () =
       ( "source stepping",
         [ case "lands on stopping points" test_step_source;
           case "enters callees" test_step_source_enters_callee;
+          case "step = stepi reference on all targets" test_step_matches_stepi;
           case "exit stop on the closing brace on all targets" test_exit_stop_line ] );
       ( "client events",
         [ case "conditional breakpoints" test_conditional_breakpoint;

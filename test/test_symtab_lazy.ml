@@ -296,6 +296,41 @@ let test_quarantine_routes_around () =
 
 (* --- many units ----------------------------------------------------------------- *)
 
+(** A hostile table whose /uplink chain loops back on itself: name
+    resolution through it ends, still finding what the loop holds and
+    answering [None] for anything else, on all four targets. *)
+let test_looping_scope_chain () =
+  List.iter
+    (fun arch ->
+      let _, loader_ps = Ldb_link.Driver.build ~arch [ ("fib.c", Testkit.fib_c) ] in
+      (* n's entry (S1) gets i's (S3) as its uplink: i -> a -> n -> i ... *)
+      let pat = "/S4$fib_c <<" in
+      let rec at i =
+        if i + String.length pat > String.length loader_ps then
+          Alcotest.failf "%s: no %s in the table" (Arch.name arch) pat
+        else if String.sub loader_ps i (String.length pat) = pat then i
+        else at (i + 1)
+      in
+      let i = at 0 in
+      let loader_ps =
+        String.sub loader_ps 0 i ^ "S1$fib_c /uplink S3$fib_c put "
+        ^ String.sub loader_ps i (String.length loader_ps - i)
+      in
+      let d = Ldb.create () in
+      let image = Ldb.load_image d ~loader_ps in
+      Ldb.force_image d image;
+      let st = image.Ldb.im_symtab in
+      let stop =
+        match Symtab.proc_by_name st "fib" with
+        | Some p -> List.find (fun s -> s.Symtab.stop_line = 9) (Symtab.stops_of_proc p)
+        | None -> Alcotest.fail "fib not in the table"
+      in
+      let what = Arch.name arch ^ " looping chain: " in
+      check Alcotest.bool (what ^ "n found") true (Symtab.resolve st (Some stop) "n" <> None);
+      check Alcotest.bool (what ^ "unknown name ends") true
+        (Symtab.resolve st (Some stop) "zz" = None))
+    Arch.all
+
 let test_many_units () =
   let n = 40 in
   let buf = Buffer.create 4096 in
@@ -518,7 +553,8 @@ let () =
         [ case "pslint gate refuses a body" test_lint_gate_refuses;
           case "failing unit is retryable" test_failing_unit_is_retryable;
           case "quarantine routes around" test_quarantine_routes_around;
-          case "many units" test_many_units ] );
+          case "many units" test_many_units;
+          case "looping scope chain ends" test_looping_scope_chain ] );
       ("compression", [ case "compressed sessions" test_compressed_sessions ]);
       ( "cost",
         [ case "lazy attach forces a fraction" test_lazy_attach_cost;

@@ -123,23 +123,16 @@ let test_condition_refuses_uninit () =
 
 let sentinel = 0x5F5F5F5Fl
 
-(** Walk a stop's scope chain, yielding each distinct variable entry. *)
+(** The variable entries of a stop's scope chain, innermost first. *)
 let visible_locals (stop : Symtab.stop) : V.t list =
-  let acc = ref [] in
-  let rec go (e : V.t) =
-    match e.V.v with
-    | V.Dict dd ->
-        (match V.dict_get dd "kind" with
-        | Some k when V.to_str k = "variable" -> acc := e :: !acc
-        | _ -> ());
-        (match V.dict_get dd "uplink" with Some up -> go up | None -> ())
-    | _ -> ()
-  in
-  go stop.Symtab.stop_scope;
-  List.rev !acc
-
-let entry_name (e : V.t) =
-  match V.dict_get (V.to_dict e) "name" with Some n -> V.to_str n | None -> "?"
+  Symtab.fold_scope
+    ~until:(fun _ -> false)
+    (fun acc e ->
+      match V.dict_get (V.to_dict e) "kind" with
+      | Some k when V.to_str k = "variable" -> e :: acc
+      | _ -> acc)
+    [] stop.Symtab.stop_scope
+  |> List.rev
 
 let entry_size (e : V.t) =
   match V.dict_get (V.to_dict e) "type" with
@@ -149,20 +142,9 @@ let entry_size (e : V.t) =
 
 (** A frame-based location, or [None] for registers/globals/statics. *)
 let frame_loc d tg fr (e : V.t) : A.location option =
-  match V.dict_get (V.to_dict e) "where" with
-  | Some w when (match w.V.v with V.Arr _ -> true | _ -> false) -> (
-      (* an unevaluated where-procedure: frame-relative iff it mentions
-         FrameLoc *)
-      let uses_frame =
-        Array.exists
-          (fun (it : V.t) -> match it.V.v with V.Name "FrameLoc" -> true | _ -> false)
-          (match w.V.v with V.Arr a -> a | _ -> [||])
-      in
-      if uses_frame then
-        match Ldb.location_of d tg fr e with
-        | loc -> Some loc
-        | exception _ -> None
-      else None)
+  match Symtab.where_of e with
+  | Symtab.Frame _ -> (
+      match Ldb.location_of d tg fr e with loc -> Some loc | exception _ -> None)
   | _ -> None
 
 (** Drive one program through every executed stopping point on [arch],
@@ -218,7 +200,7 @@ let soak_program arch sources =
                 (Symtab.stops_of_proc stop.Symtab.stop_proc);
             List.iter
               (fun e ->
-                let name = entry_name e in
+                let name = Symtab.entry_name e in
                 match Ldb.validity_of d tg fr e with
                 | None -> ()
                 | Some Symtab.Vuninit ->
