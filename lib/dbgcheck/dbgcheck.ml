@@ -71,6 +71,7 @@ type proc_view = {
   pv_frame : Ldb_ldb.Frame.proc_info;  (** what the stack walker reads *)
   pv_loci : locus_view list;
   pv_locals : sym_view list;  (** uplink chains of every stopping point *)
+  pv_scope_loop : bool;  (** some stopping point's uplink chain loops *)
 }
 
 type unit_view = {
@@ -111,16 +112,23 @@ let sym_of (e : V.t) : sym_view =
   }
 
 (** Entries reachable through the scopes of every stopping point, in
-    chain order, each once (physical identity). *)
-let locals_of (stops : S.stop list) : sym_view list =
-  let step (seen, _) e =
+    chain order, each once (physical identity), and whether some chain
+    loops back on itself.  Each chain is walked to its end, so a loop
+    is seen even where an earlier chain already held its entries. *)
+let locals_of (stops : S.stop list) : sym_view list * bool =
+  let step (seen, looped) e =
     let d = V.to_dict e in
-    if List.exists (fun (d', _) -> d' == d) seen then (seen, true) else ((d, e) :: seen, false)
+    ((if List.exists (fun (d', _) -> d' == d) seen then seen else (d, e) :: seen), looped)
   in
-  List.fold_left
-    (fun seen (s : S.stop) -> fst (S.fold_scope ~until:snd step (seen, false) s.S.stop_scope))
-    [] stops
-  |> List.rev_map (fun (_, e) -> sym_of e)
+  let seen, looped =
+    List.fold_left
+      (fun acc (s : S.stop) ->
+        S.fold_scope ~until:(fun _ -> false)
+          ~on_loop:(fun (seen, _) -> (seen, true))
+          step acc s.S.stop_scope)
+      ([], false) stops
+  in
+  (List.rev_map (fun (_, e) -> sym_of e) seen, looped)
 
 let locus_of (s : S.stop) : locus_view =
   match S.where_of_value s.S.stop_objloc with
@@ -129,12 +137,14 @@ let locus_of (s : S.stop) : locus_view =
 
 let proc_of (e : V.t) : proc_view =
   let stops = S.stops_of_proc e in
+  let pv_locals, pv_scope_loop = locals_of stops in
   {
     pv_sym = sym_of e;
     pv_label = S.proc_label e;
     pv_frame = Ldb.proc_info_of_entry e;
     pv_loci = List.map locus_of stops;
-    pv_locals = locals_of stops;
+    pv_locals;
+    pv_scope_loop;
   }
 
 let unit_of (u : S.unit_info) : unit_view =
@@ -404,12 +414,15 @@ let check_symbols cx =
             report cx F.Bad_segment (F.at_addr addr)
               "data symbol %s lies outside the data segment" name)
     cx.ps.psv_globalmap;
-  (* per-unit: procedure labels resolve as text; statics resolve through
-     their unit's anchor into the data segment *)
+  (* per-unit: procedure labels resolve as text and scope chains end;
+     statics resolve through their unit's anchor into the data segment *)
   List.iter
     (fun uv ->
       List.iter
         (fun pv ->
+          if pv.pv_scope_loop then
+            report cx F.Scope_loop (F.at_pos pv.pv_sym.sv_file pv.pv_sym.sv_line)
+              "a scope chain of %s loops back on itself instead of ending" pv.pv_sym.sv_name;
           match pv.pv_label with
           | None ->
               report cx F.Unresolved_sym pv.pv_sym.sv_name

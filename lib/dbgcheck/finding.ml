@@ -15,6 +15,7 @@ type kind =
   | Bad_segment      (** an address outside the segment its kind demands *)
   | Alias_clash      (** two views of one symbol (or address) disagree *)
   | Dangling_slot    (** anchor slot index outside the anchor's data region *)
+  | Scope_loop       (** a stopping point's [/uplink] chain loops instead of ending *)
   (* frames *)
   | Frame_bounds     (** offset or size violating the frame layout *)
   | Bad_reg_var      (** register variable in a non-allocatable register *)
@@ -51,6 +52,7 @@ let kind_name = function
   | Bad_segment -> "bad-segment"
   | Alias_clash -> "alias-clash"
   | Dangling_slot -> "dangling-slot"
+  | Scope_loop -> "scope-loop"
   | Frame_bounds -> "frame-bounds"
   | Bad_reg_var -> "bad-reg-var"
   | Rpt_mismatch -> "rpt-mismatch"
@@ -71,10 +73,10 @@ let kind_name = function
 (** Every kind, in declaration order. *)
 let kinds =
   [ Bad_nop; Misaligned_stop; Nop_advance; Bad_decode; Unresolved_sym; Bad_segment;
-    Alias_clash; Dangling_slot; Frame_bounds; Bad_reg_var; Rpt_mismatch; Stabs_mismatch;
-    Line_clamped; Hint_mismatch; Bpc_verify; Core_arch; Core_crc; Core_reg_width; Core_pc;
-    Validity_missing; Validity_range; Validity_stabs_mismatch; Validity_unsound;
-    Table_error ]
+    Alias_clash; Dangling_slot; Scope_loop; Frame_bounds; Bad_reg_var; Rpt_mismatch;
+    Stabs_mismatch; Line_clamped; Hint_mismatch; Bpc_verify; Core_arch; Core_crc;
+    Core_reg_width; Core_pc; Validity_missing; Validity_range; Validity_stabs_mismatch;
+    Validity_unsound; Table_error ]
 
 let kind_of_name s = List.find_opt (fun k -> kind_name k = s) kinds
 

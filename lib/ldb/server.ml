@@ -39,7 +39,7 @@ module Proto = Ldb_nub.Proto
 
 (** The supervision state machine.  Transitions:
     [Healthy -> Unresponsive] (missed heartbeat or transport timeout),
-    [Unresponsive -> Healthy] (a probe or command answered),
+    [Unresponsive -> Healthy] (a probe, or a command the nub answered),
     [Healthy | Unresponsive -> Down] (link dead, or misses exhausted),
     [any -> Closed] (deliberate detach/kill/close).
     [Down] and [Closed] are terminal, except that a [Down] session still
@@ -464,6 +464,11 @@ let suspect (sv : t) (s : session) ~(what : string) : unit =
 
 let rpcs_since_tick (s : session) : int = Ldb.rpcs s.ss_tg - s.ss_rpc_floor
 
+let nub_replies (s : session) : int =
+  match s.ss_tg.Ldb.tg_conn with
+  | Ldb.Live tr -> (Transport.stats tr).Transport.st_replies
+  | Ldb.Postmortem _ -> 0
+
 exception Refused of refusal
 
 (** A delivered stop at a breakpoint that carries a condition is, by
@@ -563,7 +568,9 @@ let run_command (sv : t) (s : session) (cmd : command) : reply =
 
 (** Execute [cmd] on session [id], supervised.  All failure is typed:
     the server survives anything a session's wire or symbol table does.
-    A command that answers on an [Unresponsive] session heals it. *)
+    A command that got at least one reply from the nub heals an
+    [Unresponsive] session and defers the next heartbeat; one answered
+    wholly from the transport's fetch memo does neither. *)
 let exec (sv : t) (id : int) (cmd : command) : (reply, refusal) result =
   match session sv id with
   | None when Hashtbl.mem sv.sv_closed id -> refuse sv (Session_closed id)
@@ -582,9 +589,17 @@ let exec (sv : t) (id : int) (cmd : command) : (reply, refusal) result =
                  (Printf.sprintf "session %d spent its %d-RPC budget this tick" id
                     sv.sv_limits.li_max_rpcs_per_tick))
           else
+            let replies0 = nub_replies s in
             match run_command sv s cmd with
             | reply ->
-                heal sv s;
+                (* a command the nub answered proves the peer alive as
+                   well as a probe would; one served wholly from the
+                   transport's memo proves nothing, so it neither heals
+                   nor defers the next probe *)
+                if nub_replies s > replies0 then begin
+                  heal sv s;
+                  s.ss_hb_due <- sv.sv_tick + sv.sv_limits.li_hb_every
+                end;
                 Ok reply
             | exception Refused r ->
                 sv.sv_stats.sv_failed <- sv.sv_stats.sv_failed + 1;

@@ -234,23 +234,26 @@ let fold_validity (f : 'a -> int -> int -> int -> 'a) (init : 'a) (e : V.t) : 'a
    length. *)
 let no_mark = V.dict_create ()
 
-let rec walk_scope until f acc (scope : V.t) mark steps limit =
+let rec walk_scope until f on_loop acc (scope : V.t) mark steps limit =
   if until acc then acc
   else
     match scope.V.v with
     | V.Dict d when d != mark ->
         let acc = f acc scope in
-        if steps = limit then walk_scope until f acc (field d "uplink") d 1 (2 * limit)
-        else walk_scope until f acc (field d "uplink") mark (steps + 1) limit
+        if steps = limit then walk_scope until f on_loop acc (field d "uplink") d 1 (2 * limit)
+        else walk_scope until f on_loop acc (field d "uplink") mark (steps + 1) limit
+    | V.Dict _ -> on_loop acc
     | _ -> acc
 
 (** The one walk of a scope chain: [fold_scope ~until f init scope] folds
     [f] over the symbol entries reachable from [scope] through [/uplink],
     innermost first, and stops at [null], at a non-dictionary, as soon
     as [until] holds of the accumulator, or when a hostile chain loops
-    back on itself (after visiting some of the loop twice). *)
-let fold_scope ~(until : 'a -> bool) (f : 'a -> V.t -> 'a) (init : 'a) (scope : V.t) : 'a =
-  walk_scope until f init scope no_mark 1 1
+    back on itself (after visiting some of the loop twice).  A walk that
+    ends on a loop returns [on_loop] of its accumulator. *)
+let fold_scope ~(until : 'a -> bool) ?(on_loop : 'a -> 'a = Fun.id) (f : 'a -> V.t -> 'a)
+    (init : 'a) (scope : V.t) : 'a =
+  walk_scope until f on_loop init scope no_mark 1 1
 
 let loci_of (proc_entry : V.t) : V.t array =
   match V.dict_get (V.to_dict proc_entry) "loci" with

@@ -22,7 +22,10 @@
 
     The transport survives its channel: [reconnect] swaps in a fresh
     endpoint after the old link died, preserving the caller's wire
-    abstract memory and everything built over it. *)
+    abstract memory and everything built over it.
+
+    A repeated [Fetch] is answered from a memo of the replies fetched
+    since the last request that could change the target (see {!rpc}). *)
 
 module Chan = Ldb_nub.Chan
 module Frame = Ldb_nub.Frame
@@ -41,7 +44,9 @@ let error kind fmt =
   Fmt.kstr (fun m -> raise (Error (kind, Printf.sprintf "%s: %s" (kind_name kind) m))) fmt
 
 type stats = {
-  mutable st_rpcs : int;            (** requests issued *)
+  mutable st_rpcs : int;            (** requests sent as frames; a fetch
+                                        answered from the memo sends none *)
+  mutable st_replies : int;         (** replies received from the nub *)
   mutable st_retries : int;         (** re-sends after a failed attempt *)
   mutable st_corrupt : int;         (** corrupt frames observed *)
   mutable st_timeouts : int;        (** attempts that timed out *)
@@ -63,7 +68,19 @@ type t = {
           dead.  The debugger hooks this to grab a core dump on the way
           down while the channel still works. *)
   mutable down_done : bool;
+  memo : (char * int * int, Proto.reply) Hashtbl.t;
+      (** [Fetched] replies at this stop, keyed by (space, addr, size) *)
 }
+
+(** Entries the fetch memo holds before it is emptied and refilled.  A
+    stop's working set is its context block plus a few words per frame
+    (ldbbench's 22-frame backtrace fetches about 25 distinct words), so
+    256 entries cover a deep stop with its locals.  An entry is at most
+    {!Proto.max_transfer} bytes plus its key, so a full memo is about
+    25 KB and a hundred sessions' memos stay within a few megabytes.  A
+    larger working set, such as an array printed whole, empties the
+    memo and starts over. *)
+let memo_bound = 256
 
 let make ?(deadline = 8) ?(max_retries = 4) (ep : Chan.endpoint) : t =
   {
@@ -72,10 +89,11 @@ let make ?(deadline = 8) ?(max_retries = 4) (ep : Chan.endpoint) : t =
     base_deadline = max 1 deadline;
     max_retries = max 0 max_retries;
     stats =
-      { st_rpcs = 0; st_retries = 0; st_corrupt = 0; st_timeouts = 0; st_stale = 0;
-        st_reconnects = 0; st_down_fires = 0 };
+      { st_rpcs = 0; st_replies = 0; st_retries = 0; st_corrupt = 0; st_timeouts = 0;
+        st_stale = 0; st_reconnects = 0; st_down_fires = 0 };
     on_down = None;
     down_done = false;
+    memo = Hashtbl.create 64;
   }
 
 let stats t = t.stats
@@ -111,15 +129,12 @@ let reconnect (t : t) (ep : Chan.endpoint) : unit =
   t.ep <- ep;
   t.seq <- 0;
   t.down_done <- false;
+  Hashtbl.clear t.memo;
   t.stats.st_reconnects <- t.stats.st_reconnects + 1
 
-(** Issue [req] and wait for its reply, retrying with exponential
-    deadline backoff on damage or silence.  Raises {!Error}.
-
-    [?deadline] and [?max_retries] override the transport's defaults for
-    this one call — heartbeat probes want to fail fast rather than ride
-    the full recovery policy. *)
-let rpc ?deadline ?max_retries (t : t) (req : Proto.request) : Proto.reply =
+(** Send [req] as a frame and wait for its reply, retrying with
+    exponential deadline backoff on damage or silence. *)
+let send_rpc ?deadline ?max_retries (t : t) (req : Proto.request) : Proto.reply =
   let base_deadline = match deadline with Some d -> max 1 d | None -> t.base_deadline in
   let max_retries = match max_retries with Some r -> max 0 r | None -> t.max_retries in
   t.stats.st_rpcs <- t.stats.st_rpcs + 1;
@@ -163,7 +178,9 @@ let rpc ?deadline ?max_retries (t : t) (req : Proto.request) : Proto.reply =
           error Disconnected "%s: link down" (describe ())
       | () -> (
           match await (base_deadline * (1 lsl k)) with
-          | `Reply r -> r
+          | `Reply r ->
+              t.stats.st_replies <- t.stats.st_replies + 1;
+              r
           | `Disconnected ->
               fire_down t `Lost;
               error Disconnected "%s: link down" (describe ())
@@ -172,10 +189,42 @@ let rpc ?deadline ?max_retries (t : t) (req : Proto.request) : Proto.reply =
   in
   attempt 0 (Timeout, "no reply")
 
+(** Issue [req] and wait for its reply, retrying with exponential
+    deadline backoff on damage or silence.  Raises {!Error}.
+
+    [?deadline] and [?max_retries] override the transport's defaults for
+    this one call — heartbeat probes want to fail fast rather than ride
+    the full recovery policy.
+
+    A repeated [Fetch] is answered from the memo without a frame;
+    every other request except [Hello] empties the memo first. *)
+let rpc ?deadline ?max_retries (t : t) (req : Proto.request) : Proto.reply =
+  match req with
+  | Proto.Fetch { space; addr; size } -> (
+      (* a stopped target changes only through requests on this
+         transport, so the same fetch at the same stop has the same
+         answer; [Nub_error]s are not kept *)
+      let key = (space, addr, size) in
+      match Hashtbl.find_opt t.memo key with
+      | Some r -> r
+      | None ->
+          let r = send_rpc ?deadline ?max_retries t req in
+          (match r with
+          | Proto.Fetched _ ->
+              if Hashtbl.length t.memo >= memo_bound then Hashtbl.clear t.memo;
+              Hashtbl.replace t.memo key r
+          | _ -> ());
+          r)
+  | Proto.Hello -> send_rpc ?deadline ?max_retries t req
+  | _ ->
+      Hashtbl.clear t.memo;
+      send_rpc ?deadline ?max_retries t req
+
 (** Send a request that has no reply ([Kill], [Detach]).  A dead link is
     ignored: the nub is unreachable, and both requests are about letting
     the target go. *)
 let send_oneway (t : t) (req : Proto.request) : unit =
+  Hashtbl.clear t.memo;
   t.stats.st_rpcs <- t.stats.st_rpcs + 1;
   t.seq <- t.seq + 1;
   try Frame.send t.ep ~seq:t.seq (Proto.encode_request req)

@@ -414,9 +414,11 @@ let test_nub_site_saves_rpcs () =
   let nub_rpcs = measure `Nub in
   let dbg_rpcs = measure `Debugger in
   (* exact counts: the nub site's continue is a handful of RPCs whatever
-     the trip count; the debugger site pays six round trips per trap *)
-  check Alcotest.int "nub-side RPCs" 4 nub_rpcs;
-  check Alcotest.int "debugger-side RPCs: 6 per suppressed trap + 5" ((6 * 900) + 5) dbg_rpcs;
+     the trip count; the debugger site pays five round trips per trap.
+     A fetch repeated at one stop is answered from the transport's memo
+     and sends no frame. *)
+  check Alcotest.int "nub-side RPCs" 3 nub_rpcs;
+  check Alcotest.int "debugger-side RPCs: 5 per suppressed trap + 5" ((5 * 900) + 5) dbg_rpcs;
   check Alcotest.bool
     (Printf.sprintf "nub %d RPCs vs debugger %d: at least 100x fewer" nub_rpcs dbg_rpcs)
     true

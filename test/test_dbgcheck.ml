@@ -238,6 +238,22 @@ let test_mut_dangling_slot () =
   in
   expect_flagged "stabs slot index out of range" F.Dangling_slot (D.check img ps)
 
+(** A table whose [/uplink] chain loops: fib.c's entry for [n] gets
+    [i]'s as its uplink, so [i -> a -> n -> i ...].  The debugger
+    survives such a table (test_symtab_lazy); dbgcheck must flag it,
+    once for the one procedure whose scopes loop. *)
+let test_mut_scope_loop () =
+  List.iter
+    (fun arch ->
+      let img, ps = build ~arch [ ("fib.c", Testkit.fib_c) ] in
+      let ps = replace_first ps "/S4$fib_c <<" "S1$fib_c /uplink S3$fib_c put /S4$fib_c <<" in
+      match D.check img ps with
+      | [ { F.kind = F.Scope_loop; _ } ] -> ()
+      | fs ->
+          Alcotest.failf "%s: expected exactly one scope-loop finding, got:\n%s"
+            (Arch.name arch) (pp_findings fs))
+    Arch.all
+
 (* frames family *)
 
 let test_mut_frame_size () =
@@ -700,6 +716,7 @@ let () =
           Alcotest.test_case "anchor into code segment" `Quick test_mut_anchor_bad_segment;
           Alcotest.test_case "text/data alias" `Quick test_mut_alias_clash;
           Alcotest.test_case "dangling anchor slot" `Quick test_mut_dangling_slot;
+          Alcotest.test_case "looping scope chain x targets" `Quick test_mut_scope_loop;
           Alcotest.test_case "corrupted frame size" `Quick test_mut_frame_size;
           Alcotest.test_case "bad register variable" `Quick test_mut_bad_reg_var;
           Alcotest.test_case "missing RPT entry" `Quick test_mut_rpt_missing;

@@ -337,9 +337,13 @@ let test_backpressure () =
   ignore (ok "break" (Server.exec sv id (Server.Break_function "fib")));
   ignore (ok "continue" (Server.exec sv id Server.Continue));
   Server.tick sv;
+  let d = Server.debugger sv and tg = (session_exn sv id).Server.ss_tg in
   let rec drive n =
     if n > 50 then Alcotest.fail "budget never engaged"
-    else
+    else begin
+      (* a store empties the transport's fetch memo, so every read below
+         spends RPCs instead of answering from the memo *)
+      Testkit.ok_unit (Ldb.assign_int d tg (Ldb.top_frame d tg) "n" 10);
       match Server.exec sv id (Server.Read_int "n") with
       | Ok (Server.R_int 10) -> drive (n + 1)
       | Error (Server.Overloaded _) -> ()
@@ -348,6 +352,7 @@ let test_backpressure () =
             (match r with
             | Ok r -> Server.reply_to_string r
             | Error r -> Server.refusal_to_string r)
+    end
   in
   drive 0;
   (* the next tick refills the budget; the session was never degraded *)
@@ -407,6 +412,77 @@ let test_heartbeat_escalation () =
   in
   Alcotest.(check bool) "log records the suspicion" true (has_sub "unresponsive");
   Alcotest.(check bool) "log records the down" true (has_sub "down:")
+
+(** A command answered wholly from the transport's fetch memo proves
+    nothing about the peer: repeating a read at one stop between failed
+    probes must not heal a silent session, which still reaches Down. *)
+let test_memo_reads_do_not_heal () =
+  let sv =
+    Server.create
+      ~limits:
+        {
+          Server.default_limits with
+          Server.li_hb_every = 1;
+          li_hb_max_misses = 3;
+          li_hb_deadline = 2;
+        }
+      ()
+  in
+  let image = Host.build_image ~arch:Arch.Mips fib_sources in
+  let id, _p = open_on sv image ~name:"silent" in
+  let s = session_exn sv id in
+  ignore (ok "break" (Server.exec sv id (Server.Break_function "fib")));
+  ignore (ok "continue" (Server.exec sv id Server.Continue));
+  (match ok "read while answering" (Server.exec sv id (Server.Read_int "n")) with
+  | Server.R_int 10 -> ()
+  | r -> Alcotest.failf "bad read: %s" (Server.reply_to_string r));
+  Chan.set_pump (Transport.endpoint (Ldb.transport s.Server.ss_tg)) (fun () -> ());
+  let saw_unresponsive = ref false in
+  let rec drive n =
+    if n > 60 then Alcotest.fail "repeated memo reads kept a silent peer alive"
+    else begin
+      Server.tick sv;
+      ignore (Server.exec sv id (Server.Read_int "n"));
+      match s.Server.ss_state with
+      | Server.Unresponsive _ ->
+          saw_unresponsive := true;
+          drive (n + 1)
+      | Server.Down _ -> ()
+      | _ -> drive (n + 1)
+    end
+  in
+  drive 0;
+  Alcotest.(check bool) "passed through Unresponsive" true !saw_unresponsive;
+  check Alcotest.int "no memo read healed the session" 0 (Server.stats sv).Server.sv_heals
+
+(** Only quiet sessions are probed: a command the nub answered defers
+    the next heartbeat, one answered wholly from the transport's fetch
+    memo does not, and a session left alone is probed when due. *)
+let test_heartbeat_only_when_quiet () =
+  let every = 4 in
+  let sv =
+    Server.create ~limits:{ Server.default_limits with Server.li_hb_every = every } ()
+  in
+  let image = Host.build_image ~arch:Arch.Sparc fib_sources in
+  let id, _p = open_on sv image ~name:"busy" in
+  let s = session_exn sv id in
+  ignore (ok "break" (Server.exec sv id (Server.Break_function "fib")));
+  Server.tick sv;
+  ignore (ok "continue" (Server.exec sv id Server.Continue));
+  check Alcotest.int "an answered command defers the probe" (sv.Server.sv_tick + every)
+    s.Server.ss_hb_due;
+  ignore (ok "read" (Server.exec sv id (Server.Read_int "n")));
+  Server.tick sv;
+  let due = s.Server.ss_hb_due and rpcs = Ldb.rpcs s.Server.ss_tg in
+  ignore (ok "read again" (Server.exec sv id (Server.Read_int "n")));
+  check Alcotest.int "the repeat sent nothing" rpcs (Ldb.rpcs s.Server.ss_tg);
+  check Alcotest.int "a memo-only command does not defer the probe" due s.Server.ss_hb_due;
+  let probes = (Server.stats sv).Server.sv_heartbeats in
+  for _ = 1 to every do
+    Server.tick sv
+  done;
+  check Alcotest.int "the quiet session was probed once" (probes + 1)
+    (Server.stats sv).Server.sv_heartbeats
 
 (** A cut link takes only its own session down, immediately and typed;
     the neighbour session answers exactly as before. *)
@@ -833,7 +909,10 @@ let () =
         [ case "typed failures leave the session healthy" test_typed_isolation;
           case "disconnect hits only its own session" test_disconnect_isolated ] );
       ("backpressure", [ case "admission and RPC budgets refuse typed" test_backpressure ]);
-      ("liveness", [ case "heartbeats escalate to down" test_heartbeat_escalation ]);
+      ( "liveness",
+        [ case "heartbeats escalate to down" test_heartbeat_escalation;
+          case "only quiet sessions are probed" test_heartbeat_only_when_quiet;
+          case "memo reads do not heal a silent peer" test_memo_reads_do_not_heal ] );
       ("flight recorder", [ case "log truncation leaves a marker" test_log_truncation_marker ]);
       ("post-mortem", [ case "core-backed session shares the image" test_core_session ]);
       ( "core",

@@ -328,7 +328,10 @@ let test_looping_scope_chain () =
       let what = Arch.name arch ^ " looping chain: " in
       check Alcotest.bool (what ^ "n found") true (Symtab.resolve st (Some stop) "n" <> None);
       check Alcotest.bool (what ^ "unknown name ends") true
-        (Symtab.resolve st (Some stop) "zz" = None))
+        (Symtab.resolve st (Some stop) "zz" = None);
+      check Alcotest.bool (what ^ "the walk says it ended on a loop") true
+        (Symtab.fold_scope ~until:(fun _ -> false) ~on_loop:(fun _ -> true)
+           (fun acc _ -> acc) false stop.Symtab.stop_scope))
     Arch.all
 
 let test_many_units () =
