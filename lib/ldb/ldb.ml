@@ -1127,7 +1127,7 @@ type crash_report = {
 }
 
 let exn_text = function
-  | Error m -> m
+  | Error m | Linkerif.Error m -> m
   | Transport.Error (_, m) -> m
   | A.Error m -> m
   | Coredump.Dead_process m -> m

@@ -111,11 +111,13 @@ let proc_of_pc li ~pc : (int * string) option =
 let mips_rpt li =
   match li.rpt with
   | Some r -> r
-  | None ->
+  | None -> (
       (* read the runtime procedure table out of the target address space *)
-      let r = Rpt.read (fun addr -> Int32.of_int (fetch32 li addr)) in
-      li.rpt <- Some r;
-      r
+      match Rpt.read (fun addr -> Int32.of_int (fetch32 li addr)) with
+      | Ok r ->
+          li.rpt <- Some r;
+          r
+      | Error m -> raise (Error m))
 
 (** Frame size of the procedure containing [pc].
 

@@ -202,21 +202,6 @@ let checkpoint_core (t : t) (i : int) : Core.t =
           t.rp_cores.(i) <- Some co;
           co)
 
-(** Rebuild a nub around the machine checkpoint [i] froze. *)
-let restore (t : t) (i : int) : Nub.t =
-  let p = Core.to_proc (checkpoint_core t i) in
-  p.Proc.status <-
-    (match t.rp_cks.(i).Trace.ck_status with
-    | Trace.Ck_running -> Proc.Running
-    | Trace.Ck_stopped { signal; code } ->
-        Proc.Stopped (Option.value ~default:Signal.SIGINT (Signal.of_number signal), code)
-    | Trace.Ck_exited st -> Proc.Exited st);
-  let n = Nub.create ~fuel:t.rp_trace.Trace.tr_fuel ~can_step:t.rp_trace.Trace.tr_can_step p in
-  (* a fatal stop keeps the dump its fault left, as the live nub did
-     when the checkpoint was taken *)
-  Nub.record_core n;
-  n
-
 (** Hold a replayed execution to account: the stop it reached must be
     the stop the recording reached, field for field. *)
 let check_outcome (t : t) (n : Nub.t) ~(ev : int) ~(used : int) : unit =
@@ -249,6 +234,31 @@ let apply (t : t) (n : Nub.t) (i : int) ~cap : int =
       t.rp_cost <- t.rp_cost + used;
       used
   | Error m -> raise (Fail (`Divergence (Printf.sprintf "request %d refused: %s" i m)))
+
+(** Rebuild a nub around the machine checkpoint [i] froze.  A checkpoint
+    freezes the machine, not the nub's condition table, so the condition
+    requests logged before its cursor are applied again: without them a
+    run resumed from a mid-run checkpoint would stop at the first trap
+    the recording resumed silently. *)
+let restore (t : t) (i : int) : Nub.t =
+  let ck = t.rp_cks.(i) in
+  let p = Core.to_proc (checkpoint_core t i) in
+  p.Proc.status <-
+    (match ck.Trace.ck_status with
+    | Trace.Ck_running -> Proc.Running
+    | Trace.Ck_stopped { signal; code } ->
+        Proc.Stopped (Option.value ~default:Signal.SIGINT (Signal.of_number signal), code)
+    | Trace.Ck_exited st -> Proc.Exited st);
+  let n = Nub.create ~fuel:t.rp_trace.Trace.tr_fuel ~can_step:t.rp_trace.Trace.tr_can_step p in
+  for j = 0 to ck.Trace.ck_ev - 1 do
+    match t.rp_reqs.(j) with
+    | Proto.Set_cond _ | Proto.Clear_cond _ -> ignore (apply t n j ~cap:None : int)
+    | _ -> ()
+  done;
+  (* a fatal stop keeps the dump its fault left, as the live nub did
+     when the checkpoint was taken *)
+  Nub.record_core n;
+  n
 
 let resume (t : t) (n : Nub.t) ~consumed ~cap : int =
   let used = Nub.run ~consumed ?cap n in

@@ -22,21 +22,29 @@ let write ram (entries : entry list) =
       Ram.set_u32 ram (off + 8) (Int32.of_int e.ra_offset))
     entries
 
+(** Most records a table may claim. *)
+let max_entries = 65536
+
 (** Read the table back through an arbitrary 32-bit fetch function, so the
     debugger can read it through its abstract-memory stack exactly as the
     paper's ldb does ("from the runtime procedure table located in the
-    target address space"). *)
-let read (fetch32 : int -> int32) : entry list =
+    target address space").  An absurd count is an error, not an empty
+    table: an empty one would leave every frame's size unknown. *)
+let read (fetch32 : int -> int32) : (entry list, string) result =
   let n = Int32.to_int (fetch32 base) in
-  if n < 0 || n > 65536 then []
+  if n < 0 || n > max_entries then
+    Error
+      (Printf.sprintf "runtime procedure table at %#x claims %d entries, outside 0..%d" base
+         n max_entries)
   else
-    List.init n (fun i ->
-        let off = base + 4 + (4 * record_words * i) in
-        {
-          addr = Int32.to_int (fetch32 off);
-          frame_size = Int32.to_int (fetch32 (off + 4));
-          ra_offset = Int32.to_int (fetch32 (off + 8));
-        })
+    Ok
+      (List.init n (fun i ->
+           let off = base + 4 + (4 * record_words * i) in
+           {
+             addr = Int32.to_int (fetch32 off);
+             frame_size = Int32.to_int (fetch32 (off + 4));
+             ra_offset = Int32.to_int (fetch32 (off + 8));
+           }))
 
 (** Find the entry governing [pc]: the entry with the greatest address not
     exceeding [pc]. *)

@@ -229,12 +229,13 @@ let to_string (p : prog) = Fmt.str "%a" pp_prog p
 (* --- evaluation --------------------------------------------------------- *)
 
 (** How the evaluator sees the stopped target.  The nub implements this
-    over its own RAM and saved context; the debugger implements it over
-    the wire abstract memory — both decode values from canonical
-    little-endian bytes, which is what makes the two sites agree. *)
+    over its own RAM and the live, drained CPU; the debugger implements
+    it over the saved context through the wire abstract memory — both
+    decode values from canonical little-endian bytes, which is what
+    makes the two sites agree. *)
 type env = {
-  rd_reg : int -> int32;   (** saved general register *)
-  rd_pc : unit -> int32;   (** saved pc *)
+  rd_reg : int -> int32;   (** general register at the stop *)
+  rd_pc : unit -> int32;   (** pc at the stop *)
   load : space:char -> addr:int -> size:int -> signed:bool -> (int32, string) result;
 }
 

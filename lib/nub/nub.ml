@@ -13,16 +13,18 @@
     The conditional-breakpoint extension ([Set_cond]/[Clear_cond]) lets
     the debugger attach a {!Bpcode} program to a trap address: when the
     target traps there, the nub evaluates the condition against the
-    saved context and resumes silently when it is false, so a condition
-    in a hot loop costs zero round trips per miss.  The nub {e re-runs
-    the static verifier} ({!Bpverify}) on every program it receives —
-    it never trusts the debugger's claim of safety, so a hostile or
-    buggy peer cannot wedge the target with an unbounded or wild
-    program.  Evaluation faults (a refused load on the live target) are
-    conservative: the nub stops and reports, never loops blind.
-    Silent resumes are charged against the same per-continue fuel
-    budget as ordinary execution, so a satisfied-never condition in an
-    infinite loop still surfaces as SIGINT fuel exhaustion.
+    live, drained CPU and resumes silently when it is false, so a
+    condition in a hot loop costs zero round trips per miss, and no
+    context save either: only a stop the debugger is told of writes
+    one.  The nub {e re-runs the static verifier} ({!Bpverify}) on
+    every program it receives — it never trusts the debugger's claim of
+    safety, so a hostile or buggy peer cannot wedge the target with an
+    unbounded or wild program.  Evaluation faults (a refused load on the
+    live target) are conservative: the nub stops and reports, never
+    loops blind.  Silent resumes are charged against the same
+    per-continue fuel budget as ordinary execution, so a satisfied-never
+    condition in an infinite loop still surfaces as SIGINT fuel
+    exhaustion.
 
     Machine dependence is confined to:
     - the context layout (a sigcontext works on SIM-MIPS/SIM-SPARC; the
@@ -88,6 +90,7 @@ type t = {
           report it as {!Proto.Cond_hit}, not a plain {!Proto.Event} *)
   mutable recorder : recorder option;
       (** an execution trace being recorded, if a [Record] arrived *)
+  cond_env : Bpcode.env;  (** the conditions' view of a trap, built once *)
 }
 
 let ctx_base = Ram.Layout.context_base
@@ -95,11 +98,62 @@ let ctx_base = Ram.Layout.context_base
 (** Hard cap on cached retransmittable replies. *)
 let max_cached_replies = 8
 
+(* --- context save/restore --------------------------------------------- *)
+
+let save (p : Proc.t) =
+  let t = p.Proc.target and ram = p.Proc.ram in
+  let cpu = p.Proc.cpu in
+  Cpu.drain cpu;
+  Ram.set_u32 ram (ctx_base + t.Target.ctx_pc_off) (Int32.of_int cpu.Cpu.pc);
+  for r = 0 to Target.nregs t - 1 do
+    Ram.set_u32 ram (ctx_base + t.Target.ctx_reg_off r) (Cpu.reg cpu r)
+  done;
+  for f = 0 to Target.nfregs t - 1 do
+    let off = ctx_base + t.Target.ctx_freg_off f in
+    let v = Cpu.freg cpu f in
+    if t.Target.ctx_freg_bytes = 10 then
+      (* SIM-68020: store in 80-bit extended format *)
+      Ram.blit_in ram ~addr:off (Float80.to_bytes v)
+    else if Arch.equal t.Target.arch Mips then begin
+      (* SIM-MIPS kernel quirk: least significant word first *)
+      let bits = Int64.bits_of_float v in
+      Ram.set_u32 ram off (Int64.to_int32 bits);
+      Ram.set_u32 ram (off + 4) (Int64.to_int32 (Int64.shift_right_logical bits 32))
+    end
+    else Ram.set_f64 ram off v
+  done
+
+(** The condition evaluator's view of a trap: registers and pc of the
+    live CPU (drained before a condition runs), memory through the same
+    {!Core.Service} semantics the wire uses — so every value here is
+    byte-identical to what the debugger would compute over fetches of
+    the context a reported stop saves.  A load that reaches into the
+    context block itself saves the context first, so it too reads what
+    a reported stop would hold there. *)
+let live_env (p : Proc.t) : Bpcode.env =
+  let t = p.Proc.target and cpu = p.Proc.cpu in
+  let ctx_end = ctx_base + t.Target.ctx_size in
+  {
+    Bpcode.rd_reg = (fun r -> Cpu.reg cpu r);
+    rd_pc = (fun () -> Int32.of_int cpu.Cpu.pc);
+    load =
+      (fun ~space ~addr ~size ~signed ->
+        if addr < ctx_end && addr + size > ctx_base then save p;
+        match Core.Service.fetch t p.Proc.ram ~space ~addr ~size with
+        | Error m -> Error m
+        | Ok bytes ->
+            (* canonical little-endian bytes → int32, extended per signedness *)
+            let v = ref 0 in
+            String.iteri (fun i ch -> v := !v lor (Char.code ch lsl (8 * i))) bytes;
+            let v = if signed then Ldb_util.Endian.sext !v (8 * size) else !v in
+            Ok (Int32.of_int v));
+  }
+
 let create ?(fuel = 50_000_000) ?(can_step = true) (proc : Proc.t) =
   { proc; conn = None; resume = false; step = false; killed = false; fuel; notified = false;
     can_step; last_seq = 0; cur_seq = 0; replies = []; rx_mark = 0; rx_quiet = 0;
     core = None; conds = Hashtbl.create 4; suppressed = 0; cond_hit = false;
-    recorder = None }
+    recorder = None; cond_env = live_env proc }
 
 (** Number of sealed replies currently cached (tests assert the bound). *)
 let cached_replies n = List.length n.replies
@@ -110,30 +164,7 @@ let conditions n = Hashtbl.length n.conds
 let target n = n.proc.Proc.target
 let ram n = n.proc.Proc.ram
 
-(* --- context save/restore --------------------------------------------- *)
-
-let save_context n =
-  let t = target n and p = n.proc in
-  let cpu = p.Proc.cpu in
-  Cpu.drain cpu;
-  Ram.set_u32 (ram n) (ctx_base + t.Target.ctx_pc_off) (Int32.of_int cpu.Cpu.pc);
-  for r = 0 to Target.nregs t - 1 do
-    Ram.set_u32 (ram n) (ctx_base + t.Target.ctx_reg_off r) (Cpu.reg cpu r)
-  done;
-  for f = 0 to Target.nfregs t - 1 do
-    let off = ctx_base + t.Target.ctx_freg_off f in
-    let v = Cpu.freg cpu f in
-    if t.Target.ctx_freg_bytes = 10 then
-      (* SIM-68020: store in 80-bit extended format *)
-      Ram.blit_in (ram n) ~addr:off (Float80.to_bytes v)
-    else if Arch.equal t.Target.arch Mips then begin
-      (* SIM-MIPS kernel quirk: least significant word first *)
-      let bits = Int64.bits_of_float v in
-      Ram.set_u32 (ram n) off (Int64.to_int32 bits);
-      Ram.set_u32 (ram n) (off + 4) (Int64.to_int32 (Int64.shift_right_logical bits 32))
-    end
-    else Ram.set_f64 (ram n) off v
-  done
+let save_context n = save n.proc
 
 let restore_context n =
   let t = target n and p = n.proc in
@@ -272,39 +303,18 @@ let rec_mid_checkpoint n ~(delta : int) =
 
 (* --- breakpoint conditions ---------------------------------------------- *)
 
-(** The condition evaluator's view of the stopped target: registers and
-    pc from the saved context, memory through the same {!Core.Service}
-    semantics the wire uses — so every value here is byte-identical to
-    what the debugger would compute over fetches of the same state. *)
-let cond_env n : Bpcode.env =
-  let t = target n in
-  {
-    Bpcode.rd_reg = (fun r -> Ram.get_u32 (ram n) (ctx_base + t.Target.ctx_reg_off r));
-    rd_pc = (fun () -> Ram.get_u32 (ram n) (ctx_base + t.Target.ctx_pc_off));
-    load =
-      (fun ~space ~addr ~size ~signed ->
-        match Core.Service.fetch t (ram n) ~space ~addr ~size with
-        | Error m -> Error m
-        | Ok bytes ->
-            (* canonical little-endian bytes → int32, extended per signedness *)
-            let v = ref 0 in
-            String.iteri (fun i ch -> v := !v lor (Char.code ch lsl (8 * i))) bytes;
-            let v = if signed then Ldb_util.Endian.sext !v (8 * size) else !v in
-            Ok (Int32.of_int v));
-  }
-
-(** Judge the current stop against the installed conditions.  [None]:
-    not a trap with a condition — report as usual.  [Some true]: the
-    condition held, or its evaluation faulted (a refused load on the
-    live target) — stop conservatively and report.  [Some false]: a
-    miss, resume silently. *)
+(** Judge the current stop, on the drained CPU, against the installed
+    conditions.  [None]: not a trap with a condition — report as usual.
+    [Some true]: the condition held, or its evaluation faulted (a
+    refused load on the live target) — stop conservatively and report.
+    [Some false]: a miss, resume silently. *)
 let cond_verdict n : bool option =
   match n.proc.Proc.status with
   | Proc.Stopped (SIGTRAP, _) -> (
       match Hashtbl.find_opt n.conds (Proc.pc n.proc) with
       | None -> None
       | Some prog -> (
-          match Bpcode.eval (cond_env n) prog with
+          match Bpcode.eval n.cond_env prog with
           | Ok hit -> Some hit
           | Error _ -> Some true))
   | _ -> None
@@ -458,18 +468,21 @@ let run ?(consumed = 0) ?cap n : int =
           else rec_mid_checkpoint n ~delta:!total
       | Proc.Exited _ -> continue := false
       | Proc.Stopped _ -> (
-          save_context n;
+          Cpu.drain n.proc.Proc.cpu;
           match cond_verdict n with
           | Some false ->
               (* a miss: skip the trapped no-op and resume — no RPC, no
-                 report *)
+                 report, no context save *)
               n.suppressed <- n.suppressed + 1;
               Proc.set_pc n.proc (Proc.pc n.proc + (target n).Target.nop_advance);
               Proc.set_running n.proc
           | Some true ->
+              save_context n;
               n.cond_hit <- true;
               continue := false
-          | None -> continue := false)
+          | None ->
+              save_context n;
+              continue := false)
     end
   done;
   record_core n;
@@ -591,6 +604,12 @@ let serve_one n (ep : Chan.endpoint) (req : Proto.request) =
           (* history starts here: the initial checkpoint anchors replay
              at cursor (0, 0), before any logged request *)
           rec_checkpoint n ~ev:0 ~delta:0;
+          (* conditions installed before recording began are the first
+             logged requests, so a replay installs them too *)
+          Hashtbl.fold (fun addr p acc -> (addr, p) :: acc) n.conds []
+          |> List.sort (fun (a, _) (b, _) -> compare a b)
+          |> List.iter (fun (addr, p) ->
+                 rec_event n (Trace.Req (Proto.Set_cond { addr; prog = Bpcode.encode p })));
           send_reply n ep Proto.Stored
       | Proc.Running -> send_reply n ep (Proto.Nub_error "nub: target is running")
       | Proc.Exited _ ->

@@ -108,6 +108,58 @@ let continue_n (s : session) n =
 
 let top (s : session) = Ldb.top_frame s.d s.tg
 
+(* --- breakpoints at source statements, with conditions ---------------------- *)
+
+let contains_sub line sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length line && (String.sub line i n = sub || go (i + 1))
+  in
+  go 0
+
+let line_containing src sub =
+  let lines = String.split_on_char '\n' src in
+  let rec go n = function
+    | [] -> Alcotest.failf "no source line contains %S" sub
+    | l :: rest -> if contains_sub l sub then n else go (n + 1) rest
+  in
+  go 1 lines
+
+(** Break at the statement containing [stmt] (trying the neighbouring
+    line if the stopping point is recorded one off). *)
+let break_at (s : session) ~src ~stmt : int =
+  let l = line_containing src stmt in
+  let try_line l =
+    match Ldb.break_line s.d s.tg ~line:l with
+    | a :: _ -> Some a
+    | [] -> None
+    | exception Ldb.Error _ -> None
+  in
+  match try_line l with
+  | Some a -> a
+  | None -> (
+      match try_line (l + 1) with
+      | Some a -> a
+      | None -> Alcotest.failf "no stopping point near %S" stmt)
+
+(** Compile [expr] as a condition for the breakpoint at [addr]. *)
+let compile_ok (s : session) sess ~addr expr : Ldb_nub.Bpcode.prog =
+  match Ldb_exprserver.Eval.compile_condition s.d s.tg sess ~addr expr with
+  | Ok prog -> prog
+  | Error (`Error m) -> Alcotest.failf "condition %S: %s" expr m
+  | Error (`Unsupported m) -> Alcotest.failf "condition %S unsupported: %s" expr m
+  | Error (`Unverified fs) ->
+      Alcotest.failf "condition %S unverified: %s" expr
+        (String.concat "; " (List.map Ldb_nub.Bpverify.finding_to_string fs))
+
+(** Attach [prog] to the breakpoint at [addr] and insist that the nub,
+    not the debugger, evaluates it. *)
+let nub_condition (s : session) ~addr ~text prog =
+  match Ldb.set_condition s.d s.tg ~addr ~text prog with
+  | Ok `Nub -> ()
+  | Ok `Debugger -> Alcotest.fail "nub refused a verified condition"
+  | Error (`Unverified _) -> Alcotest.fail "verified program re-refused"
+
 let arch_testable = Alcotest.testable Arch.pp Arch.equal
 
 (** CPU seconds [f ()] takes. *)

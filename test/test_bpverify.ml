@@ -14,6 +14,9 @@ module Bpverify = Ldb_nub.Bpverify
 module Ldb = Ldb_ldb.Ldb
 module Transport = Ldb_ldb.Transport
 module Breakpoint = Ldb_ldb.Breakpoint
+module Host = Ldb_ldb.Host
+module Nub = Ldb_nub.Nub
+module A = Ldb_amemory.Amemory
 module Eval = Ldb_exprserver.Eval
 
 let check = Alcotest.check
@@ -273,46 +276,49 @@ int main(void)
 }
 |}
 
-let contains_sub line sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length line && (String.sub line i n = sub || go (i + 1))
-  in
-  go 0
+(* [x = a[i & 3]] loads into a temporary, waits out the delay slot with
+   a nop, and moves the temporary into [x]'s register just before the
+   stopping point of [g = g + x] *)
+let pending_load_src =
+  {|
+int a[4];
+int g = 0;
 
-let line_containing src sub =
-  let lines = String.split_on_char '\n' src in
-  let rec go n = function
-    | [] -> Alcotest.failf "no source line contains %S" sub
-    | l :: rest -> if contains_sub l sub then n else go (n + 1) rest
-  in
-  go 1 lines
+void spin(int n)
+{
+    register int i;
+    register int x;
+    for (i = 0; i < n; i++) {
+        x = a[i & 3];
+        g = g + x;
+    }
+    printf("%d\n", g);
+}
 
-(** Break at the statement containing [stmt] (trying the neighbouring
-    line if the stopping point is recorded one off). *)
-let break_at (s : Testkit.session) ~src ~stmt : int =
-  let l = line_containing src stmt in
-  let try_line l =
-    match Ldb.break_line s.Testkit.d s.Testkit.tg ~line:l with
-    | a :: _ -> Some a
-    | [] -> None
-    | exception Ldb.Error _ -> None
-  in
-  match try_line l with
-  | Some a -> a
-  | None -> (
-      match try_line (l + 1) with
-      | Some a -> a
-      | None -> Alcotest.failf "no stopping point near %S" stmt)
+int main(void)
+{
+    a[0] = 5; a[1] = 7; a[2] = 9; a[3] = 11;
+    spin(40);
+    return 0;
+}
+|}
 
-let compile_ok (s : Testkit.session) sess ~addr expr : B.prog =
-  match Eval.compile_condition s.Testkit.d s.Testkit.tg sess ~addr expr with
-  | Ok prog -> prog
-  | Error (`Error m) -> Alcotest.failf "condition %S: %s" expr m
-  | Error (`Unsupported m) -> Alcotest.failf "condition %S unsupported: %s" expr m
-  | Error (`Unverified fs) ->
-      Alcotest.failf "condition %S unverified: %s" expr
-        (String.concat "; " (List.map Bpverify.finding_to_string fs))
+(** SIM-MIPS: rewrite the load, nop, move before the stopping point at
+    [addr] as nop, nop, load straight into [x]'s register, so the load
+    is still pending when the trap planted there executes. *)
+let pend_load (s : Testkit.session) ~addr =
+  let p = s.Testkit.proc.Host.hp_proc in
+  let t = p.Proc.target and ram = p.Proc.ram in
+  let decode a = fst (Target.decode t ~fetch:(Ram.get_u8 ram) a) in
+  match (decode (addr - 16), decode (addr - 8), decode (addr - 4)) with
+  | Insn.Load (Insn.S32, tmp, base, off), Insn.Nop, Insn.Mov (x, src) when src = tmp ->
+      let code =
+        String.concat ""
+          (List.map (Target.encode t) [ Insn.Nop; Insn.Nop; Insn.Load (Insn.S32, x, base, off) ])
+      in
+      check Alcotest.int "the rewrite fills the same 16 bytes" 16 (String.length code);
+      Ram.blit_in ram ~addr:(addr - 16) code
+  | _ -> Alcotest.fail "no load, nop, move before the stopping point"
 
 (** Install [prog] as a condition forced to the debugger site, without
     telling the nub (the fallback path a condition takes when the nub
@@ -327,20 +333,19 @@ let suppressed_at (s : Testkit.session) addr =
   | Some c -> c.Breakpoint.c_suppressed
   | None -> -1
 
-(** Run [spin_src] to completion with condition [expr] at the hot line,
-    evaluated at [site]; return the observed stop sequence (pc, value of
-    [i], cumulative suppressed count) and the exit status. *)
-let run_site arch (site : Breakpoint.cond_site) expr : (int * int * int) list * int =
-  let s = Testkit.debug_session ~arch [ ("spin.c", spin_src) ] in
+(** Run [src] to completion with condition [expr] at the statement
+    [stmt], evaluated at [site], after [patch] has had its way with the
+    code before the breakpoint; return the observed stop sequence (pc,
+    value of [i], cumulative suppressed count) and the exit status. *)
+let run_site ?(src = spin_src) ?(stmt = "g = g + 1") ?(patch = fun _ ~addr:_ -> ()) arch
+    (site : Breakpoint.cond_site) expr : (int * int * int) list * int =
+  let s = Testkit.debug_session ~arch [ ("spin.c", src) ] in
   let sess = Eval.start ~arch in
-  let addr = break_at s ~src:spin_src ~stmt:"g = g + 1" in
-  let prog = compile_ok s sess ~addr expr in
+  let addr = Testkit.break_at s ~src ~stmt in
+  patch s ~addr;
+  let prog = Testkit.compile_ok s sess ~addr expr in
   (match site with
-  | `Nub -> (
-      match Ldb.set_condition s.Testkit.d s.Testkit.tg ~addr ~text:expr prog with
-      | Ok `Nub -> ()
-      | Ok `Debugger -> Alcotest.fail "nub refused a verified condition"
-      | Error (`Unverified _) -> Alcotest.fail "verified program re-refused")
+  | `Nub -> Testkit.nub_condition s ~addr ~text:expr prog
   | `Debugger -> force_debugger_cond s ~addr ~text:expr prog);
   let stops = ref [] in
   let rec go () =
@@ -382,6 +387,105 @@ let test_sites_agree_all_archs () =
         [ 0; 300; 600; 900 ]
         (List.map (fun (_, i, _) -> i) nub_stops);
       check Alcotest.int (an ^ " clean exit") 0 nub_status)
+    Arch.all;
+  (* SIM-MIPS: the condition reads the destination of a load still
+     pending at the trap; both sites must see the loaded value *)
+  let run site =
+    run_site ~src:pending_load_src ~stmt:"g = g + x" ~patch:pend_load Mips site "x == 9"
+  in
+  let nub_stops, nub_status = run `Nub in
+  let dbg_stops, dbg_status = run `Debugger in
+  check
+    Alcotest.(list string)
+    "mips pending load: stop sequences identical" (show_stops dbg_stops)
+    (show_stops nub_stops);
+  check Alcotest.int "mips pending load: exit status" dbg_status nub_status;
+  check
+    Alcotest.(list int)
+    "mips pending load: stops where the loaded value is 9"
+    (List.init 10 (fun k -> 2 + (4 * k)))
+    (List.map (fun (_, i, _) -> i) nub_stops)
+
+(* --- the cost of a miss --------------------------------------------------- *)
+
+(** A condition that loads the nub's context block itself reads what a
+    reported stop holds there, although a miss writes no context: here
+    "the saved pc is the trap's pc" holds at the very first trap, as it
+    does when the debugger evaluates it over a reported stop. *)
+let test_context_read_sees_the_trap () =
+  List.iter
+    (fun arch ->
+      let an = Arch.name arch in
+      let s = Testkit.debug_session ~arch [ ("spin.c", spin_src) ] in
+      let addr = Testkit.break_at s ~src:spin_src ~stmt:"g = g + 1" in
+      let tg = s.Testkit.tg.Ldb.tg_tdesc in
+      let saved_pc = Int32.of_int (Ram.Layout.context_base + tg.Target.ctx_pc_off) in
+      let prog =
+        [| B.Push saved_pc; B.Load { space = 'd'; size = 4; signed = false }; B.Load_pc;
+           B.Cmp { rel = B.Eq; signed = false } |]
+      in
+      Testkit.nub_condition s ~addr ~text:"saved pc = pc" prog;
+      (match Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg) with
+      | Ldb.Stopped _ -> ()
+      | _ -> Alcotest.failf "%s: the condition never held" an);
+      check Alcotest.int (an ^ " stopped at the first trap") 0
+        (Ldb.read_int_var s.Testkit.d s.Testkit.tg (Testkit.top s) "i");
+      check Alcotest.int (an ^ " nothing suppressed") 0 (suppressed_at s addr))
+    Arch.all
+
+let forever_src =
+  {|
+int g = 0;
+
+void spin(void)
+{
+    register int i;
+    i = 0;
+    while (1) {
+        i = i + 1;
+        g = g + 1;
+    }
+}
+
+int main(void)
+{
+    spin();
+    return 0;
+}
+|}
+
+(** A never-true condition in an endless loop ends in SIGINT when the
+    continue's fuel runs out, and that stop saves the context: the top
+    frame's pc and a register-resident local are the CPU's own. *)
+let test_fuel_stop_saves_context () =
+  List.iter
+    (fun arch ->
+      let an = Arch.name arch in
+      let s = Testkit.debug_session ~arch [ ("forever.c", forever_src) ] in
+      let d = s.Testkit.d and tg = s.Testkit.tg in
+      s.Testkit.proc.Host.hp_nub.Nub.fuel <- 5_000;
+      let addr = Testkit.break_at s ~src:forever_src ~stmt:"g = g + 1" in
+      let text = "i < 0" in
+      Testkit.nub_condition s ~addr ~text (Testkit.compile_ok s (Eval.start ~arch) ~addr text);
+      (match Testkit.ok (Ldb.continue_ d tg) with
+      | Ldb.Stopped { signal = Signal.SIGINT; _ } -> ()
+      | _ -> Alcotest.failf "%s: expected a SIGINT stop" an);
+      let cpu = s.Testkit.proc.Host.hp_proc.Proc.cpu in
+      let fr = Ldb.top_frame d tg in
+      check Alcotest.int (an ^ " top frame pc = cpu pc") cpu.Cpu.pc fr.Ldb_ldb.Frame.fr_pc;
+      let reg =
+        match Ldb.resolve d tg fr "i" with
+        | Some entry -> (
+            match Ldb.location_of d tg fr entry with
+            | A.Absolute { space = 'r'; offset } -> offset
+            | _ -> Alcotest.failf "%s: i is not in a register" an)
+        | None -> Alcotest.failf "%s: i is not visible" an
+      in
+      check Alcotest.int (an ^ " i = its register")
+        (Int32.to_int (Cpu.reg cpu reg))
+        (Ldb.read_int_var d tg fr "i");
+      check Alcotest.bool (an ^ " traps were resumed silently") true
+        (s.Testkit.proc.Host.hp_nub.Nub.suppressed > 0))
     Arch.all
 
 (** The point of shipping the bytecode: deciding the condition
@@ -392,8 +496,8 @@ let test_nub_site_saves_rpcs () =
   let measure site =
     let s = Testkit.debug_session ~arch:Mips [ ("spin.c", spin_src) ] in
     let sess = Eval.start ~arch:Mips in
-    let addr = break_at s ~src:spin_src ~stmt:"g = g + 1" in
-    let prog = compile_ok s sess ~addr "i == 900" in
+    let addr = Testkit.break_at s ~src:spin_src ~stmt:"g = g + 1" in
+    let prog = Testkit.compile_ok s sess ~addr "i == 900" in
     (match site with
     | `Nub -> (
         match Ldb.set_condition s.Testkit.d s.Testkit.tg ~addr ~text:"i == 900" prog with
@@ -442,4 +546,7 @@ let () =
       ( "differential",
         [ case "nub and debugger sites agree on all targets" test_sites_agree_all_archs;
           case "nub site saves 100x the RPCs" test_nub_site_saves_rpcs ] );
+      ( "cost of a miss",
+        [ case "a context read sees the trap" test_context_read_sees_the_trap;
+          case "fuel exhaustion saves the context" test_fuel_stop_saves_context ] );
     ]

@@ -305,6 +305,23 @@ let test_arch_mismatch_check () =
   | exception Ldb_ldb.Linkerif.Error _ -> ()
   | _tg -> Alcotest.fail "mismatched symbol table accepted"
 
+(** SIM-MIPS frame sizes come from the runtime procedure table in target
+    memory.  A count no linker writes is a typed linker-interface error
+    from the walk, not an empty table that leaves every frame unknown. *)
+let test_bad_rpt_count () =
+  List.iter
+    (fun count ->
+      let s = session ~arch:Mips Testkit.fib_c in
+      ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "fib");
+      ignore (Ldb.continue_ s.Testkit.d s.Testkit.tg);
+      Ram.set_u32 s.Testkit.proc.Host.hp_proc.Proc.ram Rpt.base count;
+      match Ldb.backtrace s.Testkit.d s.Testkit.tg with
+      | exception Ldb_ldb.Linkerif.Error m ->
+          check Alcotest.bool ("names the count: " ^ m) true
+            (Testkit.contains_sub m (Int32.to_string count))
+      | _ -> Alcotest.failf "count %ld: backtrace walked a table it cannot have read" count)
+    [ -1l; Int32.of_int (Rpt.max_entries + 1); Int32.max_int ]
+
 let test_where_report () =
   let s = session ~arch:Sparc Testkit.fib_c in
   ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "fib");
@@ -344,5 +361,6 @@ let () =
       ( "multi-target",
         [ case "two architectures at once" test_two_targets_simultaneously;
           case "architecture mismatch" test_arch_mismatch_check;
-          case "where" test_where_report ] );
+          case "where" test_where_report;
+          case "absurd procedure-table count is typed" test_bad_rpt_count ] );
     ]

@@ -433,7 +433,11 @@ let test_rpt_roundtrip () =
       { Rpt.addr = 0x1100; frame_size = 64; ra_offset = 60 } ]
   in
   Rpt.write ram entries;
-  let back = Rpt.read (fun a -> Ram.get_u32 ram a) in
+  let back =
+    match Rpt.read (fun a -> Ram.get_u32 ram a) with
+    | Ok back -> back
+    | Error m -> Alcotest.fail m
+  in
   check Alcotest.int "count" 2 (List.length back);
   check Alcotest.bool "same" true (back = entries);
   match Rpt.find back ~pc:0x1104 with

@@ -282,6 +282,97 @@ let rwatch_case () =
   | Ok _ -> Alcotest.fail "found a write to a never-written variable"
   | Error e -> Alcotest.failf "expected no-write, got %s" (Replay.error_to_string e)
 
+(* --- nub-side conditions under recording ---------------------------------- *)
+
+(* a hot loop whose breakpoint carries a condition the nub evaluates *)
+let cond_c =
+  {|
+int g;
+void spin(int n)
+{
+    int i;
+    for (i = 0; i < n; i++)
+        g = g + 1;
+}
+int main(void)
+{
+    spin(200);
+    printf("%d\n", g);
+    return 0;
+}
+|}
+
+(** The stop [tg] shows: its pc, the loop counter, and its core dump. *)
+let cond_stop d tg =
+  let ctx_addr =
+    match tg.Ldb.tg_state with
+    | Ldb.Stopped { ctx_addr; _ } -> ctx_addr
+    | _ -> Alcotest.fail "target is not stopped"
+  in
+  let fr = Ldb.top_frame d tg in
+  (Ldb.read_ctx_pc tg ctx_addr, Ldb.read_int_var d tg fr "i", Ldb.core_bytes tg)
+
+(** Silent resumes per continue, as the replay re-executes each one
+    from the position where it began. *)
+let replayed_suppressed (rp : Replay.t) : int list =
+  List.init (Replay.requests rp) Fun.id
+  |> List.filter (fun j -> rp.Replay.rp_reqs.(j) = Proto.Continue)
+  |> List.map (fun j ->
+         let n = Replay.position_raw rp ~ev:j ~delta:0 in
+         n.Ldb_nub.Nub.suppressed <- 0;
+         let used = Replay.apply rp n j ~cap:None in
+         Replay.check_outcome rp n ~ev:j ~used;
+         n.Ldb_nub.Nub.suppressed)
+
+(** Record a run whose nub resumes silently over most traps, with
+    checkpoints spaced so that several fall between two reported stops,
+    among suppressed traps.  Those mid-run checkpoints carry the context
+    of the last reported stop, not of the last trap.  Replay must still
+    reach every stop the live run reported, with the same pc, loop
+    counter, count of silent resumes and core.  [before] installs the
+    condition before recording begins rather than after. *)
+let cond_record_case ~before arch () =
+  let s = Testkit.debug_session ~arch [ ("cond.c", cond_c) ] in
+  let d = s.Testkit.d and tg = s.Testkit.tg in
+  let addr = Testkit.break_at s ~src:cond_c ~stmt:"g = g + 1" in
+  let text = "i % 50 == 7" in
+  let prog = Testkit.compile_ok s (Ldb_exprserver.Eval.start ~arch) ~addr text in
+  if before then Testkit.nub_condition s ~addr ~text prog;
+  Ldb.start_record tg ~spacing:100;
+  if not before then Testkit.nub_condition s ~addr ~text prog;
+  let suppressed () =
+    match (Hashtbl.find tg.Ldb.tg_breaks addr).Ldb_ldb.Breakpoint.bp_cond with
+    | Some c -> c.Ldb_ldb.Breakpoint.c_suppressed
+    | None -> Alcotest.fail "the condition is gone"
+  in
+  let live, live_sup =
+    List.split
+      (List.init 4 (fun _ ->
+           let before = suppressed () in
+           expect_stop "continue" (Testkit.ok (Ldb.continue_ d tg));
+           (cond_stop d tg, suppressed () - before)))
+  in
+  let rp = open_replay s in
+  let replayed =
+    List.init 4 (fun k ->
+        cond_stop d (reach (if k = 0 then Replay.seek_end rp else Replay.rcontinue rp)))
+    |> List.rev
+  in
+  let an = Arch.name arch in
+  List.iteri
+    (fun k ((pc, i, core), (pc', i', core')) ->
+      let what = Printf.sprintf "%s stop %d" an (k + 1) in
+      check Alcotest.int (what ^ ": pc") pc pc';
+      check Alcotest.int (what ^ ": i") i i';
+      check Alcotest.bool (what ^ ": core") true (String.equal core core'))
+    (List.combine live replayed);
+  check Alcotest.(list int) (an ^ ": silent resumes per stop") live_sup (replayed_suppressed rp);
+  check Alcotest.(list int) (an ^ ": silent resumes, absolutely") [ 7; 49; 49; 49 ] live_sup;
+  check Alcotest.(list int) (an ^ ": stops where the condition holds") [ 7; 57; 107; 157 ]
+    (List.map (fun (_, i, _) -> i) live);
+  check Alcotest.bool (an ^ ": checkpoints between stops") true
+    (Replay.checkpoint_count rp > 8)
+
 (* --- determinism gate -------------------------------------------------------- *)
 
 (* The seeded session both determinism cases record; [poll] fetches the
@@ -874,6 +965,10 @@ let () =
       ("rcontinue", arch_cases "reverse-continue differential" rcontinue_case);
       ( "rwatch",
         [ Alcotest.test_case "run back to last write" `Quick rwatch_case ] );
+      ( "conditions",
+        arch_cases "nub-side condition: replayed stops = live" (cond_record_case ~before:false)
+        @ arch_cases "condition set before recording: replayed stops = live"
+            (cond_record_case ~before:true) );
       ( "cost",
         [ Alcotest.test_case "record overhead under 2x" `Quick record_overhead_case;
           Alcotest.test_case "spacing sweep: bounded re-execution" `Quick
