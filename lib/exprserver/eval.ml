@@ -185,14 +185,14 @@ let eval_string d tg fr sess expr = fst (evaluate d tg fr sess expr)
     need not have reached: scope resolution only consults the pc, and a
     base of zero makes a frame-local /where evaluate to its pure frame
     offset should it ever be interpreted. *)
-let frame_at (tg : Ldb.target) ~(addr : int) : Ldb_ldb.Frame.t =
+let frame_at (d : Ldb.t) (tg : Ldb.target) ~(addr : int) : Ldb_ldb.Frame.t =
   {
     Ldb_ldb.Frame.fr_pc = addr;
     fr_base = 0;
     fr_sp = 0;
     fr_level = 0;
     fr_mem = tg.Ldb.tg_wire;
-    fr_aliases = Hashtbl.create 1;
+    fr_proc = Ldb.proc_entry_at d tg ~pc:addr;
     fr_down = (fun () -> None);
   }
 
@@ -229,7 +229,7 @@ let compile_condition (d : Ldb.t) (tg : Ldb.target) (sess : session) ~(addr : in
     Stdlib.Error (`Error "expression server serves a different architecture")
   else begin
     Ldb.force_symbols d tg;
-    let fr = frame_at tg ~addr in
+    let fr = frame_at d tg ~addr in
     let visited = Hashtbl.create 8 in
     let lookup name =
       match Ldb.resolve d tg fr name with
@@ -264,14 +264,8 @@ let compile_condition (d : Ldb.t) (tg : Ldb.target) (sess : session) ~(addr : in
                   raise
                     (Exprserver.Error (name ^ " has no address a condition can use"))))
     in
-    let q = Ldb.make_query d tg in
     let frame_size =
-      match q.Ldb_ldb.Frame.q_frame_size ~pc:addr with
-      | Some s -> s
-      | None -> (
-          match q.Ldb_ldb.Frame.q_proc_info ~pc:addr with
-          | Some pi -> pi.Ldb_ldb.Frame.pi_frame_size
-          | None -> 0)
+      Ldb_ldb.Frame.frame_size_at (Ldb.make_query d tg) ~pc:addr fr.Ldb_ldb.Frame.fr_proc
     in
     match
       Exprserver.compile_cond sess.server ~tdesc:tg.Ldb.tg_tdesc ~frame_size ~lookup

@@ -6,7 +6,6 @@
     the register memory converts transparently. *)
 
 open Ldb_machine
-module A = Ldb_amemory.Amemory
 
 let arch = Arch.M68k
 
@@ -14,40 +13,38 @@ let target = Target.of_arch arch
 let sp_reg = target.Target.sp (* a7 *)
 let fp_reg = match target.Target.fp with Some r -> r | None -> assert false (* a6 *)
 
-let rec make (q : Frame.query) ~pc ~fp ~sp ~aliases ~level : Frame.t =
-  let mem = Frame.build_dag q.Frame.q_target q.Frame.q_wire aliases in
-  Hashtbl.replace aliases ('x', 1) (Frame.imm_i32 fp);
+let rec make (q : Frame.query) ~pc ~fp ~sp ~proc ~aliases ~level : Frame.t =
+  let aliases = Frame.alias aliases 'x' 1 (Frame.imm_i32 fp) in
   {
     Frame.fr_pc = pc;
     fr_base = fp;
     fr_sp = sp;
     fr_level = level;
-    fr_mem = mem;
-    fr_aliases = aliases;
-    fr_down = (fun () -> down q ~pc ~fp ~aliases ~level);
+    fr_mem = Frame.build_dag q.Frame.q_target q.Frame.q_wire aliases;
+    fr_proc = proc;
+    fr_down = (fun () -> down q ~fp ~proc ~aliases ~level);
   }
 
-and down (q : Frame.query) ~pc ~fp ~aliases ~level : Frame.t option =
-  let fetch32 addr = Int32.to_int (A.fetch_i32 q.Frame.q_wire (A.absolute 'd' addr)) in
-  let caller_fp = fetch32 fp land 0xffffffff in
-  let ret_pc = fetch32 (fp + 4) land 0xffffffff in
-  if ret_pc = 0 || caller_fp = 0 || not (q.Frame.q_known_pc ~pc:ret_pc) then None
-  else begin
-    let aliases' = Frame.copy_aliases aliases in
-    Hashtbl.replace aliases' ('x', 0) (Frame.imm_i32 ret_pc);
-    Hashtbl.replace aliases' ('r', fp_reg) (Frame.imm_i32 caller_fp);
-    (* after the callee returns and the ra pops, sp sits above it *)
-    Hashtbl.replace aliases' ('r', sp_reg) (Frame.imm_i32 (fp + 8));
-    (match q.Frame.q_proc_info ~pc with
-    | Some pi -> Frame.apply_saved_regs aliases' ~callee_base:fp pi.Frame.pi_saved_regs
-    | None -> ());
-    Some (make q ~pc:ret_pc ~fp:caller_fp ~sp:(fp + 8) ~aliases:aliases' ~level:(level + 1))
-  end
+and down (q : Frame.query) ~fp ~proc ~aliases ~level : Frame.t option =
+  let caller_fp = Frame.fetch_word q fp in
+  let ret_pc = Frame.fetch_word q (fp + 4) in
+  if ret_pc = 0 || caller_fp = 0 then None
+  else
+    match q.Frame.q_caller ~pc:ret_pc with
+    | None -> None
+    | caller ->
+        let a = Frame.alias aliases 'x' 0 (Frame.imm_i32 ret_pc) in
+        let a = Frame.alias a 'r' fp_reg (Frame.imm_i32 caller_fp) in
+        (* after the callee returns and the ra pops, sp sits above it *)
+        let a = Frame.alias a 'r' sp_reg (Frame.imm_i32 (fp + 8)) in
+        let a =
+          Frame.apply_saved_regs a ~callee_base:fp (Option.map q.Frame.q_proc_info proc)
+        in
+        Some (make q ~pc:ret_pc ~fp:caller_fp ~sp:(fp + 8) ~proc:caller ~aliases:a ~level:(level + 1))
 
 let top (q : Frame.query) ~ctx_addr : Frame.t =
-  let fetch32 addr = Int32.to_int (A.fetch_i32 q.Frame.q_wire (A.absolute 'd' addr)) in
-  let pc = fetch32 (ctx_addr + target.Target.ctx_pc_off) land 0xffffffff in
-  let fp = fetch32 (ctx_addr + target.Target.ctx_reg_off fp_reg) land 0xffffffff in
-  let sp = fetch32 (ctx_addr + target.Target.ctx_reg_off sp_reg) land 0xffffffff in
+  let pc = Frame.fetch_word q (ctx_addr + target.Target.ctx_pc_off) in
+  let fp = Frame.fetch_word q (ctx_addr + target.Target.ctx_reg_off fp_reg) in
+  let sp = Frame.fetch_word q (ctx_addr + target.Target.ctx_reg_off sp_reg) in
   let aliases = Frame.context_aliases target ~ctx_addr in
-  make q ~pc ~fp ~sp ~aliases ~level:0
+  make q ~pc ~fp ~sp ~proc:(q.Frame.q_proc ~pc) ~aliases ~level:0

@@ -679,13 +679,18 @@ let clear_breakpoint (tg : target) ~addr =
 
 (* --- stack frames -------------------------------------------------------------- *)
 
+let proc_of_label (d : t) (tg : target) label : V.t option =
+  (* an indexed label forces no unit, so it needs no dictionaries *)
+  match Hashtbl.find_opt tg.tg_symtab.Symtab.by_label label with
+  | Some _ as e -> e
+  | None -> with_target d tg (fun () -> Symtab.proc_by_label tg.tg_symtab label)
+
 let proc_entry_at (d : t) (tg : target) ~pc : V.t option =
   (* the loader's proctable maps the pc to a linker label without touching
      the symbol table; only the unit defining that label is then forced *)
   match Linkerif.proc_of_pc tg.tg_linkerif ~pc with
   | None -> None
-  | Some (_, label) ->
-      with_target d tg (fun () -> Symtab.proc_by_label tg.tg_symtab label)
+  | Some (_, label) -> proc_of_label d tg label
 
 let proc_info_of_entry (e : V.t) : Frame.proc_info =
   let d = V.to_dict e in
@@ -708,13 +713,13 @@ let make_query (d : t) (tg : target) : Frame.query =
     Frame.q_target = tg.tg_tdesc;
     q_wire = tg.tg_wire;
     q_frame_size = (fun ~pc -> Linkerif.frame_size tg.tg_linkerif ~pc);
-    q_proc_info =
-      (fun ~pc -> Option.map proc_info_of_entry (proc_entry_at d tg ~pc));
-    q_known_pc =
+    q_proc = (fun ~pc -> proc_entry_at d tg ~pc);
+    q_caller =
       (fun ~pc ->
         match Linkerif.proc_of_pc tg.tg_linkerif ~pc with
-        | Some (_, label) -> label <> Ldb_link.Link.start_symbol && proc_entry_at d tg ~pc <> None
-        | None -> false);
+        | Some (_, label) when label <> Ldb_link.Link.start_symbol -> proc_of_label d tg label
+        | _ -> None);
+    q_proc_info = Symtab.frame_desc tg.tg_symtab ~decode:proc_info_of_entry;
   }
 
 (** The frame of the topmost activation; [Frame.fr_down] walks down. *)
@@ -741,7 +746,7 @@ let backtrace (d : t) (tg : target) : Frame.t list =
     nearest below the frame's pc (binary search over the symbol table's
     per-procedure pc index; the index is built on first use). *)
 let stop_of_frame (d : t) (tg : target) (fr : Frame.t) : Symtab.stop option =
-  match proc_entry_at d tg ~pc:fr.Frame.fr_pc with
+  match fr.Frame.fr_proc with
   | None -> None
   | Some proc ->
       Symtab.stop_at_pc tg.tg_symtab ~addr_of:(stop_address d tg) proc
@@ -883,8 +888,8 @@ let assign_int (d : t) (tg : target) (fr : Frame.t) (name : string) (v : int) :
   with Coredump.Dead_process m -> Error (`Dead_process m)
 
 (** Name of the procedure a frame is stopped in. *)
-let frame_function (d : t) (tg : target) (fr : Frame.t) : string =
-  match proc_entry_at d tg ~pc:fr.Frame.fr_pc with
+let frame_function (_ : t) (tg : target) (fr : Frame.t) : string =
+  match fr.Frame.fr_proc with
   | Some e -> Symtab.entry_name e
   | None -> (
       match Linkerif.proc_of_pc tg.tg_linkerif ~pc:fr.Frame.fr_pc with

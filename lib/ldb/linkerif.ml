@@ -23,7 +23,7 @@ type t = {
   loader : V.dict;  (** the __loader dictionary *)
   wire : A.t;
   anchor_cache : (string * int, int) Hashtbl.t;
-  mutable rpt : Rpt.entry list option;  (** SIM-MIPS runtime procedure table *)
+  mutable rpt : Rpt.entry array option;  (** SIM-MIPS runtime procedure table, {!Rpt.index}ed *)
   mutable proctable : (int * string) array option;  (** sorted by address *)
 }
 
@@ -114,7 +114,8 @@ let mips_rpt li =
   | None -> (
       (* read the runtime procedure table out of the target address space *)
       match Rpt.read (fun addr -> Int32.of_int (fetch32 li addr)) with
-      | Ok r ->
+      | Ok entries ->
+          let r = Rpt.index entries in
           li.rpt <- Some r;
           r
       | Error m -> raise (Error m))

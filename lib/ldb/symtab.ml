@@ -72,6 +72,8 @@ type t = {
   pc_index : (string, (int * stop) array) Hashtbl.t;
       (** proc label -> loci sorted by object-code address *)
   extern_cache : (string, V.t) Hashtbl.t;  (** memoized extern resolutions *)
+  frame_descs : (string, Frame.proc_info) Hashtbl.t;
+      (** proc label -> what the stack walkers read of it ({!frame_desc}) *)
   quarantined : (string, string) Hashtbl.t;
       (** file -> reason for every unit whose force failed.  A poisoned
           body is never re-executed: a direct force raises the recorded
@@ -153,6 +155,7 @@ let make ~(interp : I.t) ~(symtab_dict : V.dict) : t =
     by_line = Hashtbl.create 64;
     pc_index = Hashtbl.create 16;
     extern_cache = Hashtbl.create 16;
+    frame_descs = Hashtbl.create 16;
     quarantined = Hashtbl.create 4;
   }
 
@@ -566,6 +569,20 @@ let stop_index (st : t) ~(addr_of : stop -> int) (proc_entry : V.t) : (int * sto
       in
       Hashtbl.replace st.pc_index key a;
       a
+
+(** The stack walkers' description of a procedure, decoded by [decode]
+    on first use and kept with the table, so every session sharing the
+    image shares one.  A decode that raises keeps nothing: the next call
+    decodes, and fails, again. *)
+let frame_desc (st : t) ~(decode : V.t -> Frame.proc_info) (proc_entry : V.t) :
+    Frame.proc_info =
+  let key = pc_key proc_entry in
+  match Hashtbl.find_opt st.frame_descs key with
+  | Some pi -> pi
+  | None ->
+      let pi = decode proc_entry in
+      Hashtbl.replace st.frame_descs key pi;
+      pi
 
 (** Addresses of every stopping point of a procedure, ascending. *)
 let stop_addresses (st : t) ~addr_of proc_entry : int list =

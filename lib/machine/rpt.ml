@@ -46,14 +46,23 @@ let read (fetch32 : int -> int32) : (entry list, string) result =
              ra_offset = Int32.to_int (fetch32 (off + 8));
            }))
 
-(** Find the entry governing [pc]: the entry with the greatest address not
-    exceeding [pc]. *)
-let find entries ~pc =
-  List.fold_left
-    (fun best e ->
-      if e.addr <= pc then
-        match best with
-        | Some b when b.addr >= e.addr -> best
-        | _ -> Some e
-      else best)
-    None entries
+(** The table indexed for {!find}: sorted by address, and of several
+    entries at one address only the first kept. *)
+let index (entries : entry list) : entry array =
+  List.stable_sort (fun a b -> compare a.addr b.addr) entries
+  |> List.fold_left
+       (fun acc e -> match acc with p :: _ when p.addr = e.addr -> acc | _ -> e :: acc)
+       []
+  |> List.rev |> Array.of_list
+
+(** Find the entry governing [pc] in an {!index}ed table: the entry with
+    the greatest address not exceeding [pc] (binary search). *)
+let find (idx : entry array) ~pc =
+  let rec search lo hi best =
+    if lo > hi then best
+    else
+      let mid = (lo + hi) / 2 in
+      if idx.(mid).addr <= pc then search (mid + 1) hi (Some idx.(mid))
+      else search lo (mid - 1) best
+  in
+  search 0 (Array.length idx - 1) None

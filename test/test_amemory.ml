@@ -30,7 +30,7 @@ let test_alias_translation () =
   let under = A.local () in
   let table = Hashtbl.create 4 in
   Hashtbl.replace table ('r', 30) (A.absolute 'd' 0x92);
-  let m = A.alias ~table under in
+  let m = A.alias ~lookup:(fun s o -> Hashtbl.find_opt table (s, o)) under in
   A.store_i32 under (A.absolute 'd' 0x92) 777l;
   check Alcotest.int32 "aliased fetch" 777l (A.fetch_i32 m (A.absolute 'r' 30));
   A.store_i32 m (A.absolute 'r' 30) 888l;
@@ -42,7 +42,7 @@ let test_alias_translation () =
 let test_alias_immediate () =
   let table = Hashtbl.create 4 in
   Hashtbl.replace table ('x', 1) (A.immediate_i32 0x4000l);
-  let m = A.alias ~table (A.local ()) in
+  let m = A.alias ~lookup:(fun s o -> Hashtbl.find_opt table (s, o)) (A.local ()) in
   check Alcotest.int32 "immediate alias" 0x4000l (A.fetch_i32 m (A.absolute 'x' 1))
 
 (** The register memory makes byte order irrelevant: fetching the least
@@ -52,7 +52,7 @@ let test_register_memory_byte_order () =
   let under = A.local () in
   let table = Hashtbl.create 4 in
   Hashtbl.replace table ('r', 5) (A.absolute 'd' 0x40) ;
-  let aliased = A.alias ~table under in
+  let aliased = A.alias ~lookup:(fun s o -> Hashtbl.find_opt table (s, o)) under in
   let m = A.register ~spaces:[ ('r', A.Int_reg 4) ] aliased in
   A.store_i32 m (A.absolute 'r' 5) 0x11223344l;
   (* a 1-byte fetch from the register returns the least significant byte *)
@@ -68,7 +68,7 @@ let test_register_float_conversion () =
   let under = A.local () in
   let table = Hashtbl.create 4 in
   Hashtbl.replace table ('f', 2) (A.absolute 'd' 0x50);
-  let aliased = A.alias ~table under in
+  let aliased = A.alias ~lookup:(fun s o -> Hashtbl.find_opt table (s, o)) under in
   let m = A.register ~spaces:[ ('f', A.Float_reg 10) ] aliased in
   A.store_f80 m (A.absolute 'f' 2) 3.25;
   check (Alcotest.float 0.0) "f80 roundtrip" 3.25 (A.fetch_f80 m (A.absolute 'f' 2));
@@ -116,7 +116,7 @@ let test_wire_dag_end_to_end () =
       for f = 0 to Target.nfregs target - 1 do
         Hashtbl.replace table ('f', f) (A.absolute 'd' (ctx + target.Target.ctx_freg_off f))
       done;
-      let aliased = A.alias ~table wire in
+      let aliased = A.alias ~lookup:(fun s o -> Hashtbl.find_opt table (s, o)) wire in
       let regmem =
         A.register
           ~spaces:[ ('r', A.Int_reg 4); ('f', A.Float_reg target.Target.ctx_freg_bytes) ]

@@ -94,15 +94,7 @@ let patch_bytes s off replacement =
   Bytes.to_string b
 
 (** Replace the first occurrence of [pat] after [from] with [repl]. *)
-let replace_first ?(from = 0) s pat repl =
-  let n = String.length s and m = String.length pat in
-  let rec find i =
-    if i + m > n then Alcotest.failf "pattern %S not found" pat
-    else if String.sub s i m = pat then i
-    else find (i + 1)
-  in
-  let i = find from in
-  String.sub s 0 i ^ repl ^ String.sub s (i + m) (n - i - m)
+let replace_first = Testkit.replace_first
 
 let index_of s pat =
   let n = String.length s and m = String.length pat in

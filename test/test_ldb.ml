@@ -335,6 +335,89 @@ let test_where_report () =
      in
      has "SIGTRAP" && has "fib")
 
+(** A procedure whose /savedregs entry is not a [reg offset] pair (only
+    depth1 of [deep_c] saves a register).  Every walk through it is a
+    typed [Ldb.Error], the second one too: a failed decode is not kept.
+    A server session answers [Failed] and stays usable. *)
+let test_bad_savedregs () =
+  let hostile ps = Testkit.replace_first ps "/savedregs [ [ " "/savedregs [ [ 99 ] [ " in
+  List.iter
+    (fun arch ->
+      let what = Arch.name arch in
+      let p = Host.launch ~arch [ ("t.c", deep_c) ] in
+      let d = Ldb.create () in
+      let tg = Ldb.connect d ~name:what ~loader_ps:(hostile p.Host.hp_loader_ps) (Host.open_channel p) in
+      ignore (Ldb.break_function d tg "depth3");
+      ignore (Ldb.continue_ d tg);
+      for attempt = 1 to 2 do
+        match Ldb.backtrace d tg with
+        | exception Ldb.Error m ->
+            check Alcotest.bool (Printf.sprintf "%s walk %d: %s" what attempt m) true
+              (Testkit.contains_sub m "not a [reg offset] pair")
+        | _ -> Alcotest.failf "%s walk %d: walked through a bad /savedregs" what attempt
+      done;
+      check Alcotest.string (what ^ " frames above it still work") "depth2"
+        (Ldb.frame_function d tg (Option.get ((Ldb.top_frame d tg).Frame.fr_down ())));
+      let sv = Ldb_ldb.Server.create () in
+      let p = Host.launch ~arch [ ("t.c", deep_c) ] in
+      let id =
+        match
+          Ldb_ldb.Server.open_session sv ~name:what ~loader_ps:(hostile p.Host.hp_loader_ps)
+            (Host.open_channel p)
+        with
+        | Ok id -> id
+        | Error r -> Alcotest.failf "%s: open refused: %s" what (Ldb_ldb.Server.refusal_to_string r)
+      in
+      let exec c = Ldb_ldb.Server.exec sv id c in
+      ignore (exec (Ldb_ldb.Server.Break_function "depth3"));
+      ignore (exec Ldb_ldb.Server.Continue);
+      for attempt = 1 to 2 do
+        match exec Ldb_ldb.Server.Backtrace with
+        | Error (Ldb_ldb.Server.Failed m) ->
+            check Alcotest.bool (Printf.sprintf "%s server walk %d: %s" what attempt m) true
+              (Testkit.contains_sub m "not a [reg offset] pair")
+        | Ok _ -> Alcotest.failf "%s server walk %d: answered" what attempt
+        | Error r ->
+            Alcotest.failf "%s server walk %d: %s" what attempt
+              (Ldb_ldb.Server.refusal_to_string r)
+      done;
+      match exec (Ldb_ldb.Server.Read_int "x") with
+      | Ok _ -> ()
+      | Error r -> Alcotest.failf "%s: session unusable: %s" what (Ldb_ldb.Server.refusal_to_string r))
+    Arch.all
+
+(* --- cost of a walk -------------------------------------------------------------------- *)
+
+(** A warm 23-frame backtrace plus [frame_function] on every frame
+    allocates at most [words_per_frame] minor words per frame on every
+    target.  A caller's alias table holds only what its frame changes,
+    and each frame resolves its procedure once, so the walk's
+    allocation no longer grows with the context table.  A ceiling, not
+    a golden: word counts differ between OCaml releases. *)
+let words_per_frame = 250.
+
+let test_walk_allocation () =
+  List.iter
+    (fun arch ->
+      let s = Testkit.debug_session ~arch (Testkit.deep_sources ~units:8 ~top:21 ~rounds:1) in
+      let d = s.Testkit.d and tg = s.Testkit.tg in
+      (* d5 runs at depths 5, 13 and 21: the third stop is the deepest *)
+      ignore (Ldb.break_function d tg "d5");
+      ignore (Testkit.continue_n s 3);
+      let walk () = List.map (Ldb.frame_function d tg) (Ldb.backtrace d tg) in
+      let frames = List.length (walk ()) in
+      check Alcotest.int (Arch.name arch ^ " frames") 23 frames;
+      let rounds = 20 in
+      let before = Gc.minor_words () in
+      for _ = 1 to rounds do
+        ignore (Sys.opaque_identity (walk ()))
+      done;
+      let per_frame = (Gc.minor_words () -. before) /. float_of_int (rounds * frames) in
+      if per_frame > words_per_frame then
+        Alcotest.failf "%s: %.0f minor words per frame (ceiling %.0f)" (Arch.name arch)
+          per_frame words_per_frame)
+    Arch.all
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -363,4 +446,7 @@ let () =
           case "architecture mismatch" test_arch_mismatch_check;
           case "where" test_where_report;
           case "absurd procedure-table count is typed" test_bad_rpt_count ] );
+      ( "hostile tables",
+        [ case "a bad /savedregs entry fails every walk" test_bad_savedregs ] );
+      ("cost", [ case "a warm deep walk allocates little per frame" test_walk_allocation ]);
     ]

@@ -440,9 +440,33 @@ let test_rpt_roundtrip () =
   in
   check Alcotest.int "count" 2 (List.length back);
   check Alcotest.bool "same" true (back = entries);
-  match Rpt.find back ~pc:0x1104 with
+  match Rpt.find (Rpt.index back) ~pc:0x1104 with
   | Some e -> check Alcotest.int "find" 0x1100 e.Rpt.addr
   | None -> Alcotest.fail "find failed"
+
+(** The linear scan [Rpt.find] once was: the entry with the greatest
+    address not exceeding [pc], the first of equals. *)
+let rpt_find_by_fold entries ~pc =
+  List.fold_left
+    (fun best (e : Rpt.entry) ->
+      if e.Rpt.addr <= pc then
+        match best with Some (b : Rpt.entry) when b.Rpt.addr >= e.Rpt.addr -> best | _ -> Some e
+      else best)
+    None entries
+
+(** Binary search over the indexed table agrees with the fold, on
+    unsorted tables with duplicate addresses (distinct frame sizes tell
+    which duplicate won) and on pcs below every entry. *)
+let prop_rpt_find_matches_fold =
+  (* the i-th entry has frame size i, so equal results name one entry *)
+  let table offsets =
+    List.mapi (fun i a -> { Rpt.addr = 0x1000 + (16 * a); frame_size = i; ra_offset = 0 }) offsets
+  in
+  Testkit.qtest "indexed find = linear fold" ~count:500
+    QCheck.(pair (small_list (int_bound 8)) (int_range 0xff0 0x10a0))
+    (fun (offsets, pc) ->
+      let entries = table offsets in
+      Rpt.find (Rpt.index entries) ~pc = rpt_find_by_fold entries ~pc)
 
 (* --- register fields beyond the register file --------------------------------- *)
 
@@ -757,5 +781,6 @@ let () =
         [
           Alcotest.test_case "printf syscall" `Quick test_printf_syscall;
           Alcotest.test_case "runtime procedure table" `Quick test_rpt_roundtrip;
+          prop_rpt_find_matches_fold;
         ] );
     ]
