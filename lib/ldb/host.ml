@@ -16,16 +16,6 @@ type process = {
   hp_loader_ps : string;
 }
 
-(** Compile, link and load [sources] for [arch]; the program starts under
-    its nub, paused before main. *)
-let launch ?(debug = true) ?(defer = true) ?(compress = false) ?(paused = true)
-    ~(arch : Arch.t) (sources : (string * string) list) : process =
-  let img, loader_ps = Ldb_link.Driver.build ~debug ~defer ~compress ~arch sources in
-  let proc = Ldb_link.Link.load img in
-  let nub = Nub.create proc in
-  Nub.start ~paused nub;
-  { hp_proc = proc; hp_nub = nub; hp_image = img; hp_loader_ps = loader_ps }
-
 (** Compile, link and load once; launch a fresh process of the built
     program.  A server hosting many sessions of the same program builds
     with {!build_image} and launches each process with {!launch_image} —
@@ -41,6 +31,12 @@ let launch_image ?(paused = true) ((img : Ldb_link.Link.image), (loader_ps : str
   let nub = Nub.create proc in
   Nub.start ~paused nub;
   { hp_proc = proc; hp_nub = nub; hp_image = img; hp_loader_ps = loader_ps }
+
+(** Compile, link and load [sources] for [arch]; the program starts under
+    its nub, paused before main. *)
+let launch ?debug ?defer ?compress ?paused ~(arch : Arch.t) (sources : (string * string) list)
+    : process =
+  launch_image ?paused (build_image ?debug ?defer ?compress ~arch sources)
 
 (** Open a debugger connection to a process: returns the debugger-side
     endpoint, with its pump wired to the process's nub (the discrete-event

@@ -132,6 +132,31 @@ type cond_compiler =
     | `Unverified of Ldb_nub.Bpverify.finding list ] )
   result
 
+(** A program's loader text as a table key.  The hash reads the text's
+    length and 64 bytes spread evenly through it, so a lookup costs the
+    same for a program of any size; equality still compares whole texts,
+    and {!String.equal} answers at once when it is handed the very string
+    an image was loaded from. *)
+module Loader_text = struct
+  type t = string
+
+  let equal = String.equal
+
+  (* bytes read: the first, the last, and evenly spaced between *)
+  let sample = 64
+
+  let hash s =
+    let n = String.length s in
+    let h = ref n in
+    if n > 0 then
+      for i = 0 to sample - 1 do
+        h := (!h * 31) + Char.code (String.unsafe_get s (i * (n - 1) / (sample - 1)))
+      done;
+    !h land max_int
+end
+
+module Images = Hashtbl.Make (Loader_text)
+
 type t = {
   sv_d : Ldb.t;  (** the one debugger (and interpreter) under every session *)
   sv_sessions : (int, session) Hashtbl.t;  (** every session not yet closed *)
@@ -139,7 +164,7 @@ type t = {
       (** tombstones of closed sessions: name and image id only, so a
           closed session's target, transport and process can be freed
           while later commands still get a typed [Session_closed] *)
-  sv_images : (string, Ldb.image) Hashtbl.t;  (** keyed by the loader text, not its digest *)
+  sv_images : Ldb.image Images.t;  (** keyed by the loader text, not its digest *)
   sv_limits : limits;
   sv_stats : stats;
   mutable sv_next_id : int;
@@ -155,7 +180,7 @@ let create ?(limits = default_limits) () : t =
     sv_d = Ldb.create ();
     sv_sessions = Hashtbl.create 64;
     sv_closed = Hashtbl.create 64;
-    sv_images = Hashtbl.create 8;
+    sv_images = Images.create 8;
     sv_limits = limits;
     sv_stats =
       { sv_opened = 0; sv_cache_hits = 0; sv_cache_misses = 0; sv_refused = 0;
@@ -304,17 +329,17 @@ let planted = function R_addr a -> [ a ] | R_addrs addrs -> addrs | _ -> []
 
 (** The cached image for [loader_ps], loading it on first sight. *)
 let image_for (sv : t) ~(loader_ps : string) : Ldb.image =
-  match Hashtbl.find_opt sv.sv_images loader_ps with
+  match Images.find_opt sv.sv_images loader_ps with
   | Some im ->
       sv.sv_stats.sv_cache_hits <- sv.sv_stats.sv_cache_hits + 1;
       im
   | None ->
       let im = Ldb.load_image sv.sv_d ~loader_ps in
-      Hashtbl.replace sv.sv_images im.Ldb.im_loader_ps im;
+      Images.replace sv.sv_images im.Ldb.im_loader_ps im;
       sv.sv_stats.sv_cache_misses <- sv.sv_stats.sv_cache_misses + 1;
       im
 
-let cached_images (sv : t) : int = Hashtbl.length sv.sv_images
+let cached_images (sv : t) : int = Images.length sv.sv_images
 
 let refuse (sv : t) (r : refusal) : ('a, refusal) result =
   sv.sv_stats.sv_refused <- sv.sv_stats.sv_refused + 1;

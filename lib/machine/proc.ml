@@ -19,8 +19,10 @@ type t = {
   mutable entry : int;  (** address of the startup code *)
 }
 
-let create (target : Target.t) =
-  let ram = Ram.create (Target.order target) in
+(** A fresh process of [target], over [ram] (default: a fresh, all-zero
+    memory in the target's byte order). *)
+let create ?ram (target : Target.t) =
+  let ram = match ram with Some r -> r | None -> Ram.create (Target.order target) in
   let cpu = Cpu.create target in
   Cpu.set_reg cpu target.Target.sp (Int32.of_int Ram.Layout.stack_top);
   (match target.Target.fp with

@@ -283,17 +283,40 @@ let frame_header (codec : Ldb_util.Bytecodec.framing) ~seq ~len ~crc =
   List.iter (Ldb_util.Bytecodec.add_u32 b) [ seq; len; crc ];
   Buffer.contents b
 
-(** [s] with the first occurrence of [pat] at or after [from] replaced
-    by [repl]; a missing pattern fails the test. *)
-let replace_first ?(from = 0) s pat repl =
+(** The first index of [pat] in [s] at or after [from]; a missing
+    pattern fails the test. *)
+let index_of ?(from = 0) s pat =
   let n = String.length s and m = String.length pat in
   let rec find i =
     if i + m > n then Alcotest.failf "pattern %S not found" pat
     else if String.sub s i m = pat then i
     else find (i + 1)
   in
-  let i = find from in
+  find from
+
+(** [s] with the first occurrence of [pat] at or after [from] replaced
+    by [repl]; a missing pattern fails the test. *)
+let replace_first ?from s pat repl =
+  let i = index_of ?from s pat and n = String.length s and m = String.length pat in
   String.sub s 0 i ^ repl ^ String.sub s (i + m) (n - i - m)
+
+(** [s] with [replacement] written over it at [off]. *)
+let patch_bytes s off replacement =
+  let b = Bytes.of_string s in
+  Bytes.blit_string replacement 0 b off (String.length replacement);
+  Bytes.to_string b
+
+(** A byte sequence the target's decoder rejects. *)
+let invalid_encoding (t : Target.t) =
+  let rec try_byte c =
+    if c < 0 then Alcotest.fail "no invalid encoding found"
+    else
+      let s = String.make (max 4 t.Target.insn_unit) (Char.chr c) in
+      match Target.decode t ~fetch:(fun i -> Char.code s.[i mod String.length s]) 0 with
+      | _ -> try_byte (c - 1)
+      | exception Optab.Bad_encoding _ -> s
+  in
+  try_byte 255
 
 (** Lower-case hex of [s], for pinning encodings to goldens. *)
 let hex (s : string) : string =

@@ -88,22 +88,12 @@ let test_clean_examples () =
 
 (* --- mutation helpers ---------------------------------------------------------- *)
 
-let patch_bytes s off replacement =
-  let b = Bytes.of_string s in
-  Bytes.blit_string replacement 0 b off (String.length replacement);
-  Bytes.to_string b
+let patch_bytes = Testkit.patch_bytes
 
 (** Replace the first occurrence of [pat] after [from] with [repl]. *)
 let replace_first = Testkit.replace_first
 
-let index_of s pat =
-  let n = String.length s and m = String.length pat in
-  let rec find i =
-    if i + m > n then Alcotest.failf "pattern %S not found" pat
-    else if String.sub s i m = pat then i
-    else find (i + 1)
-  in
-  find 0
+let index_of = Testkit.index_of
 
 (** The first stopping point of the first function: its code address and
     the data-segment offset of the anchor slot word that holds it. *)
@@ -136,17 +126,7 @@ let first_sline_off stabs =
   in
   scan 0
 
-(** A byte sequence the target's decoder rejects. *)
-let invalid_encoding (t : Target.t) =
-  let rec try_byte c =
-    if c < 0 then Alcotest.fail "no invalid encoding found"
-    else
-      let s = String.make (max 4 t.Target.insn_unit) (Char.chr c) in
-      match Target.decode t ~fetch:(fun i -> Char.code s.[i mod String.length s]) 0 with
-      | _ -> try_byte (c - 1)
-      | exception Optab.Bad_encoding _ -> s
-  in
-  try_byte 255
+let invalid_encoding = Testkit.invalid_encoding
 
 (* --- the seeded-defect corpus -------------------------------------------------- *)
 

@@ -211,6 +211,9 @@ type ram_op =
   | Blit of int * string
   | Read of int * int
   | Extent of int * int
+  | Clone of int * string
+      (** go on in a clone; write the bytes at the address into the
+          memory left behind *)
 
 let show_ram_op = function
   | Get (w, a) -> Printf.sprintf "get%d %#x" w a
@@ -220,6 +223,7 @@ let show_ram_op = function
   | Blit (a, s) -> Printf.sprintf "blit %#x (%d bytes)" a (String.length s)
   | Read (a, n) -> Printf.sprintf "read %#x %d" a n
   | Extent (lo, hi) -> Printf.sprintf "extent %#x..%#x" lo hi
+  | Clone (a, s) -> Printf.sprintf "clone, blit %#x (%d bytes) behind" a (String.length s)
 
 let diff_size = (5 * Ram.page_size) + 24
 
@@ -243,7 +247,8 @@ let gen_ram_ops : (Endian.order * ram_op list) QCheck.arbitrary =
         (2, map2 (fun a s -> Blit (a, s))
               addr (bytes (frequency [ (4, int_bound 20); (1, int_range 4000 9000) ])));
         (2, map2 (fun a n -> Read (a, n)) addr (frequency [ (4, int_bound 20); (1, int_bound 9000) ]));
-        (1, map2 (fun a n -> Extent (a, a + n)) addr (int_bound 9000)) ]
+        (1, map2 (fun a n -> Extent (a, a + n)) addr (int_bound 9000));
+        (1, map2 (fun a s -> Clone (a, s)) addr (bytes (int_bound 20))) ]
   in
   QCheck.make
     ~print:(fun (o, ops) ->
@@ -251,15 +256,28 @@ let gen_ram_ops : (Endian.order * ram_op list) QCheck.arbitrary =
         (String.concat "; " (List.map show_ram_op ops)))
     (pair (oneofl [ Endian.Big; Endian.Little ]) (list_size (int_range 1 60) op))
 
+(* A [Clone] goes on in a clone of the memory and writes into the one it
+   leaves behind, which must end up holding exactly what its own flat
+   copy holds: neither memory sees the other's stores. *)
 let prop_ram_matches_flat =
   Testkit.qtest "paged RAM = flat reference" ~count:300 gen_ram_ops (fun (order, ops) ->
-      let ram = Ram.create ~size:diff_size order in
+      let cur = ref (Ram.create ~size:diff_size order) in
       let flat = { Flat.b = Bytes.make diff_size '\000'; order } in
+      let behind = ref [] in
       let run f = match f () with v -> Ok v | exception Ram.Fault a -> Error a in
       let same f g = run f = run g in
+      let whole ram flat = Ram.read_string ram ~addr:0 ~len:diff_size = Bytes.to_string flat.Flat.b in
       List.for_all
         (fun op ->
+          let ram = !cur in
           match op with
+          | Clone (a, s) ->
+              let old = { flat with Flat.b = Bytes.copy flat.Flat.b } in
+              let r = Ram.clone ram in
+              let ok = same (fun () -> Ram.blit_in ram ~addr:a s) (fun () -> Flat.blit_in old a s) in
+              behind := (ram, old) :: !behind;
+              cur := r;
+              ok
           | Get (w, a) -> same (fun () -> ram_get ram w a) (fun () -> Flat.get flat w a)
           | Set (w, a, v) -> same (fun () -> ram_set ram w a v) (fun () -> Flat.set flat w a v)
           | Get_f64 a ->
@@ -274,7 +292,8 @@ let prop_ram_matches_flat =
           | Extent (lo, hi) ->
               same (fun () -> Ram.nonzero_extent ram ~lo ~hi) (fun () -> Flat.extent flat lo hi))
         ops
-      && Ram.read_string ram ~addr:0 ~len:diff_size = Bytes.to_string flat.Flat.b)
+      && whole !cur flat
+      && List.for_all (fun (m, f) -> whole m f) !behind)
 
 (* --- float80 ------------------------------------------------------------------ *)
 
