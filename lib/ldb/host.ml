@@ -1,8 +1,9 @@
 (** Host-side plumbing for the paper's connection mechanisms (Sec. 1, 4.2):
     forking the target as a child ([spawn]), connecting to an existing
     process over the (simulated) network ([attach_existing]), and being
-    contacted by a faulty process whose nub preserved its state
-    ([run_until_fault] + [attach_existing]). *)
+    contacted by a faulty process whose nub preserved its state (a
+    process started with [launch ~paused:false] runs until it faults or
+    exits, then [attach_existing]). *)
 
 open Ldb_machine
 module Nub = Ldb_nub.Nub
@@ -69,13 +70,6 @@ let spawn (d : Ldb.t) ?debug ?defer ?compress ~arch ~name sources : process * Ld
     the stop context, re-validate breakpoints. *)
 let reattach (d : Ldb.t) (tg : Ldb.target) (p : process) : Ldb.state =
   Ldb.reattach d tg (open_channel p)
-
-(** Run a program with no debugger attached until it faults or exits; the
-    nub catches the fault and preserves the state, waiting for a
-    connection. *)
-let run_until_fault (p : process) : Proc.status =
-  Nub.start ~paused:false p.hp_nub;
-  p.hp_proc.Proc.status
 
 (** Attach to an already-running (or faulted) process — the network /
     post-mortem mechanism. *)

@@ -425,24 +425,16 @@ let step_instruction_exn (_d : t) (tg : target) : state =
     differential tests hold this equation down. *)
 let cond_env (tg : target) (ctx_addr : int) : Ldb_nub.Bpcode.env =
   let td = tg.tg_tdesc in
-  let fetch32 addr = A.fetch_i32 tg.tg_wire (A.absolute 'd' addr) in
+  let fetch32 addr = A.fetch_u32 tg.tg_wire (A.absolute 'd' addr) in
   {
     Ldb_nub.Bpcode.rd_reg = (fun r -> fetch32 (ctx_addr + td.Target.ctx_reg_off r));
     rd_pc = (fun () -> fetch32 (ctx_addr + td.Target.ctx_pc_off));
     load =
       (fun ~space ~addr ~size ~signed ->
-        let loc = A.absolute space addr in
-        match
-          match (size, signed) with
-          | 1, false -> Int32.of_int (A.fetch_u8 tg.tg_wire loc)
-          | 1, true -> Int32.of_int (A.fetch_i8 tg.tg_wire loc)
-          | 2, false -> Int32.of_int (A.fetch_u16 tg.tg_wire loc)
-          | 2, true -> Int32.of_int (A.fetch_i16 tg.tg_wire loc)
-          | _ -> A.fetch_i32 tg.tg_wire loc
-        with
-        | v -> Ok v
-        | exception A.Error m -> Error m
-        | exception Transport.Error (_, m) -> Error m);
+        match A.decode_int (A.fetch tg.tg_wire (A.absolute space addr) ~size) with
+        | v -> if signed then Ldb_util.Endian.sext v (8 * size) else v
+        | exception (A.Error m | Transport.Error (_, m)) ->
+            raise (Ldb_nub.Bpcode.Load_refused m));
   }
 
 (** Does a debugger-evaluated condition say this stop is a non-hit to

@@ -89,16 +89,35 @@ module Service = struct
     and hi = ctx_base + t.Target.ctx_freg_off (Target.nfregs t - 1) + 8 in
     addr >= lo && addr + 8 <= hi
 
+  (** A fetch the memory refuses, with the text {!fetch} would return. *)
+  exception Refused of string
+
+  (** The integer-fetch rule: the 1-, 2- or 4-byte value at [addr] in the
+      target's byte order, zero-extended, read without building a
+      string.  [fetch] serves these sizes through it, so the two agree
+      on every value and every refusal. *)
+  let fetch_int (ram : Ram.t) ~space ~addr ~size : int =
+    if space <> 'c' && space <> 'd' then raise (Refused (Printf.sprintf "no space %c" space));
+    try
+      match size with
+      | 1 -> Ram.get_u8 ram addr
+      | 2 -> Ram.get_u16 ram addr
+      | 4 -> Ram.get_u32_int ram addr
+      | _ -> raise (Refused "bad fetch size")
+    with Ram.Fault a -> raise (Refused (Printf.sprintf "fault at %#x" a))
+
   let fetch (t : Target.t) (ram : Ram.t) ~space ~addr ~size : (string, string) result =
     if space <> 'c' && space <> 'd' then Error (Printf.sprintf "no space %c" space)
     else
       try
         match size with
-        | 1 -> Ok (String.make 1 (Char.chr (Ram.get_u8 ram addr)))
-        | 2 ->
-            let v = Ram.get_u16 ram addr in
-            Ok (String.init 2 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff)))
-        | 4 -> Ok (le_of_int32 (Ram.get_u32 ram addr))
+        | 1 | 2 | 4 ->
+            let v = fetch_int ram ~space ~addr ~size in
+            let b = Bytes.create size in
+            for i = 0 to size - 1 do
+              Bytes.unsafe_set b i (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
+            done;
+            Ok (Bytes.unsafe_to_string b)
         | 8 ->
             if mips_fp_word_swap t addr then begin
               (* words were saved LSW-first; swap while fetching *)
@@ -113,7 +132,9 @@ module Service = struct
             (* raw byte run, used for string and instruction fetches *)
             Ok (Ram.read_string ram ~addr ~len:sz)
         | _ -> Error "bad fetch size"
-      with Ram.Fault a -> Error (Printf.sprintf "fault at %#x" a)
+      with
+      | Ram.Fault a -> Error (Printf.sprintf "fault at %#x" a)
+      | Refused m -> Error m
 
   let store (t : Target.t) (ram : Ram.t) ~space ~addr (bytes : string) :
       (unit, string) result =

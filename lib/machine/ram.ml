@@ -138,6 +138,20 @@ let get_u32 m addr =
   if in_page addr 4 then Endian.get_u32 m.order (page m addr) (addr land page_mask)
   else Endian.get_u32 m.order (gather m addr 4) 0
 
+(** [get_u32] as an int from 0 to 2{^32}-1, with no [int32] boxed. *)
+let get_u32_int m addr =
+  check m addr 4;
+  let inside = in_page addr 4 in
+  let b = if inside then page m addr else gather m addr 4 in
+  let o = if inside then addr land page_mask else 0 in
+  let b0 = Char.code (Bytes.unsafe_get b o)
+  and b1 = Char.code (Bytes.unsafe_get b (o + 1))
+  and b2 = Char.code (Bytes.unsafe_get b (o + 2))
+  and b3 = Char.code (Bytes.unsafe_get b (o + 3)) in
+  match m.order with
+  | Endian.Little -> b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
+  | Endian.Big -> b3 lor (b2 lsl 8) lor (b1 lsl 16) lor (b0 lsl 24)
+
 let set_u32 m addr v =
   check m addr 4;
   if in_page addr 4 then Endian.set_u32 m.order (wpage m addr) (addr land page_mask) v

@@ -12,16 +12,23 @@
 
     Semantics are chosen to be {e total and deterministic} so that the
     debugger-side and nub-side evaluations of the same program are
-    byte-identical: all arithmetic is two's-complement on [int32],
+    byte-identical: all arithmetic is two's-complement on 32 bits,
     shifts mask their count to 0..31, and division or remainder by zero
     yields 0 (the eBPF convention) rather than trapping.  Loaded values
-    are canonical little-endian-decoded int32s on both sides.
+    are canonical little-endian-decoded 32-bit values on both sides.
 
     Jumps are relative {e instruction} offsets (not byte offsets) over
     the decoded instruction array, so a jump can never land mid-
     instruction.  Offsets are signed so hostile programs can {e express}
     backward jumps — the verifier rejects them, which is what makes
-    termination structural for everything it accepts. *)
+    termination structural for everything it accepts.
+
+    The evaluator holds every value as an OCaml [int] carrying the
+    32-bit value sign-extended (this needs 63-bit ints), and keeps its
+    operand stack in an [int array] of {!max_stack} slots made afresh
+    for each evaluation.  On the nub a condition allocates that array
+    and nothing else.  The encoded form, the limits and the semantics
+    are those of the [int32] interpreter it replaced. *)
 
 open Ldb_util
 open Bytecodec
@@ -228,15 +235,21 @@ let to_string (p : prog) = Fmt.str "%a" pp_prog p
 
 (* --- evaluation --------------------------------------------------------- *)
 
+(** A load the stopped target refuses, with the refusal's text. *)
+exception Load_refused of string
+
 (** How the evaluator sees the stopped target.  The nub implements this
     over its own RAM and the live, drained CPU; the debugger implements
     it over the saved context through the wire abstract memory — both
     decode values from canonical little-endian bytes, which is what
-    makes the two sites agree. *)
+    makes the two sites agree.  Only the low 32 bits of what these
+    return count: a register or a 4-byte load may come back signed or
+    unsigned.  A refused load raises {!Load_refused}. *)
 type env = {
-  rd_reg : int -> int32;   (** general register at the stop *)
-  rd_pc : unit -> int32;   (** pc at the stop *)
-  load : space:char -> addr:int -> size:int -> signed:bool -> (int32, string) result;
+  rd_reg : int -> int;   (** general register at the stop *)
+  rd_pc : unit -> int;   (** pc at the stop *)
+  load : space:char -> addr:int -> size:int -> signed:bool -> int;
+      (** the [size]-byte value at [addr], sign- or zero-extended *)
 }
 
 type fault =
@@ -253,97 +266,116 @@ let fault_to_string = function
   | Bad_jump pc -> Printf.sprintf "jump to instruction %d" pc
   | Load_fault m -> "load fault: " ^ m
 
-(* total int32 arithmetic: wrap-around, masked shifts, div/0 = 0 *)
-let eval_binop op (a : int32) (b : int32) : int32 =
-  let open Int32 in
-  match op with
-  | Add -> add a b
-  | Sub -> sub a b
-  | Mul -> mul a b
-  | Divs -> if equal b 0l then 0l else div a b
-  | Divu -> if equal b 0l then 0l else unsigned_div a b
-  | Rems -> if equal b 0l then 0l else rem a b
-  | Remu -> if equal b 0l then 0l else unsigned_rem a b
-  | And -> logand a b
-  | Or -> logor a b
-  | Xor -> logxor a b
-  | Shl -> shift_left a (to_int (logand b 31l))
-  | Shrs -> shift_right a (to_int (logand b 31l))
-  | Shru -> shift_right_logical a (to_int (logand b 31l))
+(* The low 32 bits of [v], sign-extended: the one form a value takes. *)
+let[@inline] s32 v = (v lsl 31) asr 31
 
-let eval_cmp rel ~signed (a : int32) (b : int32) : int32 =
-  let c = if signed then Int32.compare a b else Int32.unsigned_compare a b in
-  let hit =
-    match rel with
-    | Eq -> c = 0 | Ne -> c <> 0 | Lt -> c < 0 | Le -> c <= 0 | Gt -> c > 0
-    | Ge -> c >= 0
-  in
-  if hit then 1l else 0l
+let[@inline] u32 v = v land 0xffff_ffff
+
+(** [a op b] on 32-bit values: wrap-around, shift counts masked to
+    0..31, division or remainder by zero 0.  The verifier folds
+    constants with this same function. *)
+let arith op a b =
+  match op with
+  | Add -> s32 (a + b)
+  | Sub -> s32 (a - b)
+  | Mul -> s32 (a * b)
+  | Divs -> if b = 0 then 0 else s32 (a / b)
+  | Divu -> if b = 0 then 0 else s32 (u32 a / u32 b)
+  | Rems -> if b = 0 then 0 else a mod b
+  | Remu -> if b = 0 then 0 else s32 (u32 a mod u32 b)
+  | And -> a land b
+  | Or -> a lor b
+  | Xor -> a lxor b
+  | Shl -> s32 (a lsl (b land 31))
+  | Shrs -> a asr (b land 31)
+  | Shru -> s32 (u32 a lsr (b land 31))
+
+(** Does [a rel b] hold, comparing as signed or unsigned 32-bit values? *)
+let holds rel ~signed a b =
+  let a = if signed then a else u32 a and b = if signed then b else u32 b in
+  match rel with
+  | Eq -> a = b | Ne -> a <> b | Lt -> a < b | Le -> a <= b | Gt -> a > b
+  | Ge -> a >= b
+
+(* One step of [p] at instruction [pc], with [sp] values on [stack] and
+   [fuel] steps left.  Each step burns its cost, then pops, then pushes,
+   and reports the first hazard it meets as a fault. *)
+let rec run env p stack pc sp fuel : (bool, fault) result =
+  let n = Array.length p in
+  if pc = n then
+    (* halted: the program's answer is the top of stack *)
+    if sp = 0 then Error Stack_underflow
+    else if Array.unsafe_get stack (sp - 1) <> 0 then Ok true
+    else Ok false
+  else
+    let insn = Array.unsafe_get p pc in
+    let fuel = fuel - (match insn with Load _ -> load_cost | _ -> 1) in
+    if fuel < 0 then Error Fuel
+    else
+      match insn with
+      | Push v -> push env p stack pc sp fuel (Int32.to_int v)
+      | Load_reg r -> push env p stack pc sp fuel (env.rd_reg r)
+      | Load_pc -> push env p stack pc sp fuel (env.rd_pc ())
+      | Load { space; size; signed } -> (
+          if sp = 0 then Error Stack_underflow
+          else
+            let addr = u32 (Array.unsafe_get stack (sp - 1)) in
+            match env.load ~space ~addr ~size ~signed with
+            | v ->
+                Array.unsafe_set stack (sp - 1) (s32 v);
+                run env p stack (pc + 1) sp fuel
+            | exception Load_refused m -> Error (Load_fault m))
+      | Bin op ->
+          if sp < 2 then Error Stack_underflow
+          else begin
+            let a = Array.unsafe_get stack (sp - 2) and b = Array.unsafe_get stack (sp - 1) in
+            Array.unsafe_set stack (sp - 2) (arith op a b);
+            run env p stack (pc + 1) (sp - 1) fuel
+          end
+      | Cmp { rel; signed } ->
+          if sp < 2 then Error Stack_underflow
+          else begin
+            let a = Array.unsafe_get stack (sp - 2) and b = Array.unsafe_get stack (sp - 1) in
+            Array.unsafe_set stack (sp - 2) (if holds rel ~signed a b then 1 else 0);
+            run env p stack (pc + 1) (sp - 1) fuel
+          end
+      | Not ->
+          if sp = 0 then Error Stack_underflow
+          else begin
+            Array.unsafe_set stack (sp - 1) (if Array.unsafe_get stack (sp - 1) = 0 then 1 else 0);
+            run env p stack (pc + 1) sp fuel
+          end
+      | Jz off ->
+          if sp = 0 then Error Stack_underflow
+          else if Array.unsafe_get stack (sp - 1) = 0 then jump env p stack pc (sp - 1) fuel off
+          else run env p stack (pc + 1) (sp - 1) fuel
+      | Jnz off ->
+          if sp = 0 then Error Stack_underflow
+          else if Array.unsafe_get stack (sp - 1) <> 0 then jump env p stack pc (sp - 1) fuel off
+          else run env p stack (pc + 1) (sp - 1) fuel
+      | Jmp off -> jump env p stack pc sp fuel off
+
+and push env p stack pc sp fuel v =
+  if sp >= max_stack then Error Stack_overflow
+  else begin
+    Array.unsafe_set stack sp (s32 v);
+    run env p stack (pc + 1) (sp + 1) fuel
+  end
+
+(* a jump may land on the end exactly (a normal halt), nowhere else
+   outside the program *)
+and jump env p stack pc sp fuel off =
+  let pc' = pc + 1 + off in
+  if pc' < 0 || pc' > Array.length p then Error (Bad_jump pc')
+  else run env p stack pc' sp fuel
 
 (** Run [p] against [env].  The result is the truth of the final value:
     a program "hits" when it leaves a nonzero value on the stack.  Every
     dynamic hazard — underflow, overflow, fuel exhaustion, wild jump, a
     refused load — is a [fault], never an exception; verified programs
     fault only through [Load_fault], and compiled conditions not even
-    that (the verifier confines their reads to mapped segments). *)
+    that (the verifier confines their reads to mapped segments).  Each
+    evaluation has a stack of its own: a debugger-side load can pump
+    the nub, which may evaluate a condition of its own meanwhile. *)
 let eval ?(fuel = max_fuel) (env : env) (p : prog) : (bool, fault) result =
-  let n = Array.length p in
-  let stack = Array.make max_stack 0l in
-  let exception Fault of fault in
-  let sp = ref 0 in
-  let push v =
-    if !sp >= max_stack then raise (Fault Stack_overflow);
-    stack.(!sp) <- v;
-    incr sp
-  in
-  let pop () =
-    if !sp <= 0 then raise (Fault Stack_underflow);
-    decr sp;
-    stack.(!sp)
-  in
-  let fuel = ref fuel in
-  let burn cost = fuel := !fuel - cost; if !fuel < 0 then raise (Fault Fuel) in
-  let jump pc off =
-    let pc' = pc + 1 + off in
-    (* falling off the end exactly is a normal halt; anywhere else is wild *)
-    if pc' < 0 || pc' > n then raise (Fault (Bad_jump pc'));
-    pc'
-  in
-  let rec step pc =
-    if pc = n then
-      (* halted: the program's answer is the top of stack *)
-      if !sp = 0 then raise (Fault Stack_underflow) else pop () <> 0l
-    else if pc < 0 || pc > n then raise (Fault (Bad_jump pc))
-    else begin
-      let next =
-        match p.(pc) with
-        | Push v -> burn 1; push v; pc + 1
-        | Load_reg r -> burn 1; push (env.rd_reg r); pc + 1
-        | Load_pc -> burn 1; push (env.rd_pc ()); pc + 1
-        | Load { space; size; signed } -> (
-            burn load_cost;
-            let addr = Int32.to_int (pop ()) land 0xffffffff in
-            match env.load ~space ~addr ~size ~signed with
-            | Ok v -> push v; pc + 1
-            | Error m -> raise (Fault (Load_fault m)))
-        | Bin op ->
-            burn 1;
-            let b = pop () in
-            let a = pop () in
-            push (eval_binop op a b);
-            pc + 1
-        | Cmp { rel; signed } ->
-            burn 1;
-            let b = pop () in
-            let a = pop () in
-            push (eval_cmp rel ~signed a b);
-            pc + 1
-        | Not -> burn 1; push (if pop () = 0l then 1l else 0l); pc + 1
-        | Jz off -> burn 1; if pop () = 0l then jump pc off else pc + 1
-        | Jnz off -> burn 1; if pop () <> 0l then jump pc off else pc + 1
-        | Jmp off -> burn 1; jump pc off
-      in
-      step next
-    end
-  in
-  match step 0 with v -> Ok v | exception Fault f -> Error f
+  run env p (Array.make max_stack 0) 0 0 fuel

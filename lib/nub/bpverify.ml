@@ -79,17 +79,18 @@ let finding_to_string = function
 (** One operand-stack slot.  [Cst] and [Regoff] are the shapes addresses
     take (the compiler emits globals as constants and frame locals as
     sp/fp plus a constant); [Bool] is a comparison result; [Num] is
-    anything else. *)
+    anything else.  Constants are 32-bit values in the evaluator's
+    form, folded with its own {!Bpcode.arith}. *)
 type slot =
-  | Cst of int32
-  | Regoff of int * int32   (** saved register + compile-time offset *)
+  | Cst of int
+  | Regoff of int * int   (** saved register + compile-time offset *)
   | Bool
   | Num
 
 let slot_lub a b =
   match (a, b) with
-  | Cst x, Cst y when Int32.equal x y -> Cst x
-  | Regoff (r, x), Regoff (s, y) when r = s && Int32.equal x y -> a
+  | Cst x, Cst y when x = y -> a
+  | Regoff (r, x), Regoff (s, y) when r = s && x = y -> a
   | Bool, Bool -> Bool
   | _ -> Num
 
@@ -104,15 +105,13 @@ let seg_bounds (space : char) : int * int =
   let open Ram.Layout in
   if space = 'c' then (code_base, data_base) else (data_base, size)
 
-let unsigned (v : int32) = Int32.to_int v land 0xffffffff
-
 (** May a load of [size] bytes at abstract address [slot] proceed?
     Findings come back with [at = 0]; the caller stamps the real index. *)
 let check_read (tg : Target.t) ~space ~size (addr : slot) : (unit, finding) result =
   match addr with
   | Cst a ->
       let lo, hi = seg_bounds space in
-      let a = unsigned a in
+      let a = a land 0xffff_ffff in
       if a >= lo && a + size <= hi then Ok ()
       else
         Error
@@ -120,7 +119,6 @@ let check_read (tg : Target.t) ~space ~size (addr : slot) : (unit, finding) resu
              { at = 0; space; what = Printf.sprintf "address %#x outside %#x..%#x" a lo hi })
   | Regoff (r, off) ->
       let frameish = r = tg.Target.sp || tg.Target.fp = Some r in
-      let off = Int32.to_int off in
       if space <> 'd' then
         Error (Wild_read { at = 0; space; what = "register-relative code read" })
       else if not frameish then
@@ -146,10 +144,10 @@ let at_of at = function
 
 let abstract_binop op (a : slot) (b : slot) : slot =
   match (op, a, b) with
-  | _, Cst x, Cst y -> Cst (Bpcode.eval_binop op x y)
+  | _, Cst x, Cst y -> Cst (Bpcode.arith op x y)
   | Bpcode.Add, Regoff (r, o), Cst c | Bpcode.Add, Cst c, Regoff (r, o) ->
-      Regoff (r, Int32.add o c)
-  | Bpcode.Sub, Regoff (r, o), Cst c -> Regoff (r, Int32.sub o c)
+      Regoff (r, Bpcode.arith Bpcode.Add o c)
+  | Bpcode.Sub, Regoff (r, o), Cst c -> Regoff (r, Bpcode.arith Bpcode.Sub o c)
   | _ -> Num
 
 (* --- the verifier -------------------------------------------------------- *)
@@ -205,12 +203,12 @@ let verify (tg : Target.t) (p : Bpcode.prog) : finding list =
             else k t
           in
           (match p.(i) with
-          | Bpcode.Push v -> push (Cst v) stack
+          | Bpcode.Push v -> push (Cst (Int32.to_int v)) stack
           | Bpcode.Load_reg r ->
               if r < 0 || r >= nregs then found (Bad_reg { at = i; reg = r; nregs })
               else
                 let v =
-                  if r = tg.Target.sp || tg.Target.fp = Some r then Regoff (r, 0l)
+                  if r = tg.Target.sp || tg.Target.fp = Some r then Regoff (r, 0)
                   else Num
                 in
                 push v stack
@@ -226,7 +224,7 @@ let verify (tg : Target.t) (p : Bpcode.prog) : finding list =
                   (match op with
                   | Bpcode.Divs | Bpcode.Divu | Bpcode.Rems | Bpcode.Remu -> (
                       match b with
-                      | Cst 0l -> found (Zero_divisor { at = i })
+                      | Cst 0 -> found (Zero_divisor { at = i })
                       | _ -> ())
                   | _ -> ());
                   push (abstract_binop op a b) rest)

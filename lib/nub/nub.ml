@@ -124,29 +124,24 @@ let save (p : Proc.t) =
   done
 
 (** The condition evaluator's view of a trap: registers and pc of the
-    live CPU (drained before a condition runs), memory through the same
-    {!Core.Service} semantics the wire uses — so every value here is
-    byte-identical to what the debugger would compute over fetches of
-    the context a reported stop saves.  A load that reaches into the
-    context block itself saves the context first, so it too reads what
-    a reported stop would hold there. *)
+    live CPU (drained before a condition runs), memory through
+    {!Core.Service.fetch_int}, the rule the wire's fetches use — so
+    every value here is identical to what the debugger would compute
+    over fetches of the context a reported stop saves.  A load that
+    reaches into the context block itself saves the context first, so
+    it too reads what a reported stop would hold there. *)
 let live_env (p : Proc.t) : Bpcode.env =
   let t = p.Proc.target and cpu = p.Proc.cpu in
   let ctx_end = ctx_base + t.Target.ctx_size in
   {
-    Bpcode.rd_reg = (fun r -> Cpu.reg cpu r);
-    rd_pc = (fun () -> Int32.of_int cpu.Cpu.pc);
+    Bpcode.rd_reg = (fun r -> Int32.to_int (Cpu.reg cpu r));
+    rd_pc = (fun () -> cpu.Cpu.pc);
     load =
       (fun ~space ~addr ~size ~signed ->
         if addr < ctx_end && addr + size > ctx_base then save p;
-        match Core.Service.fetch t p.Proc.ram ~space ~addr ~size with
-        | Error m -> Error m
-        | Ok bytes ->
-            (* canonical little-endian bytes → int32, extended per signedness *)
-            let v = ref 0 in
-            String.iteri (fun i ch -> v := !v lor (Char.code ch lsl (8 * i))) bytes;
-            let v = if signed then Ldb_util.Endian.sext !v (8 * size) else !v in
-            Ok (Int32.of_int v));
+        match Core.Service.fetch_int p.Proc.ram ~space ~addr ~size with
+        | v -> if signed then Ldb_util.Endian.sext v (8 * size) else v
+        | exception Core.Service.Refused m -> raise (Bpcode.Load_refused m));
   }
 
 let create ?(fuel = 50_000_000) ?(can_step = true) (proc : Proc.t) =
@@ -315,8 +310,8 @@ let cond_verdict n : bool option =
       | None -> None
       | Some prog -> (
           match Bpcode.eval n.cond_env prog with
-          | Ok hit -> Some hit
-          | Error _ -> Some true))
+          | Ok false -> Some false
+          | Ok true | Error _ -> Some true))
   | _ -> None
 
 (* --- stop reporting ---------------------------------------------------- *)

@@ -3,10 +3,12 @@
     (and refused with a typed error before any RPC is issued), qcheck
     properties (decode totality, encode/decode round trips, and the
     soundness theorem: a verifier-accepted program never traps the
-    evaluator), and differential tests proving nub-side and
-    debugger-side condition evaluation byte-identical on all four
-    targets — with the nub site costing orders of magnitude fewer RPCs
-    on a hot loop. *)
+    evaluator), the evaluator held to the [int32] interpreter it
+    replaced on random programs and worlds, and differential tests
+    proving nub-side and debugger-side condition evaluation
+    byte-identical on all four targets — with the nub site costing
+    orders of magnitude fewer RPCs on a hot loop, and a miss only a
+    few dozen words. *)
 
 open Ldb_machine
 module B = Ldb_nub.Bpcode
@@ -146,9 +148,9 @@ let test_exemplars_accepted () =
 
 let benign_env : B.env =
   {
-    B.rd_reg = (fun r -> Int32.of_int (0x1000 + r));
-    rd_pc = (fun () -> 0x2000l);
-    load = (fun ~space:_ ~addr:_ ~size:_ ~signed:_ -> Ok 7l);
+    B.rd_reg = (fun r -> 0x1000 + r);
+    rd_pc = (fun () -> 0x2000);
+    load = (fun ~space:_ ~addr:_ ~size:_ ~signed:_ -> 7);
   }
 
 let test_eval_faults_are_typed () =
@@ -167,7 +169,8 @@ let test_eval_faults_are_typed () =
   | _ -> Alcotest.fail "wild jump not faulted");
   match
     B.eval
-      { benign_env with B.load = (fun ~space:_ ~addr:_ ~size:_ ~signed:_ -> Error "nope") }
+      { benign_env with
+        B.load = (fun ~space:_ ~addr:_ ~size:_ ~signed:_ -> raise (B.Load_refused "nope")) }
       [| B.Push data_addr; d4 |]
   with
   | Error (B.Load_fault _) -> ()
@@ -185,6 +188,10 @@ let test_division_by_zero_is_zero () =
 
 (* --- qcheck ------------------------------------------------------------- *)
 
+let all_binops =
+  [ B.Add; B.Sub; B.Mul; B.Divs; B.Divu; B.Rems; B.Remu; B.And; B.Or; B.Xor; B.Shl;
+    B.Shrs; B.Shru ]
+
 let gen_insn : B.insn QCheck.Gen.t =
   let open QCheck.Gen in
   oneof
@@ -196,10 +203,7 @@ let gen_insn : B.insn QCheck.Gen.t =
       map3
         (fun space size signed -> B.Load { space; size; signed })
         (oneofl [ 'c'; 'd' ]) (oneofl [ 1; 2; 4 ]) bool;
-      map (fun op -> B.Bin op)
-        (oneofl
-           [ B.Add; B.Sub; B.Mul; B.Divs; B.Divu; B.Rems; B.Remu; B.And; B.Or;
-             B.Xor; B.Shl; B.Shrs; B.Shru ]);
+      map (fun op -> B.Bin op) (oneofl all_binops);
       map2
         (fun rel signed -> B.Cmp { rel; signed })
         (oneofl [ B.Eq; B.Ne; B.Lt; B.Le; B.Gt; B.Ge ]) bool;
@@ -232,6 +236,189 @@ let prop_decode_total =
   Testkit.qtest "decode never raises on arbitrary bytes" ~count:1000
     QCheck.(string_gen QCheck.Gen.char)
     (fun s -> match B.decode s with Ok _ | Error _ -> true)
+
+(* --- differential: the evaluator against the int32 interpreter ---------- *)
+
+(** What a target looks like to a condition: 256 registers, a pc, and a
+    memory that answers every load from a pool of edge values, except at
+    the addresses it refuses. *)
+type world = {
+  w_regs : int32 array;
+  w_pc : int32;
+  w_seed : int;         (** picks each address's value and refusal *)
+  w_refuse : int;       (** refuse one address in [w_refuse]; 0: none *)
+  w_unsigned : bool;    (** hand the new evaluator registers unsigned *)
+  w_fuel : int;         (** steps allowed, often few enough to run out *)
+}
+
+let edges =
+  [| 0l; 1l; -1l; 31l; 32l; Int32.max_int; Int32.min_int; 0xffl; 0x80l; 0xffffl;
+     0x8000l; data_addr |]
+
+let gen_i32 : int32 QCheck.Gen.t =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofa edges); (2, map Int32.of_int (int_range (-100) 100));
+        (2, map (fun (a, b) -> Int32.logor (Int32.shift_left (Int32.of_int a) 16) (Int32.of_int b))
+              (pair (int_bound 0xffff) (int_bound 0xffff))) ])
+
+let gen_world : world QCheck.Gen.t =
+  QCheck.Gen.(
+    map
+      (fun ((regs, pc, seed), (refuse, unsigned, fuel)) ->
+        { w_regs = Array.of_list regs; w_pc = pc; w_seed = seed; w_refuse = refuse;
+          w_unsigned = unsigned; w_fuel = fuel })
+      (pair
+         (triple (list_repeat 256 gen_i32) gen_i32 nat)
+         (triple (oneofl [ 0; 0; 2; 5 ]) bool (oneof [ return B.max_fuel; int_bound 40 ]))))
+
+(* the raw 32 bits at [addr], or the refusal text *)
+let world_word w ~space ~addr : (int, string) result =
+  let h = Hashtbl.hash (w.w_seed, space, addr) in
+  if w.w_refuse > 0 && h mod w.w_refuse = 0 then Error (Printf.sprintf "fault at %#x" addr)
+  else Ok (Int32.to_int edges.(h / 7 mod Array.length edges) lxor (h land 0x1f00))
+
+let extend ~size ~signed v =
+  let bits = 8 * size in
+  let v = v land ((1 lsl bits) - 1) in
+  if signed then Ldb_util.Endian.sext v bits else v
+
+let oracle_env w : Bpcode_oracle.env =
+  {
+    Bpcode_oracle.rd_reg = (fun r -> w.w_regs.(r land 255));
+    rd_pc = (fun () -> w.w_pc);
+    load =
+      (fun ~space ~addr ~size ~signed ->
+        Result.map (fun v -> Int32.of_int (extend ~size ~signed v)) (world_word w ~space ~addr));
+  }
+
+(* the same world, with registers and unsigned 4-byte loads handed over
+   as they come, not sign-extended: only their low 32 bits may count *)
+let new_env w : B.env =
+  {
+    B.rd_reg =
+      (fun r ->
+        let v = Int32.to_int w.w_regs.(r land 255) in
+        if w.w_unsigned then v land 0xffff_ffff else v);
+    rd_pc = (fun () -> Int32.to_int w.w_pc);
+    load =
+      (fun ~space ~addr ~size ~signed ->
+        match world_word w ~space ~addr with
+        | Ok v -> extend ~size ~signed v
+        | Error m -> raise (B.Load_refused m));
+  }
+
+let show_verdict = function
+  | Ok b -> string_of_bool b
+  | Error f -> "fault: " ^ B.fault_to_string f
+
+let all_cmps =
+  List.concat_map
+    (fun rel -> [ B.Cmp { rel; signed = true }; B.Cmp { rel; signed = false } ])
+    [ B.Eq; B.Ne; B.Lt; B.Le; B.Gt; B.Ge ]
+
+(** A condition shaped as the compiler shapes one: an expression tree in
+    postfix, with loads from data addresses and short-circuit ands — the
+    verifier accepts most of these. *)
+let gen_tree : B.insn list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [ map (fun v -> [ B.Push v ]) gen_i32;
+        map (fun r -> [ B.Load_reg r ]) (int_bound 15);
+        return [ B.Load_pc ];
+        map3
+          (fun off size signed ->
+            [ B.Push (Int32.add data_addr (Int32.of_int off));
+              B.Load { space = 'd'; size; signed } ])
+          (int_bound 64) (oneofl [ 1; 2; 4 ]) bool ]
+  in
+  sized_size (int_bound 10)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [ (1, leaf);
+               (4, map3 (fun a b op -> a @ b @ [ B.Bin op ]) (self (n / 2)) (self (n / 2))
+                     (oneofl all_binops));
+               (2, map3 (fun a b c -> a @ b @ [ c ]) (self (n / 2)) (self (n / 2))
+                     (oneofl all_cmps));
+               (1, map (fun a -> a @ [ B.Not ]) (self (n - 1)));
+               (1, map2
+                     (fun a b ->
+                       a @ [ B.Jz (List.length b + 1) ] @ b @ [ B.Jmp 1; B.Push 0l ])
+                     (self (n / 2)) (self (n / 2))) ])
+
+(** Any program: {!gen_insn}'s instructions, wild jumps included, with
+    edge immediates among them; or a compiler-shaped one. *)
+let gen_diff_prog : B.prog QCheck.Gen.t =
+  QCheck.Gen.(
+    let insn = frequency [ (4, gen_insn); (1, map (fun v -> B.Push v) (oneofa edges)) ] in
+    map Array.of_list (frequency [ (1, list_size (int_bound 24) insn); (1, gen_tree) ]))
+
+(** Differential: on any program, verified or not, over any world, the
+    evaluator and the int32 interpreter it replaced reach the same
+    verdict — the same truth, or the same fault with the same jump
+    target or refusal text. *)
+let prop_same_as_oracle =
+  Testkit.qtest "evaluator = int32 interpreter on any program" ~count:3000
+    (QCheck.make ~print:(fun (p, _) -> B.to_string p) QCheck.Gen.(pair gen_diff_prog gen_world))
+    (fun (p, w) ->
+      let want = Bpcode_oracle.eval ~fuel:w.w_fuel (oracle_env w) p in
+      let got = B.eval ~fuel:w.w_fuel (new_env w) p in
+      if want = got then true
+      else
+        QCheck.Test.fail_reportf "oracle %s, evaluator %s" (show_verdict want)
+          (show_verdict got))
+
+(** The tree-shaped generator does produce verified programs, so the
+    differential covers them as well as hostile ones. *)
+let test_trees_mostly_verify () =
+  let tg = Target.of_arch Mips in
+  let rand = Random.State.make [| 34 |] in
+  let progs = List.init 300 (fun _ -> Array.of_list (gen_tree rand)) in
+  let accepted = List.length (List.filter (Bpverify.accepts tg) progs) in
+  check Alcotest.bool (Printf.sprintf "%d of 300 accepted" accepted) true (accepted >= 150)
+
+(** Edge cases of the 32-bit semantics, pinned absolutely and checked
+    against the oracle: each program leaves [a op b = want]. *)
+let test_edge_cases () =
+  let w =
+    { w_regs = Array.make 256 0l; w_pc = 0l; w_seed = 0; w_refuse = 0; w_unsigned = false;
+      w_fuel = B.max_fuel }
+  in
+  let min = Int32.min_int in
+  let eq = B.Cmp { rel = B.Eq; signed = true } in
+  let cases =
+    [ ("-2^31 / -1", [| B.Push min; B.Push (-1l); B.Bin B.Divs; B.Push min; eq |]);
+      ("-2^31 rem -1", [| B.Push min; B.Push (-1l); B.Bin B.Rems; B.Push 0l; eq |]);
+      ("rem by 0", [| B.Push 7l; B.Push 0l; B.Bin B.Rems; B.Push 0l; eq |]);
+      ("remu by 0", [| B.Push min; B.Push 0l; B.Bin B.Remu; B.Push 0l; eq |]);
+      ("divu, high bit set", [| B.Push (-2l); B.Push 2l; B.Bin B.Divu; B.Push 0x7fffffffl; eq |]);
+      ("divu by a high-bit divisor", [| B.Push (-1l); B.Push min; B.Bin B.Divu; B.Push 1l; eq |]);
+      ("remu, high bit set", [| B.Push (-1l); B.Push 10l; B.Bin B.Remu; B.Push 5l; eq |]);
+      ("divs, high bit set", [| B.Push (-2l); B.Push 2l; B.Bin B.Divs; B.Push (-1l); eq |]);
+      ("shl by 31", [| B.Push 1l; B.Push 31l; B.Bin B.Shl; B.Push min; eq |]);
+      ("shl by 32 is shl by 0", [| B.Push 5l; B.Push 32l; B.Bin B.Shl; B.Push 5l; eq |]);
+      ("shl by -1 is shl by 31", [| B.Push 1l; B.Push (-1l); B.Bin B.Shl; B.Push min; eq |]);
+      ("shrs by 31", [| B.Push min; B.Push 31l; B.Bin B.Shrs; B.Push (-1l); eq |]);
+      ("shru by 31", [| B.Push min; B.Push 31l; B.Bin B.Shru; B.Push 1l; eq |]);
+      ("shru by 32 is shru by 0", [| B.Push (-1l); B.Push 32l; B.Bin B.Shru; B.Push (-1l); eq |]);
+      ("shru by -1 is shru by 31", [| B.Push (-1l); B.Push (-1l); B.Bin B.Shru; B.Push 1l; eq |]);
+      ("mul wraps", [| B.Push min; B.Push min; B.Bin B.Mul; B.Push 0l; eq |]);
+      ("add wraps", [| B.Push Int32.max_int; B.Push 1l; B.Bin B.Add; B.Push min; eq |]);
+      ("0x80000000 < 0 signed",
+       [| B.Push min; B.Push 0l; B.Cmp { rel = B.Lt; signed = true } |]);
+      ("0x80000000 > 0 unsigned",
+       [| B.Push min; B.Push 0l; B.Cmp { rel = B.Gt; signed = false } |]);
+      ("push -2^31 is nonzero", [| B.Push min |]) ]
+  in
+  List.iter
+    (fun (name, p) ->
+      let want = Bpcode_oracle.eval (oracle_env w) p in
+      check Alcotest.string (name ^ ": oracle") "true" (show_verdict want);
+      check Alcotest.string (name ^ ": evaluator") "true" (show_verdict (B.eval (new_env w) p)))
+    cases
 
 (* --- typed refusal before the wire -------------------------------------- *)
 
@@ -488,6 +675,35 @@ let test_fuel_stop_saves_context () =
         (s.Testkit.proc.Host.hp_nub.Nub.suppressed > 0))
     Arch.all
 
+(** A false condition costs the nub a handful of words: the stop_go
+    workload's [i % 64 == 0], judged against the live CPU at a trap
+    where it is false, allocates at most 48 minor words per evaluation
+    on every target (113 with boxed [int32] values). *)
+let test_miss_allocation () =
+  List.iter
+    (fun arch ->
+      let an = Arch.name arch in
+      let s = Testkit.debug_session ~arch [ ("spin.c", spin_src) ] in
+      let addr = Testkit.break_at s ~src:spin_src ~stmt:"g = g + 1" in
+      let text = "i % 64 == 0" in
+      let prog = Testkit.compile_ok s (Eval.start ~arch) ~addr text in
+      for _ = 1 to 2 do
+        match Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg) with
+        | Ldb.Stopped _ -> ()
+        | _ -> Alcotest.failf "%s: expected a stop" an
+      done;
+      let env = s.Testkit.proc.Host.hp_nub.Nub.cond_env in
+      check Alcotest.string (an ^ " a miss at i = 1") "false" (show_verdict (B.eval env prog));
+      let calls = 10_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (B.eval env prog : (bool, B.fault) result)
+      done;
+      let words = (Gc.minor_words () -. before) /. float calls in
+      check Alcotest.bool (Printf.sprintf "%s: %.1f words per evaluation, at most 48" an words)
+        true (words <= 48.))
+    Arch.all
+
 (** The point of shipping the bytecode: deciding the condition
     target-side eliminates the per-trap round trips.  On a 1000-iteration
     loop stopping once, the nub site must use at least 100x fewer RPCs
@@ -540,6 +756,10 @@ let () =
       ( "evaluator",
         [ case "faults are typed, never hangs" test_eval_faults_are_typed;
           case "division by zero is zero" test_division_by_zero_is_zero ] );
+      ( "oracle",
+        [ prop_same_as_oracle;
+          case "tree programs mostly verify" test_trees_mostly_verify;
+          case "32-bit edge cases" test_edge_cases ] );
       ( "codec", [ prop_encode_decode_roundtrip; prop_decode_total ] );
       ( "refusal",
         [ case "rejected programs never reach the wire" test_refused_before_the_wire ] );
@@ -548,5 +768,6 @@ let () =
           case "nub site saves 100x the RPCs" test_nub_site_saves_rpcs ] );
       ( "cost of a miss",
         [ case "a context read sees the trap" test_context_read_sees_the_trap;
-          case "fuel exhaustion saves the context" test_fuel_stop_saves_context ] );
+          case "fuel exhaustion saves the context" test_fuel_stop_saves_context;
+          case "a miss allocates at most 48 words" test_miss_allocation ] );
     ]

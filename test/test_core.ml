@@ -530,6 +530,73 @@ let test_odd_freg_width_salvages () =
           ignore (Core.to_proc back : Proc.t))
     [ 0; 4; 9; 11; 64 ]
 
+(* --- the integer-fetch rule ------------------------------------------------ *)
+
+(** Addresses where the rule could go wrong: the code and data segments,
+    the nub's context block, the last bytes before a page boundary, and
+    either end of the address space. *)
+let gen_fetch_addr : int QCheck.Gen.t =
+  let open QCheck.Gen in
+  let module L = Ram.Layout in
+  oneof
+    [ int_range L.code_base (L.code_base + 0x2000);
+      int_range L.data_base (L.data_base + 0x2000);
+      int_range L.context_base (L.context_base + 0x200);
+      map2
+        (fun page back -> (page * Ram.page_size) - back)
+        (int_range 1 ((L.size / Ram.page_size) - 1))
+        (int_range 0 3);
+      int_range (L.size - 4) (L.size + 4);
+      int_range (-4) 0 ]
+
+(* the value of [size] bytes at [addr], read one byte at a time in the
+   target's order, refused as the service refuses *)
+let bytewise (ram : Ram.t) ~space ~addr ~size =
+  if space <> 'c' && space <> 'd' then Error (Printf.sprintf "no space %c" space)
+  else if addr < 0 || addr + size > Ram.size ram then
+    Error (Printf.sprintf "fault at %#x" addr)
+  else
+    let byte i = Ram.get_u8 ram (addr + i) in
+    let rec go i acc =
+      if i = size then acc
+      else
+        let b = match Ram.order ram with Little -> byte i | Big -> byte (size - 1 - i) in
+        go (i + 1) (acc lor (b lsl (8 * i)))
+    in
+    Ok (go 0 0)
+
+(** [Core.Service.fetch_int] is [Service.fetch] decoded: the same value
+    and the same refusal text, for 1, 2 and 4 bytes in either space on
+    all four targets, wherever the address falls — and both equal the
+    value read a byte at a time. *)
+let prop_fetch_int_is_fetch =
+  let arb =
+    QCheck.make
+      ~print:(fun (arch, space, size, addr, _) ->
+        Printf.sprintf "%s %c %d @ %#x" (Arch.name arch) space size addr)
+      QCheck.Gen.(
+        tup5 (oneofl Arch.all) (oneofl [ 'c'; 'd'; 'c'; 'd'; 'r' ]) (oneofl [ 1; 2; 4 ])
+          gen_fetch_addr (string_size (return 16)))
+  in
+  Testkit.qtest "integer fetch = decoded fetch, all targets" ~count:2000 arb
+    (fun (arch, space, size, addr, bytes) ->
+      let tg = Target.of_arch arch in
+      let ram = Ram.create (Target.order tg) in
+      String.iteri
+        (fun i c ->
+          let a = addr - 8 + i in
+          if a >= 0 && a < Ram.size ram then Ram.set_u8 ram a (Char.code c))
+        bytes;
+      let decoded =
+        Result.map Ldb_amemory.Amemory.decode_int (Core.Service.fetch tg ram ~space ~addr ~size)
+      in
+      let int =
+        match Core.Service.fetch_int ram ~space ~addr ~size with
+        | v -> Ok v
+        | exception Core.Service.Refused m -> Error m
+      in
+      int = decoded && int = bytewise ram ~space ~addr ~size)
+
 let () =
   Alcotest.run "core"
     [
@@ -554,6 +621,7 @@ let () =
             test_release_unplants;
           Alcotest.test_case "detach suspends, reattach replants" `Quick
             test_detach_suspends_reattach_replants ] );
+      ("service", [ prop_fetch_int_is_fetch ]);
       ( "salvage",
         [ Alcotest.test_case "corrupt data section degrades" `Quick
             test_corrupt_data_section_salvages;
