@@ -1,5 +1,5 @@
-(** The example programs that [pslint -examples] and [dbgcheck -examples]
-    compile for every target and check. *)
+(** The example programs that [dbgcheck -examples] compiles for every
+    target and checks. *)
 
 let sources : (string * string) list =
   [

@@ -140,9 +140,8 @@ let store_float m loc ~size v =
 (* --- the wire ----------------------------------------------------------- *)
 
 (** An abstract memory that forwards fetch and store requests to a nub
-    through [rpc] — any transport that turns a request into a reply (the
-    resilient retrying transport in ldb, or the bare framed channel of
-    {!wire}). *)
+    through [rpc], a transport that turns a request into a reply (in ldb,
+    the resilient retrying [Transport]). *)
 let rpc_wire ?(name = "wire") (rpc : Ldb_nub.Proto.request -> Ldb_nub.Proto.reply) : t =
   {
     name;
@@ -159,28 +158,6 @@ let rpc_wire ?(name = "wire") (rpc : Ldb_nub.Proto.request -> Ldb_nub.Proto.repl
         | Ldb_nub.Proto.Nub_error m -> fail "wire store %c:%#x: %s" space offset m
         | _ -> fail "wire store %c:%#x: protocol confusion" space offset);
   }
-
-(** An abstract memory holding a direct connection to the nub: requests
-    travel as checksummed frames, one request per reply, with no retry
-    policy (ldb's {e transport} layers retry and reattach on top via
-    {!rpc_wire}). *)
-let wire (ep : Ldb_nub.Chan.endpoint) : t =
-  let seq = ref 0 in
-  let rpc req =
-    incr seq;
-    Ldb_nub.Frame.send ep ~seq:!seq (Ldb_nub.Proto.encode_request req);
-    let rec await () =
-      match Ldb_nub.Frame.recv ep with
-      | Ok f when f.Ldb_nub.Frame.fr_seq = !seq -> (
-          match Ldb_nub.Proto.decode_reply f.Ldb_nub.Frame.fr_payload with
-          | Ok r -> r
-          | Error m -> fail "wire: bad reply: %s" m)
-      | Ok _ -> await () (* stale duplicate *)
-      | Error m -> fail "wire: corrupt frame: %s" m
-    in
-    await ()
-  in
-  rpc_wire rpc
 
 (* --- alias memory ------------------------------------------------------- *)
 

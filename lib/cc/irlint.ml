@@ -37,15 +37,8 @@ let kinds = [ Uninit_read; Dead_store; Unreachable ]
 
 let kind_of_name s = List.find_opt (fun k -> kind_name k = s) kinds
 
-type finding = { kind : kind; file : string; line : int; col : int; msg : string }
-
-let finding_to_string f =
-  Printf.sprintf "%s:%d:%d: %s: %s" f.file f.line f.col (kind_name f.kind) f.msg
-
-let finding_to_json f =
-  Printf.sprintf {|{"kind":"%s","file":"%s","line":%d,"col":%d,"msg":"%s"}|}
-    (kind_name f.kind) (Ldb_util.Json.escape f.file) f.line f.col
-    (Ldb_util.Json.escape f.msg)
+(** An IR-lint finding: the shared positioned record over the lint's kinds. *)
+type finding = kind Ldb_util.Posfinding.t
 
 (* --- the analysis ------------------------------------------------------------- *)
 
@@ -80,7 +73,9 @@ let check_func ~(file : string) (fi : Sema.func_ir) : finding list =
           stmts;
         let report kind i msg =
           let p = pos_at.(i) in
-          findings := { kind; file; line = p.Lex.line; col = p.Lex.col; msg } :: !findings
+          findings :=
+            { Ldb_util.Posfinding.kind; file; line = p.Lex.line; col = p.Lex.col; msg }
+            :: !findings
         in
         let succs i = cfg.Dataflow.succ.(i) in
 

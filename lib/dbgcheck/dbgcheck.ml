@@ -1073,17 +1073,6 @@ let check_bpcode (arch : Arch.t) : F.t list =
 
 (* --- entry points -------------------------------------------------------------- *)
 
-type opts = {
-  stops : bool;
-  symbols : bool;
-  frames : bool;
-  differential : bool;
-  validity : bool;
-}
-
-let all_checks =
-  { stops = true; symbols = true; frames = true; differential = true; validity = true }
-
 (** Verify a linked image against its loader-table PostScript.  [tdesc]
     overrides the registered target description (used by tests to seed
     description/artifact skew).  [sources] supplies the original C text
@@ -1091,8 +1080,7 @@ let all_checks =
     the tables to it; without sources only the artifact-level validity
     checks run.  Extraction failures become a single [Table_error]
     finding rather than an exception. *)
-let check ?(opts = all_checks) ?tdesc ?(sources = []) (img : Link.image)
-    (loader_ps : string) : F.t list =
+let check ?tdesc ?(sources = []) (img : Link.image) (loader_ps : string) : F.t list =
   let arch = img.Link.i_arch in
   let tdesc = match tdesc with Some t -> t | None -> Target.of_arch arch in
   let out = ref [] in
@@ -1113,17 +1101,13 @@ let check ?(opts = all_checks) ?tdesc ?(sources = []) (img : Link.image)
          out;
        }
      in
-     if opts.stops then check_stops cx;
-     if opts.symbols then begin
-       check_symbols cx;
-       check_hints cx
-     end;
-     if opts.frames then check_frames cx;
-     if opts.differential then check_differential cx;
-     if opts.validity then begin
-       check_validity cx;
-       if sources <> [] then check_validity_recompute cx sources
-     end
+     check_stops cx;
+     check_symbols cx;
+     check_hints cx;
+     check_frames cx;
+     check_differential cx;
+     check_validity cx;
+     if sources <> [] then check_validity_recompute cx sources
    with
   | Extract m | S.Error m | Ldb.Error m | Linkerif.Error m | V.Error (m, _) ->
       out :=

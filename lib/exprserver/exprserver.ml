@@ -154,7 +154,9 @@ let lint_expression (ps : string) : string option =
   match Ldb_pscheck.Pscheck.check_program ~env ~deep:true ~name:"%expr" ps with
   | [] -> None
   | fs ->
-      Some (String.concat "; " (List.map Ldb_pscheck.Lattice.finding_to_string fs))
+      Some
+        (String.concat "; "
+           (List.map (Ldb_util.Posfinding.to_string Ldb_pscheck.Lattice.kind_name) fs))
 
 (** Handle one expression request: parse, translate, rewrite, reply. *)
 let serve_expression (s : t) (text : string) =

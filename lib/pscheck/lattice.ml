@@ -135,12 +135,5 @@ let kinds =
 
 let kind_of_name s = List.find_opt (fun k -> kind_name k = s) kinds
 
-type finding = { kind : kind; file : string; line : int; col : int; msg : string }
-
-let finding_to_string f =
-  Printf.sprintf "%s:%d:%d: %s: %s" f.file f.line f.col (kind_name f.kind) f.msg
-
-let finding_to_json f =
-  Printf.sprintf {|{"kind":"%s","file":"%s","line":%d,"col":%d,"msg":"%s"}|}
-    (kind_name f.kind) (Ldb_util.Json.escape f.file) f.line f.col
-    (Ldb_util.Json.escape f.msg)
+(** A pslint finding: the shared positioned record over pslint's kinds. *)
+type finding = kind Ldb_util.Posfinding.t

@@ -64,8 +64,10 @@ type ctx = {
 }
 
 let report ctx kind (n : Past.node) msg =
-  let f = { kind; file = ctx.file; line = n.Past.line; col = n.Past.col; msg } in
-  let key = finding_to_string f in
+  let f =
+    { Ldb_util.Posfinding.kind; file = ctx.file; line = n.Past.line; col = n.Past.col; msg }
+  in
+  let key = Ldb_util.Posfinding.to_string kind_name f in
   if not (Hashtbl.mem ctx.seen key) then begin
     Hashtbl.replace ctx.seen key ();
     ctx.findings <- f :: ctx.findings
@@ -827,7 +829,8 @@ let check_program ?env ?(deep = false) ?(name = "%pslint") (src : string) : find
    with Value.Error (err_name, detail) ->
      let line, col = Value.file_token_pos f in
      let fnd =
-       { kind = Syntax; file = name; line; col; msg = err_name ^ ": " ^ detail }
+       { Ldb_util.Posfinding.kind = Syntax; file = name; line; col;
+         msg = err_name ^ ": " ^ detail }
      in
      ctx.findings <- fnd :: ctx.findings);
   env.env_scopes <- ctx.scopes;
@@ -873,5 +876,5 @@ let debugger_env () =
     both do before trusting it: deep, against the debugger's names, with
     each finding rendered as [file:line:col: kind: msg]. *)
 let check_table ~(unit_name : string) (body : string) : string list =
-  List.map finding_to_string
+  List.map (Ldb_util.Posfinding.to_string kind_name)
     (check_program ~env:(debugger_env ()) ~deep:true ~name:(unit_name ^ ":pstab") body)

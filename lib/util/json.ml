@@ -1,6 +1,6 @@
 (** Minimal JSON string escaping, shared by every hand-rolled JSON
-    emitter in the tree (irlint findings, dbgcheck findings, pscheck
-    lattice dumps).  The output shape of each emitter is pinned by golden
+    emitter in the tree (positioned findings, dbgcheck findings, bench
+    records).  The output shape of each emitter is pinned by golden
     tests, so this must stay byte-compatible with the copies it
     replaced. *)
 

@@ -92,7 +92,8 @@ let test_joined_routing () =
     (let s = List.nth entries 1 in
      String.length s > 6 && String.contains s 'd')
 
-(** Full Fig. 4 DAG against a live simulated process via the nub. *)
+(** Full Fig. 4 DAG against a live simulated process via the nub, over
+    the transport every session uses. *)
 let test_wire_dag_end_to_end () =
   List.iter
     (fun arch ->
@@ -107,7 +108,7 @@ let test_wire_dag_end_to_end () =
       let dbg, nubend = Ldb_nub.Chan.pair () in
       Ldb_nub.Nub.attach nub nubend;
       Ldb_nub.Chan.set_pump dbg (fun () -> Ldb_nub.Nub.pump nub);
-      let wire = A.wire dbg in
+      let wire = A.rpc_wire (Ldb_ldb.Transport.rpc (Ldb_ldb.Transport.make dbg)) in
       let ctx = Ldb_nub.Nub.ctx_base in
       let table = Hashtbl.create 64 in
       for r = 0 to Target.nregs target - 1 do
@@ -140,7 +141,7 @@ let test_wire_error () =
   let dbg, nubend = Ldb_nub.Chan.pair () in
   Ldb_nub.Nub.attach nub nubend;
   Ldb_nub.Chan.set_pump dbg (fun () -> Ldb_nub.Nub.pump nub);
-  let wire = A.wire dbg in
+  let wire = A.rpc_wire (Ldb_ldb.Transport.rpc (Ldb_ldb.Transport.make dbg)) in
   (match A.fetch_i32 wire (A.absolute 'z' 0) with
   | exception A.Error _ -> ()
   | _ -> Alcotest.fail "bad space accepted");

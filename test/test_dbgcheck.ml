@@ -19,6 +19,7 @@ module Sd = Ldb_stabsdbg.Stabsdbg
 module F = Ldb_dbgcheck.Finding
 module D = Ldb_dbgcheck.Dbgcheck
 module Irlint = Ldb_cc.Irlint
+module P = Ldb_util.Posfinding
 
 let check = Alcotest.check
 
@@ -511,10 +512,10 @@ let test_json_pin () =
   let f = { F.kind = F.Bad_nop; target = "mips"; where = "0x001000"; msg = {|say "hi"|} } in
   check Alcotest.string "finding JSON"
     {|{"target":"mips","kind":"bad-nop","where":"0x001000","msg":"say \"hi\""}|} (F.to_json f);
-  let g = { Irlint.kind = Irlint.Uninit_read; file = "a.c"; line = 3; col = 5; msg = "m" } in
+  let g = { P.kind = Irlint.Uninit_read; file = "a.c"; line = 3; col = 5; msg = "m" } in
   check Alcotest.string "irlint JSON"
     {|{"kind":"uninit-read","file":"a.c","line":3,"col":5,"msg":"m"}|}
-    (Irlint.finding_to_json g)
+    (P.to_json Irlint.kind_name g)
 
 (** Each finding module's [kind_of_name] is derived from its one list of
     kinds; every kind must come back from its own name. *)
@@ -530,14 +531,22 @@ let test_kind_names () =
   roundtrip "Irlint" Irlint.kinds Irlint.kind_name Irlint.kind_of_name;
   roundtrip "Lattice" Ldb_pscheck.Lattice.kinds Ldb_pscheck.Lattice.kind_name
     Ldb_pscheck.Lattice.kind_of_name;
-  check Alcotest.bool "an unknown name is no kind" true (F.kind_of_name "no-such-kind" = None)
+  check Alcotest.bool "an unknown name is no kind" true (F.kind_of_name "no-such-kind" = None);
+  (* the front end's one -ignore takes a kind of any checker *)
+  let names =
+    List.map F.kind_name F.kinds
+    @ List.map Irlint.kind_name Irlint.kinds
+    @ List.map Ldb_pscheck.Lattice.kind_name Ldb_pscheck.Lattice.kinds
+  in
+  check Alcotest.int "no name is shared by two checkers" (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 (* --- IR dataflow lint ------------------------------------------------------------ *)
 
 let irlint_of ?(arch = Arch.Vax) src =
   Irlint.check_unit ~file:"t.c" (Ldb_cc.Compile.translate ~arch ~file:"t.c" src)
 
-let find_kind kind fs = List.filter (fun (f : Irlint.finding) -> f.Irlint.kind = kind) fs
+let find_kind kind fs = List.filter (fun (f : Irlint.finding) -> f.P.kind = kind) fs
 
 let test_ir_uninit_read () =
   let fs =
@@ -553,9 +562,9 @@ int f(void)
   in
   match find_kind Irlint.Uninit_read fs with
   | [ f ] ->
-      check Alcotest.int "line" 6 f.Irlint.line;
+      check Alcotest.int "line" 6 f.P.line;
       check Alcotest.bool "names x" true
-        (String.length f.Irlint.msg >= 1 && String.sub f.Irlint.msg 0 1 = "x")
+        (String.length f.P.msg >= 1 && String.sub f.P.msg 0 1 = "x")
   | fs' -> Alcotest.failf "expected one uninit-read, got %d" (List.length fs')
 
 let test_ir_conditional_init () =
@@ -586,7 +595,7 @@ int g(void)
   in
   match find_kind Irlint.Unreachable fs with
   | [] -> Alcotest.fail "expected an unreachable finding"
-  | f :: _ -> check Alcotest.int "line" 7 f.Irlint.line
+  | f :: _ -> check Alcotest.int "line" 7 f.P.line
 
 let test_ir_dead_store () =
   let fs =
@@ -601,7 +610,7 @@ int h(void)
 |}
   in
   match find_kind Irlint.Dead_store fs with
-  | [ f ] -> check Alcotest.int "line" 5 f.Irlint.line
+  | [ f ] -> check Alcotest.int "line" 5 f.P.line
   | fs' -> Alcotest.failf "expected one dead-store, got %d" (List.length fs')
 
 let test_ir_examples_clean () =
@@ -612,7 +621,7 @@ let test_ir_examples_clean () =
           let fs = irlint_of ~arch src in
           if fs <> [] then
             Alcotest.failf "%s on %s: %s" file (Arch.name arch)
-              (String.concat "\n" (List.map Irlint.finding_to_string fs)))
+              (String.concat "\n" (List.map (P.to_string Irlint.kind_name) fs)))
         [ ("fib.c", Testkit.fib_c); ("structs.c", structs_c); ("register.c", register_c) ])
     Arch.all
 

@@ -12,6 +12,7 @@
         raises typecheck or stackunderflow when executed. *)
 
 module L = Ldb_pscheck.Lattice
+module P = Ldb_util.Posfinding
 module C = Ldb_pscheck.Pscheck
 module I = Ldb_pscript.Interp
 module V = Ldb_pscript.Value
@@ -23,7 +24,7 @@ let lint ?(deep = true) src =
   let env = C.debugger_env () in
   C.check_program ~env ~deep ~name:"%test" src
 
-let lint_strings fs = List.map L.finding_to_string fs
+let lint_strings fs = List.map (P.to_string L.kind_name) fs
 
 let assert_clean name src =
   match lint src with
@@ -37,7 +38,7 @@ let assert_flags name ?(kind : L.kind option) src =
       match kind with
       | None -> ()
       | Some k ->
-          if not (List.exists (fun (f : L.finding) -> f.L.kind = k) fs) then
+          if not (List.exists (fun (f : L.finding) -> f.P.kind = k) fs) then
             Alcotest.failf "%s: expected a %s finding, got:\n%s" name (L.kind_name k)
               (String.concat "\n" (lint_strings fs)))
 
@@ -158,15 +159,15 @@ let test_mutated_prelude () =
       (match C.check_program ~env ~deep:true ~name:"prelude" mutated with
       | [] -> Alcotest.fail "mutated prelude not flagged"
       | fs ->
-          if not (List.exists (fun (f : L.finding) -> f.L.kind = L.Unknown_op) fs) then
+          if not (List.exists (fun (f : L.finding) -> f.P.kind = L.Unknown_op) fs) then
             Alcotest.failf "expected unknown-op, got:\n%s" (String.concat "\n" (lint_strings fs)))
 
 let test_positions () =
   match lint "1 1 add\n(x) 3 mul" with
   | [ f ] ->
-      check Alcotest.int "line" 2 f.L.line;
-      check Alcotest.int "col" 7 f.L.col;
-      check Alcotest.string "kind" "type-clash" (L.kind_name f.L.kind)
+      check Alcotest.int "line" 2 f.P.line;
+      check Alcotest.int "col" 7 f.P.col;
+      check Alcotest.string "kind" "type-clash" (L.kind_name f.P.kind)
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_clean_idioms () =
