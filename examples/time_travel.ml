@@ -90,7 +90,6 @@ let () =
   show "1 before:" t;
 
   Printf.printf "\n== the present is untouched; finish the live run\n";
-  (match Replay.target rp with Some t -> Ldb.remove_target d t | None -> ());
   (match ok (Ldb.continue_ d tg) with
   | Ldb.Stopped _ -> show "live:" tg
   | _ -> Printf.printf "   unexpected state\n");

@@ -59,21 +59,20 @@ let open_faulty_channel ?armed (p : process) ~(seed : int)
   let fc = Ldb_nub.Faultchan.install ?armed ~seed profile ~dbg:dbg_end ~nub:nub_end in
   (dbg_end, fc)
 
-(** Spawn under the debugger: launch paused and connect. *)
+(** Attach to an already-running (or faulted) process — the network /
+    post-mortem mechanism. *)
+let attach_existing (d : Ldb.t) ~name (p : process) : Ldb.target =
+  Ldb.connect d ~name ~loader_ps:p.hp_loader_ps (open_channel p)
+
+(** Spawn under the debugger: launch paused and attach. *)
 let spawn (d : Ldb.t) ?debug ?defer ?compress ~arch ~name sources : process * Ldb.target =
   let p = launch ?debug ?defer ?compress ~paused:true ~arch sources in
-  let tg = Ldb.connect d ~name ~loader_ps:p.hp_loader_ps (open_channel p) in
-  (p, tg)
+  (p, attach_existing d ~name p)
 
 (** Reattach a target to its (surviving) nub after the link died: open a
     fresh channel and run the debugger's resync — replay Hello, re-read
     the stop context, re-validate breakpoints. *)
 let reattach (d : Ldb.t) (tg : Ldb.target) (p : process) : Ldb.state =
   Ldb.reattach d tg (open_channel p)
-
-(** Attach to an already-running (or faulted) process — the network /
-    post-mortem mechanism. *)
-let attach_existing (d : Ldb.t) ~name (p : process) : Ldb.target =
-  Ldb.connect d ~name ~loader_ps:p.hp_loader_ps (open_channel p)
 
 let output (p : process) = Proc.output p.hp_proc

@@ -79,25 +79,21 @@ let rpcs (tg : target) : int =
 
 type t = {
   interp : I.t;
-  mutable targets : target list;
   mutable arch_dicts : (Arch.t * V.dict) list;
       (** machine-dependent PostScript, interpreted once per architecture
           and shared by every target on it — the dictionaries are
           read-only after interpretation, so sharing is safe *)
 }
 
-let create () : t =
-  { interp = Ldb_pscript.Ps.create (); targets = []; arch_dicts = [] }
+let create () : t = { interp = Ldb_pscript.Ps.create (); arch_dicts = [] }
 
 (** Create without loading the shared prelude (startup benchmarking). *)
-let create_bare () : t =
-  { interp = Ldb_pscript.Ps.create_bare (); targets = []; arch_dicts = [] }
+let create_bare () : t = { interp = Ldb_pscript.Ps.create_bare (); arch_dicts = [] }
 
-(** Forget a target (a server closing a session; the connection is the
-    caller's to shut down first).  Shared image state stays behind for the
-    image's other targets. *)
-let remove_target (d : t) (tg : target) : unit =
-  d.targets <- List.filter (fun t -> t != tg) d.targets
+(** A no-op: a debugger keeps no list of its targets, so a retired one is
+    simply dropped.  Kept only because ldbbench's harness and time_travel
+    workload still call it. *)
+let remove_target (_ : t) (_ : target) : unit = ()
 
 (* --- interpreting in a target's context ---------------------------------- *)
 
@@ -131,22 +127,38 @@ let read_loader_ps (d : t) ~(defs : V.dict) (loader_ps : string) : V.dict * V.di
 
 (** Everything a debugged program contributes that is independent of any
     particular process running it: the PostScript definitions its loader
-    table arrived as, the loader dictionary, and the (demand-driven)
-    symbol table with whatever units and indexes queries have forced so
-    far.  All of it is a pure function of the loader PostScript, so
-    sessions debugging the same program can share one image — forcing a
-    unit once serves them all — cached by that text, with [im_hash] as its id. *)
+    table arrived as, the loader dictionary, its procedure index, and the
+    (demand-driven) symbol table with whatever units and indexes queries
+    have forced so far.  All of it is a pure function of the loader
+    PostScript, so sessions debugging the same program can share one
+    image — forcing a unit once serves them all — cached by that text,
+    with [im_hash] as its id. *)
 type image = {
   im_hash : string;  (** digest of the loader PostScript, computed once per image *)
   im_loader_ps : string;
   im_defs : V.dict;
   im_loader : V.dict;
   im_symtab : Symtab.t;
+  im_proctable : (int * string) array Lazy.t;  (** {!Linkerif.proctable_of} *)
+  im_anchored : unit Lazy.t;
+      (** the anchor check, run at the image's first attach; a table
+          that fails it fails every attach the same way *)
 }
 
 (** An image's id (MD5 of its loader text): {!load_image} computes it once;
     caches key by the text itself, which a hit need not digest. *)
 let image_hash (loader_ps : string) : string = Digest.to_hex (Digest.string loader_ps)
+
+(** Check that the anchor symbols named by the symbol table match the
+    loader table, ensuring the top-level dictionary matches the object
+    code (Sec. 2). *)
+let check_anchors (loader : V.dict) (symtab : Symtab.t) : unit =
+  List.iter
+    (fun name ->
+      try ignore (Linkerif.anchor_address loader name)
+      with Linkerif.Error _ ->
+        fail "symbol table does not match object code: anchor %s missing" name)
+    (Symtab.anchors symtab)
 
 (** Read a program's loader PostScript into a fresh image. *)
 let load_image (d : t) ~(loader_ps : string) : image =
@@ -159,6 +171,8 @@ let load_image (d : t) ~(loader_ps : string) : image =
     im_defs = defs;
     im_loader = loader;
     im_symtab = symtab;
+    im_proctable = lazy (Linkerif.proctable_of loader);
+    im_anchored = lazy (check_anchors loader symtab);
   }
 
 (** The machine-dependent dictionary for [arch], interpreted on first use
@@ -174,12 +188,15 @@ let arch_dict_for (d : t) (arch : Arch.t) : V.dict =
       d.arch_dicts <- (arch, arch_dict) :: d.arch_dicts;
       arch_dict
 
+(** A stop reported by signal number; an unknown number reads as SIGINT. *)
+let stopped ~signal ~code ~ctx_addr : state =
+  let signal = Option.value ~default:Signal.SIGINT (Signal.of_number signal) in
+  Stopped { signal; code; ctx_addr }
+
 let state_of_hello (st : Proto.stop_state) : state =
   match st with
   | Proto.St_running -> Running
-  | Proto.St_stopped { signal; code; ctx_addr } ->
-      let signal = Option.value ~default:Signal.SIGINT (Signal.of_number signal) in
-      Stopped { signal; code; ctx_addr }
+  | Proto.St_stopped { signal; code; ctx_addr } -> stopped ~signal ~code ~ctx_addr
   | Proto.St_exited n -> Exited n
 
 (** Install the per-target operators whose behaviour depends on the
@@ -204,17 +221,6 @@ let make_target_ops (d : t) (li : Linkerif.t) : V.dict =
       I.push d.interp (V.int (Linkerif.global_address li name)));
   ops
 
-(** Check that the anchor symbols named by the symbol table match the
-    loader table, ensuring the top-level dictionary matches the object
-    code (Sec. 2). *)
-let check_anchors (tg : target) =
-  List.iter
-    (fun name ->
-      try ignore (Linkerif.anchor_address tg.tg_linkerif name)
-      with Linkerif.Error _ ->
-        fail "symbol table does not match object code: anchor %s missing" name)
-    (Symtab.anchors tg.tg_symtab)
-
 (** Pull the whole serialized core dump across the wire in
     {!Proto.max_core_chunk}-sized windows. *)
 let fetch_core_raw (tr : Transport.t) : string =
@@ -234,40 +240,55 @@ let fetch_core_raw (tr : Transport.t) : string =
   in
   go 0
 
-(** Connect to a nub over [chan] using an already-loaded [image] — the
-    server's path, where many sessions debugging the same program share
-    one image and its forced symbol tables.  The per-process pieces —
-    transport, wire abstract memory, linker interface with its caches,
-    breakpoint table — are built fresh; everything image-derived is
-    shared. *)
-let connect_with_image ?deadline ?max_retries (d : t) ~(name : string)
-    ~(image : image) (chan : Chan.endpoint) : target =
-  let tr = Transport.make ?deadline ?max_retries chan in
-  let arch, st, can_step =
-    match Transport.rpc tr Proto.Hello with
-    | Proto.Hello_reply { arch; state; can_step } -> (
-        match Arch.of_name arch with
-        | Some a -> (a, state, can_step)
-        | None -> fail "nub reports unknown architecture %s" arch)
-    | r -> fail "unexpected reply to Hello: %s" (Fmt.str "%a" Proto.pp_reply r)
+(** Ask the nub for its architecture, stop state and whether it offers
+    the single-step extension. *)
+let hello (tr : Transport.t) : Arch.t * state * bool =
+  match Transport.rpc tr Proto.Hello with
+  | Proto.Hello_reply { arch; state; can_step } -> (
+      match Arch.of_name arch with
+      | Some a -> (a, state_of_hello state, can_step)
+      | None -> fail "nub reports unknown architecture %s" arch)
+  | r -> fail "unexpected reply to Hello: %s" (Fmt.str "%a" Proto.pp_reply r)
+
+(** Build a target over [image] on [conn] — the one way a target is
+    made, whether the wire memory at the bottom of the DAG is a live nub
+    (whose [Hello] gives the architecture and stop state) or a core dump
+    (permanently stopped at its fault; run/step/store answer with typed
+    [`Dead_process] errors).  Everything image-derived is shared, and the
+    image's anchor check runs at its first attach; the wire memory,
+    linker interface with its caches, operators and breakpoint table are
+    the target's own. *)
+let attach (d : t) ~(name : string) ~(image : image) (conn : conn) : target =
+  (* a store outdates the target's cached dump, as it does the nub's *)
+  let on_store = ref ignore in
+  let arch, state, can_step, wire, core =
+    match conn with
+    | Live tr ->
+        let arch, state, can_step = hello tr in
+        let wire =
+          A.rpc_wire (fun req ->
+              (match req with Proto.Store _ -> !on_store () | _ -> ());
+              Transport.rpc tr req)
+        in
+        (arch, state, can_step, wire, None)
+    | Postmortem cd ->
+        let ({ Core.co_arch; co_signal; co_code; co_ctx_addr; _ } as co) = Coredump.core cd in
+        let state = stopped ~signal:co_signal ~code:co_code ~ctx_addr:co_ctx_addr in
+        (co_arch, state, false, Coredump.memory cd, Some co)
   in
   if not (Arch.equal image.im_symtab.Symtab.arch arch) then
     fail "symbol table is for %s but the target runs %s"
       (Arch.name image.im_symtab.Symtab.arch) (Arch.name arch);
-  (* a store outdates the target's cached dump, as it does the nub's *)
-  let on_store = ref ignore in
-  let wire =
-    A.rpc_wire (fun req ->
-        (match req with Proto.Store _ -> !on_store () | _ -> ());
-        Transport.rpc tr req)
+  Lazy.force image.im_anchored;
+  let li =
+    Linkerif.make ~arch ~loader:image.im_loader ~proctable:image.im_proctable ~wire
   in
-  let li = Linkerif.make ~arch ~loader:image.im_loader ~wire in
   let tg =
     {
       tg_name = name;
       tg_arch = arch;
       tg_tdesc = Target.of_arch arch;
-      tg_conn = Live tr;
+      tg_conn = conn;
       tg_wire = wire;
       tg_defs = image.im_defs;
       tg_arch_dict = arch_dict_for d arch;
@@ -276,27 +297,36 @@ let connect_with_image ?deadline ?max_retries (d : t) ~(name : string)
       tg_linkerif = li;
       tg_breaks = Breakpoint.create_table ();
       tg_can_step = can_step;
-      tg_state = state_of_hello st;
-      tg_core = None;
+      tg_state = state;
+      tg_core = core;
     }
   in
-  on_store := (fun () -> tg.tg_core <- None);
-  (* On the way down — deliberate kill/detach, or an RPC finding the link
-     dead — grab the core of a fatally-stopped target while (if) the
-     channel still answers.  Best-effort by design: a lost link usually
-     cannot serve it, and the nub preserves the dump for a reattach. *)
-  Transport.set_on_down tr
-    (Some
-       (fun _reason ->
-         match (tg.tg_state, tg.tg_core) with
-         | Stopped { signal; _ }, None when Core.fatal_signal signal -> (
-             match Core.of_string (fetch_core_raw tr) with
-             | Ok (co, _) -> tg.tg_core <- Some co
-             | Error _ | (exception Error _) | (exception Transport.Error _) -> ())
-         | _ -> ()));
-  check_anchors tg;
-  d.targets <- tg :: d.targets;
+  (match conn with
+  | Postmortem _ -> ()
+  | Live tr ->
+      on_store := (fun () -> tg.tg_core <- None);
+      (* On the way down — deliberate kill/detach, or an RPC finding the
+         link dead — grab the core of a fatally-stopped target while (if)
+         the channel still answers.  Best-effort by design: a lost link
+         usually cannot serve it, and the nub preserves the dump for a
+         reattach. *)
+      Transport.set_on_down tr
+        (Some
+           (fun _reason ->
+             match (tg.tg_state, tg.tg_core) with
+             | Stopped { signal; _ }, None when Core.fatal_signal signal -> (
+                 match Core.of_string (fetch_core_raw tr) with
+                 | Ok (co, _) -> tg.tg_core <- Some co
+                 | Error _ | (exception Error _) | (exception Transport.Error _) -> ())
+             | _ -> ())));
   tg
+
+(** Connect to a nub over [chan] using an already-loaded [image] — the
+    server's path, where many sessions debugging the same program share
+    one image and its forced symbol tables. *)
+let connect_with_image ?deadline ?max_retries (d : t) ~(name : string)
+    ~(image : image) (chan : Chan.endpoint) : target =
+  attach d ~name ~image (Live (Transport.make ?deadline ?max_retries chan))
 
 (** Connect to a nub over [chan], reading the program's loader-table
     PostScript into a private image.  Works for all connection mechanisms:
@@ -351,18 +381,15 @@ let run_rpc (tg : target) (req : Proto.request) : state =
   tg.tg_core <- None;
   let st =
     match Transport.rpc (transport tg) req with
-    | Proto.Event { signal; code; ctx_addr } ->
-        let signal = Option.value ~default:Signal.SIGINT (Signal.of_number signal) in
-        Stopped { signal; code; ctx_addr }
+    | Proto.Event { signal; code; ctx_addr } -> stopped ~signal ~code ~ctx_addr
     | Proto.Cond_hit { signal; code; ctx_addr; suppressed } ->
         (* a nub-evaluated condition came up true; credit the traps the
            nub resumed silently to the breakpoint's own count *)
-        let signal = Option.value ~default:Signal.SIGINT (Signal.of_number signal) in
         (match Hashtbl.find_opt tg.tg_breaks (read_ctx_pc tg ctx_addr) with
         | Some { Breakpoint.bp_cond = Some c; _ } ->
             c.Breakpoint.c_suppressed <- c.Breakpoint.c_suppressed + suppressed
         | _ -> ());
-        Stopped { signal; code; ctx_addr }
+        stopped ~signal ~code ~ctx_addr
     | Proto.Exit_event n -> Exited n
     | r -> fail "unexpected reply while running: %s" (Fmt.str "%a" Proto.pp_reply r)
   in
@@ -545,22 +572,16 @@ let detach (tg : target) =
     every planted breakpoint against target memory, replanting any whose
     trap bytes are gone.  The target's symbol tables, loader tables and
     wire memory survive untouched — they hang off the transport, which
-    [Transport.reconnect] preserves. *)
+    [Transport.reconnect] preserves.  A replay seek re-points its target
+    at each new instant's nub the same way. *)
 let reattach (d : t) (tg : target) (chan : Chan.endpoint) : state =
   ignore d;
   let tr = transport tg in
   Transport.reconnect tr chan;
-  let st =
-    match Transport.rpc tr Proto.Hello with
-    | Proto.Hello_reply { arch; state; can_step = _ } -> (
-        match Arch.of_name arch with
-        | Some a when Arch.equal a tg.tg_arch -> state_of_hello state
-        | Some a ->
-            fail "reattach: nub now reports %s but target %s runs %s" (Arch.name a)
-              tg.tg_name (Arch.name tg.tg_arch)
-        | None -> fail "reattach: nub reports unknown architecture %s" arch)
-    | r -> fail "unexpected reply to Hello: %s" (Fmt.str "%a" Proto.pp_reply r)
-  in
+  let arch, st, _ = hello tr in
+  if not (Arch.equal arch tg.tg_arch) then
+    fail "reattach: nub now reports %s but target %s runs %s" (Arch.name arch) tg.tg_name
+      (Arch.name tg.tg_arch);
   tg.tg_state <- st;
   (* the nub preserved target memory, so planted traps should still be
      there — but verify rather than trust, and replant any that are not;
@@ -1028,50 +1049,6 @@ let fetch_trace_raw (tr : Transport.t) : string =
 (** The serialized trace of the recording in progress on the target's
     nub, for writing to a file or opening a replay session. *)
 let trace_bytes (tg : target) : string = fetch_trace_raw (transport tg)
-
-(** Open a loaded core dump as a target: same symbol tables, loader
-    tables, machine-dependent PostScript and operators as a live
-    connection, but the wire abstract memory reads the dump.  The target
-    is permanently stopped at the fault; run/step/store answer with
-    typed [`Dead_process] errors. *)
-let connect_core_with_image (d : t) ~(name : string) ~(image : image)
-    ((core : Core.t), (warnings : Core.salvage list)) : target =
-  let cd = Coredump.make (core, warnings) in
-  let arch = core.Core.co_arch in
-  if not (Arch.equal image.im_symtab.Symtab.arch arch) then
-    fail "symbol table is for %s but the core was dumped on %s"
-      (Arch.name image.im_symtab.Symtab.arch) (Arch.name arch);
-  let wire = Coredump.memory cd in
-  let li = Linkerif.make ~arch ~loader:image.im_loader ~wire in
-  let signal =
-    Option.value ~default:Signal.SIGINT (Signal.of_number core.Core.co_signal)
-  in
-  let tg =
-    {
-      tg_name = name;
-      tg_arch = arch;
-      tg_tdesc = Target.of_arch arch;
-      tg_conn = Postmortem cd;
-      tg_wire = wire;
-      tg_defs = image.im_defs;
-      tg_arch_dict = arch_dict_for d arch;
-      tg_ops = make_target_ops d li;
-      tg_symtab = image.im_symtab;
-      tg_linkerif = li;
-      tg_breaks = Breakpoint.create_table ();
-      tg_can_step = false;
-      tg_state =
-        Stopped { signal; code = core.Core.co_code; ctx_addr = core.Core.co_ctx_addr };
-      tg_core = Some core;
-    }
-  in
-  check_anchors tg;
-  d.targets <- tg :: d.targets;
-  tg
-
-let connect_core (d : t) ~(name : string) ~(loader_ps : string)
-    (loaded : Core.t * Core.salvage list) : target =
-  connect_core_with_image d ~name ~image:(load_image d ~loader_ps) loaded
 
 (** Salvage warnings the dump earned at load time (truncations, CRC
     failures); empty on a live target. *)

@@ -24,11 +24,12 @@ type t = {
   wire : A.t;
   anchor_cache : (string * int, int) Hashtbl.t;
   mutable rpt : Rpt.entry array option;  (** SIM-MIPS runtime procedure table, {!Rpt.index}ed *)
-  mutable proctable : (int * string) array option;  (** sorted by address *)
+  proctable : (int * string) array Lazy.t;
+      (** the loader's {!proctable_of}, decoded once per image and shared *)
 }
 
-let make ~(arch : Arch.t) ~(loader : V.dict) ~(wire : A.t) : t =
-  { arch; loader; wire; anchor_cache = Hashtbl.create 64; rpt = None; proctable = None }
+let make ~(arch : Arch.t) ~(loader : V.dict) ~proctable ~(wire : A.t) : t =
+  { arch; loader; wire; anchor_cache = Hashtbl.create 64; rpt = None; proctable }
 
 let get_dict d key =
   match V.dict_get d key with
@@ -38,8 +39,8 @@ let get_dict d key =
 let fetch32 li addr = Int32.to_int (A.fetch_i32 li.wire (A.absolute 'd' addr))
 
 (** Address of an anchor symbol, from the loader table's anchormap. *)
-let anchor_address li name =
-  let am = get_dict li.loader "anchormap" in
+let anchor_address (loader : V.dict) name =
+  let am = get_dict loader "anchormap" in
   match V.dict_get am name with
   | Some v -> V.to_int v
   | None -> raise (Error ("unknown anchor symbol " ^ name))
@@ -50,7 +51,7 @@ let lazy_data li ~name ~idx =
   match Hashtbl.find_opt li.anchor_cache (name, idx) with
   | Some v -> v
   | None ->
-      let base = anchor_address li name in
+      let base = anchor_address li.loader name in
       let v = fetch32 li (base + (4 * idx)) in
       Hashtbl.replace li.anchor_cache (name, idx) v;
       v
@@ -84,18 +85,9 @@ let proctable_of (loader : V.dict) : (int * string) array =
   done;
   Array.of_list (List.sort compare !entries)
 
-(** The procedure table, decoded on first use. *)
-let proctable li =
-  match li.proctable with
-  | Some t -> t
-  | None ->
-      let t = proctable_of li.loader in
-      li.proctable <- Some t;
-      t
-
 (** Name and address of the procedure containing [pc]. *)
 let proc_of_pc li ~pc : (int * string) option =
-  let t = proctable li in
+  let t = Lazy.force li.proctable in
   let n = Array.length t in
   let rec search lo hi best =
     if lo > hi then best

@@ -395,18 +395,11 @@ let open_core_session (sv : t) ~(name : string) ~(loader_ps : string)
     (loaded : Core.t * Core.salvage list) : (int, refusal) result =
   open_with sv ~name (fun () ->
       let image = image_for sv ~loader_ps in
-      (image, Ldb.connect_core_with_image sv.sv_d ~name ~image loaded))
-
-(** Admit a target materialized elsewhere — a historical instant of a
-    {!Replay} session over [image] — as a session of its own. *)
-let open_target_session (sv : t) ~(name : string) ~(image : Ldb.image) (tg : Ldb.target) :
-    (int, refusal) result =
-  open_with sv ~name (fun () -> (image, tg))
+      (image, Ldb.attach sv.sv_d ~name ~image (Ldb.Postmortem (Coredump.make loaded))))
 
 (** Forget a released session, leaving only its tombstone. *)
 let bury (sv : t) (s : session) : unit =
   s.ss_state <- Closed;
-  Ldb.remove_target sv.sv_d s.ss_tg;
   Hashtbl.remove sv.sv_sessions s.ss_id;
   Hashtbl.replace sv.sv_closed s.ss_id (s.ss_name, s.ss_image)
 

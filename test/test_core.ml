@@ -227,8 +227,9 @@ let postmortem_of (s : Testkit.session) : Ldb.t * Ldb.target =
   | Error m -> Alcotest.failf "core does not decode: %s" m
   | Ok loaded ->
       let tg2 =
-        Ldb.connect_core d2 ~name:"core"
-          ~loader_ps:s.Testkit.proc.Host.hp_loader_ps loaded
+        Ldb.attach d2 ~name:"core"
+          ~image:(Ldb.load_image d2 ~loader_ps:s.Testkit.proc.Host.hp_loader_ps)
+          (Ldb.Postmortem (Coredump.make loaded))
       in
       (d2, tg2)
 
@@ -444,8 +445,9 @@ let test_corrupt_data_section_salvages () =
             (String.concat "; " (List.map Core.salvage_to_string ws)));
       let d2 = Ldb.create () in
       let tg2 =
-        Ldb.connect_core d2 ~name:"damaged"
-          ~loader_ps:s.Testkit.proc.Host.hp_loader_ps (co, warnings)
+        Ldb.attach d2 ~name:"damaged"
+          ~image:(Ldb.load_image d2 ~loader_ps:s.Testkit.proc.Host.hp_loader_ps)
+          (Ldb.Postmortem (Coredump.make (co, warnings)))
       in
       (* the report degrades, it does not abort *)
       (match Ldb.crash_report d2 tg2 with
@@ -488,8 +490,9 @@ let test_truncated_dump_salvages () =
     (Signal.number Signal.SIGSEGV) co.Core.co_signal;
   let d2 = Ldb.create () in
   let tg2 =
-    Ldb.connect_core d2 ~name:"cut" ~loader_ps:s.Testkit.proc.Host.hp_loader_ps
-      (co, warnings)
+    Ldb.attach d2 ~name:"cut"
+      ~image:(Ldb.load_image d2 ~loader_ps:s.Testkit.proc.Host.hp_loader_ps)
+      (Ldb.Postmortem (Coredump.make (co, warnings)))
   in
   match Ldb.crash_report d2 tg2 with
   | `Full _ -> Alcotest.fail "truncated dump reported as Full"

@@ -303,11 +303,10 @@ let test_live_vs_core () =
                  empties the memo *)
               let live = answers d tg in
               let core =
-                Ldb.connect_core_with_image d ~name:tg.Ldb.tg_name ~image
-                  (Ldb.fetch_core tg, [])
+                Ldb.attach d ~name:tg.Ldb.tg_name ~image
+                  (Ldb.Postmortem (Ldb_ldb.Coredump.make (Ldb.fetch_core tg, [])))
               in
-              check Alcotest.(list string) what (answers d core) live;
-              Ldb.remove_target d core))
+              check Alcotest.(list string) what (answers d core) live))
         Arch.all)
     progs
 

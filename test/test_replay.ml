@@ -12,6 +12,8 @@ open Ldb_machine
 module Ldb = Ldb_ldb.Ldb
 module Host = Ldb_ldb.Host
 module Replay = Ldb_ldb.Replay
+module Server = Ldb_ldb.Server
+module Transport = Ldb_ldb.Transport
 module Frame = Ldb_ldb.Frame
 module Disas = Ldb_ldb.Disas
 module Trace = Ldb_nub.Trace
@@ -666,18 +668,19 @@ let prop_decode_total =
     QCheck.(string_gen_of_size (Gen.int_bound 400) Gen.char)
     (fun s -> match Trace.of_string s with Ok _ | Error _ -> true)
 
-(* A short recording to damage: MIPS, checkpoints every 8 instructions,
-   decoded once. *)
-let recorded =
-  lazy
-    (let s = Testkit.debug_session ~arch:Arch.Mips loop_sources in
-     Ldb.start_record s.Testkit.tg ~spacing:8;
-     ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "bump" : int);
-     expect_stop "continue" (Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg));
-     let image = Ldb.load_image s.Testkit.d ~loader_ps:s.Testkit.proc.Host.hp_loader_ps in
-     match Trace.of_string (Ldb.trace_bytes s.Testkit.tg) with
-     | Ok (tr, []) -> (s, image, tr)
-     | _ -> Alcotest.fail "pristine trace did not decode cleanly")
+(* A short recording to damage: checkpoints every 8 instructions. *)
+let record_loop arch =
+  let s = Testkit.debug_session ~arch loop_sources in
+  Ldb.start_record s.Testkit.tg ~spacing:8;
+  ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "bump" : int);
+  expect_stop "continue" (Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg));
+  let image = Ldb.load_image s.Testkit.d ~loader_ps:s.Testkit.proc.Host.hp_loader_ps in
+  match Trace.of_string (Ldb.trace_bytes s.Testkit.tg) with
+  | Ok (tr, []) -> (s, image, tr)
+  | _ -> Alcotest.fail "pristine trace did not decode cleanly"
+
+(* the MIPS one, decoded once *)
+let recorded = lazy (record_loop Arch.Mips)
 
 (* [tr] with checkpoint [k]'s stored bytes replaced by [f] of them *)
 let with_stored (tr : Trace.t) k f =
@@ -690,12 +693,22 @@ let with_stored (tr : Trace.t) k f =
   in
   { tr with Trace.tr_events = List.map edit tr.Trace.tr_events }
 
-(* close a replay session's historical target *)
-let close_replay d rp =
-  match Replay.target rp with Some tg -> Ldb.remove_target d tg | None -> ()
-
 let checkpoints (tr : Trace.t) =
   List.filter_map (function Trace.Checkpoint ck -> Some ck | _ -> None) tr.Trace.tr_events
+
+(* [tr] with the first compressed checkpoint after the first one made
+   unreadable, that checkpoint and the one before it *)
+let unreadable_checkpoint (tr : Trace.t) =
+  let cks = checkpoints tr in
+  let k =
+    match
+      List.find_index (fun ck -> ck.Trace.ck_packing = Trace.Lzw) (List.tl cks)
+    with
+    | Some k -> k + 1
+    | None -> Alcotest.fail "no compressed checkpoint after the first"
+  in
+  (* the first 9-bit code reads 511, past every single-byte code *)
+  (with_stored tr k (fun b -> "\xff\xff" ^ b), List.nth cks k, List.nth cks (k - 1))
 
 (** qcheck: flip bytes inside the checkpoint bodies of a recorded trace,
     re-seal every record's CRC, and restore each checkpoint in turn.
@@ -724,7 +737,6 @@ let prop_restore_total =
               match Replay.seek rp ~ev:ck.Trace.ck_ev ~delta:ck.Trace.ck_delta with
               | Ok _ | Error _ -> ())
             (checkpoints hostile);
-          close_replay s.Testkit.d rp;
           true)
 
 (** A CRC-valid trace whose compressed checkpoint holds a corrupt LZW
@@ -733,17 +745,7 @@ let prop_restore_total =
     materialize. *)
 let lazy_decode_case () =
   let s, image, tr = Lazy.force recorded in
-  let cks = checkpoints tr in
-  let k =
-    match
-      List.find_index (fun ck -> ck.Trace.ck_packing = Trace.Lzw) (List.tl cks)
-    with
-    | Some k -> k + 1
-    | None -> Alcotest.fail "no compressed checkpoint after the first"
-  in
-  let bad = List.nth cks k in
-  (* the first 9-bit code reads 511, past every single-byte code *)
-  let hostile = with_stored tr k (fun b -> "\xff\xff" ^ b) in
+  let hostile, bad, _ = unreadable_checkpoint tr in
   match Replay.of_string s.Testkit.d ~name:"lazy" ~image (Trace.to_string hostile) with
   | Error e -> Alcotest.failf "open: %s" (Replay.error_to_string e)
   | Ok (rp, ws) -> (
@@ -754,10 +756,115 @@ let lazy_decode_case () =
             (contains ~needle:"checkpoint core unreadable" m)
       | Error e -> Alcotest.failf "unexpected error: %s" (Replay.error_to_string e)
       | Ok _ -> Alcotest.fail "restored a checkpoint whose core is unreadable");
-      (match Replay.seek rp ~ev:0 ~delta:0 with
+      match Replay.seek rp ~ev:0 ~delta:0 with
       | Ok tg -> ignore (view s.Testkit.d tg ~vars:[ "total" ] : string)
-      | Error e -> Alcotest.failf "seek before the damage: %s" (Replay.error_to_string e));
-      close_replay s.Testkit.d rp)
+      | Error e -> Alcotest.failf "seek before the damage: %s" (Replay.error_to_string e))
+
+(* --- a seek re-points the session's one target ----------------------------- *)
+
+(* a recording over three stops in [bump] *)
+let three_stops arch : Testkit.session =
+  let s = Testkit.debug_session ~arch loop_sources in
+  Ldb.start_record s.Testkit.tg ~spacing:16;
+  ignore (Ldb.break_function s.Testkit.d s.Testkit.tg "bump" : int);
+  for _ = 1 to 3 do
+    expect_stop "continue" (Testkit.ok (Ldb.continue_ s.Testkit.d s.Testkit.tg))
+  done;
+  s
+
+let reconnects tg = (Transport.stats (Ldb.transport tg)).Transport.st_reconnects
+
+let is_target rp tg = match Replay.target rp with Some t -> t == tg | None -> false
+
+(** Every seek after the first re-points the replay's one target: each
+    motion answers with that same target, reconnected once per seek. *)
+let one_target_case arch () =
+  let rp = open_replay (three_stops arch) in
+  let tg = reach (Replay.seek_end rp) in
+  let base = reconnects tg in
+  List.iteri
+    (fun i motion ->
+      let what = Printf.sprintf "%s, motion %d" (Arch.name arch) (i + 1) in
+      check Alcotest.bool (what ^ ": the same target") true (reach (motion rp) == tg);
+      check Alcotest.bool (what ^ ": Replay.target") true (is_target rp tg);
+      check Alcotest.int (what ^ ": one reconnect per seek") (base + i + 1) (reconnects tg))
+    Replay.[ rstep; rstep; rcontinue; rcontinue; seek_end; rcontinue; rstep ]
+
+(** A seek that fails leaves the target at its previous position,
+    answering exactly as before. *)
+let failed_seek_case arch () =
+  let s, image, tr = record_loop arch in
+  let hostile, bad, good = unreadable_checkpoint tr in
+  match Replay.of_string s.Testkit.d ~name:"failed" ~image (Trace.to_string hostile) with
+  | Error e -> Alcotest.failf "open: %s" (Replay.error_to_string e)
+  | Ok (rp, _) -> (
+      ignore (reach (Replay.seek rp ~ev:0 ~delta:0) : Ldb.target);
+      let tg = reach (Replay.seek rp ~ev:good.Trace.ck_ev ~delta:good.Trace.ck_delta) in
+      let vars = [ "total"; "k" ] in
+      let before = view s.Testkit.d tg ~vars and at = Replay.position_cursor rp in
+      let n = reconnects tg in
+      (match Replay.seek rp ~ev:bad.Trace.ck_ev ~delta:bad.Trace.ck_delta with
+      | Error (`Bad_trace _) -> ()
+      | Error e -> Alcotest.failf "unexpected error: %s" (Replay.error_to_string e)
+      | Ok _ -> Alcotest.fail "restored a checkpoint whose core is unreadable");
+      let an = Arch.name arch in
+      check Alcotest.bool (an ^ ": the same target") true (is_target rp tg);
+      check Alcotest.(pair int int) (an ^ ": the same cursor") at (Replay.position_cursor rp);
+      check Alcotest.int (an ^ ": not reconnected") n (reconnects tg);
+      check Alcotest.string (an ^ ": the same view") before (view s.Testkit.d tg ~vars);
+      match Replay.seek_end rp with
+      | Ok tg' -> check Alcotest.bool (an ^ ": later seeks still work") true (tg' == tg)
+      | Error e -> Alcotest.failf "seek after the failure: %s" (Replay.error_to_string e))
+
+(** What belongs to one stop does not outlive a seek: a breakpoint
+    planted and a core fetched at one instant are gone at the next, whose
+    core is its own. *)
+let stop_state_case arch () =
+  let s = three_stops arch in
+  let d = s.Testkit.d and an = Arch.name arch in
+  let rp = open_replay s in
+  let tg = reach (Replay.seek_end rp) in
+  ignore (Ldb.break_function d tg "main" : int);
+  let first = Ldb.core_bytes tg in
+  let tg = reach (Replay.rcontinue rp) in
+  check Alcotest.int (an ^ ": no breakpoint carried over") 0 (Hashtbl.length tg.Ldb.tg_breaks);
+  let ev, delta = Replay.position_cursor rp in
+  let fresh = Ldb.core_bytes (reach (Replay.seek (open_replay s) ~ev ~delta)) in
+  check Alcotest.bool (an ^ ": the core is the new instant's") true (Ldb.core_bytes tg = fresh);
+  check Alcotest.bool (an ^ ": which differs from the old one") false (fresh = first)
+
+(** The REPL takes a trip into history as one server session: the trip's
+    k motions admit it once, and [present] closes it. *)
+let repl_trip_case arch () =
+  let sv, esess = Repl.server ~arch in
+  let p = Host.launch ~arch loop_sources in
+  let live =
+    match
+      Server.open_session sv ~name:"cli" ~loader_ps:p.Host.hp_loader_ps (Host.open_channel p)
+    with
+    | Ok id -> id
+    | Error r -> Alcotest.failf "open: %s" (Server.refusal_to_string r)
+  in
+  let k = 4 in
+  let script =
+    [ "record 16"; "break bump"; "c"; "c"; "c" ]
+    @ List.init k (fun i -> if i mod 2 = 0 then "rstep" else "rcontinue")
+    @ [ "present"; "rstep" ]
+  in
+  let file = Filename.temp_file "trip" ".txt" in
+  Out_channel.with_open_text file (fun oc ->
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) script);
+  In_channel.with_open_text file (fun ic -> Repl.repl ~ic sv ~esess ~live ~proc:(Some p));
+  Sys.remove file;
+  let an = Arch.name arch in
+  check Alcotest.int (an ^ ": the live session and one per trip") 3
+    (Server.stats sv).Server.sv_opened;
+  let state id = Option.map Server.state_name (Server.session_state sv id) in
+  check
+    Alcotest.(list (option string))
+    (an ^ ": present closed the first trip's session, and only it")
+    [ Some "healthy"; Some "closed"; Some "healthy" ]
+    (List.map state [ live; live + 1; live + 2 ])
 
 (** Salvage: damage ends the usable prefix with a typed report instead
     of an exception, and every prefix of a trace is itself a trace. *)
@@ -962,6 +1069,11 @@ let () =
           Alcotest.test_case "replay over a truncated trace" `Quick
             truncated_replay_case ] );
       ("rstep", arch_cases "reverse-step differential" timeline_case);
+      ( "seek",
+        arch_cases "one target, one reconnect per seek" one_target_case
+        @ arch_cases "a failed seek stays put" failed_seek_case
+        @ arch_cases "breakpoints and core do not carry over" stop_state_case
+        @ arch_cases "the REPL: one history session per trip" repl_trip_case );
       ("rcontinue", arch_cases "reverse-continue differential" rcontinue_case);
       ( "rwatch",
         [ Alcotest.test_case "run back to last write" `Quick rwatch_case ] );
